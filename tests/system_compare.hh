@@ -11,7 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "sim/config.hh"
 #include "sim/system.hh"
@@ -50,81 +55,149 @@ applyEnvShardParanoia(sim::SimConfig &cfg)
         cfg.shardShadow = true;
 }
 
+/** One SystemResult field as resultFields() walks it. */
+struct ResultField {
+    std::string name;
+    std::uint64_t bits = 0; ///< Exact value bits (doubles bit-cast).
+    std::string text;       ///< Printable value.
+};
+
+/**
+ * Every SystemResult field, in a fixed order. The one definition of
+ * "the result" shared by expectIdenticalResults and the pinned digests
+ * (tests/test_golden.cc), so a new field cannot be compared by one and
+ * missed by the other: add it here and both see it.
+ */
+inline std::vector<ResultField>
+resultFields(const sim::SystemResult &r)
+{
+    std::vector<ResultField> out;
+    auto u64 = [&out](std::string name, std::uint64_t v) {
+        out.push_back({std::move(name), v, std::to_string(v)});
+    };
+    auto f64 = [&out](std::string name, double v) {
+        ResultField f{std::move(name), 0, ""};
+        std::memcpy(&f.bits, &v, sizeof v);
+        char buf[40];
+        std::snprintf(buf, sizeof buf, "%.17g", v);
+        f.text = buf;
+        out.push_back(std::move(f));
+    };
+    auto at = [](const char *base, std::size_t i) {
+        return std::string(base) + "[" + std::to_string(i) + "]";
+    };
+
+    u64("ipc.size", r.ipc.size());
+    for (std::size_t i = 0; i < r.ipc.size(); ++i)
+        f64(at("ipc", i), r.ipc[i]);
+    u64("cpuCycles", r.cpuCycles);
+    u64("activations", r.activations);
+    f64("providerHitRate", r.providerHitRate);
+    f64("hcracHitRate", r.hcracHitRate);
+    f64("unlimitedHitRate", r.unlimitedHitRate);
+    f64("rmpkc", r.rmpkc);
+
+    const ctrl::CtrlStats &c = r.ctrl;
+    u64("ctrl.reads", c.reads);
+    u64("ctrl.writes", c.writes);
+    u64("ctrl.acts", c.acts);
+    u64("ctrl.pres", c.pres);
+    u64("ctrl.autoPres", c.autoPres);
+    u64("ctrl.refs", c.refs);
+    u64("ctrl.rowHits", c.rowHits);
+    u64("ctrl.rowMisses", c.rowMisses);
+    u64("ctrl.rowConflicts", c.rowConflicts);
+    u64("ctrl.readForwards", c.readForwards);
+    u64("ctrl.readLatencySum", c.readLatencySum);
+    u64("ctrl.ptwReads", c.ptwReads);
+    u64("ctrl.ptwActs", c.ptwActs);
+    u64("ctrl.ptwActHits", c.ptwActHits);
+    for (std::size_t l = 0; l < 4; ++l)
+        u64(at("ctrl.ptwReadsByLevel", l), c.ptwReadsByLevel[l]);
+
+    const vm::VmStats &v = r.vm;
+    u64("vm.lookups", v.lookups);
+    u64("vm.l1Hits", v.l1Hits);
+    u64("vm.l2Hits", v.l2Hits);
+    u64("vm.walks", v.walks);
+    u64("vm.pteFetches", v.pteFetches);
+    u64("vm.walkCycleSum", v.walkCycleSum);
+    u64("vm.pagesMapped", v.pagesMapped);
+    u64("vm.ptTables", v.ptTables);
+    u64("vm.contextSwitches", v.contextSwitches);
+    u64("vm.remaps", v.remaps);
+    u64("vm.shootdownsSent", v.shootdownsSent);
+    u64("vm.shootdownsReceived", v.shootdownsReceived);
+    u64("vm.pwcLookups", v.pwcLookups);
+    u64("vm.pwcSkippedFetches", v.pwcSkippedFetches);
+    for (std::size_t l = 0; l < v.pwcHitsByLevel.size(); ++l)
+        u64(at("vm.pwcHitsByLevel", l), v.pwcHitsByLevel[l]);
+    u64("xlatStallCycles", r.xlatStallCycles);
+    u64("shootdownStallCycles", r.shootdownStallCycles);
+
+    const mem::LlcStats &l = r.llc;
+    u64("llc.accesses", l.accesses);
+    u64("llc.hits", l.hits);
+    u64("llc.misses", l.misses);
+    u64("llc.mshrMerges", l.mshrMerges);
+    u64("llc.writebacks", l.writebacks);
+    u64("llc.blockedMshr", l.blockedMshr);
+    u64("llc.blockedMemQueue", l.blockedMemQueue);
+
+    const energy::EnergyBreakdown &e = r.energy;
+    f64("energy.actPreNj", e.actPreNj);
+    f64("energy.readNj", e.readNj);
+    f64("energy.writeNj", e.writeNj);
+    f64("energy.refreshNj", e.refreshNj);
+    f64("energy.actStandbyNj", e.actStandbyNj);
+    f64("energy.preStandbyNj", e.preStandbyNj);
+    f64("energy.controllerNj", e.controllerNj);
+
+    u64("rltl.size", r.rltl.size());
+    for (std::size_t i = 0; i < r.rltl.size(); ++i)
+        f64(at("rltl", i), r.rltl[i]);
+    u64("rltlWindowsMs.size", r.rltlWindowsMs.size());
+    for (std::size_t i = 0; i < r.rltlWindowsMs.size(); ++i)
+        f64(at("rltlWindowsMs", i), r.rltlWindowsMs[i]);
+    f64("afterRefresh8ms", r.afterRefresh8ms);
+
+    // SystemResult::degraded is deliberately NOT walked: it is
+    // execution status, not a statistic — the resilience tests pit a
+    // degraded sharded run against a healthy serial reference precisely
+    // to prove the statistics stay bit-identical while the flag differs.
+    return out;
+}
+
+/** 64-bit FNV-1a over the walked value bits, 8 little-endian bytes each. */
+inline std::uint64_t
+resultDigest(const std::vector<ResultField> &fields)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const ResultField &f : fields)
+        for (int byte = 0; byte < 8; ++byte) {
+            h ^= (f.bits >> (8 * byte)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    return h;
+}
+
 /** Every field of SystemResult must agree bit for bit. */
 inline void
 expectIdenticalResults(const sim::SystemResult &a,
                        const sim::SystemResult &b, const char *label)
 {
     SCOPED_TRACE(label);
-    ASSERT_EQ(a.ipc.size(), b.ipc.size());
-    for (size_t i = 0; i < a.ipc.size(); ++i)
-        EXPECT_EQ(a.ipc[i], b.ipc[i]) << "core " << i;
-    EXPECT_EQ(a.cpuCycles, b.cpuCycles);
-    EXPECT_EQ(a.activations, b.activations);
-    EXPECT_EQ(a.providerHitRate, b.providerHitRate);
-    EXPECT_EQ(a.hcracHitRate, b.hcracHitRate);
-    EXPECT_EQ(a.unlimitedHitRate, b.unlimitedHitRate);
-    EXPECT_EQ(a.rmpkc, b.rmpkc);
-
-    EXPECT_EQ(a.ctrl.reads, b.ctrl.reads);
-    EXPECT_EQ(a.ctrl.writes, b.ctrl.writes);
-    EXPECT_EQ(a.ctrl.acts, b.ctrl.acts);
-    EXPECT_EQ(a.ctrl.pres, b.ctrl.pres);
-    EXPECT_EQ(a.ctrl.autoPres, b.ctrl.autoPres);
-    EXPECT_EQ(a.ctrl.refs, b.ctrl.refs);
-    EXPECT_EQ(a.ctrl.rowHits, b.ctrl.rowHits);
-    EXPECT_EQ(a.ctrl.rowMisses, b.ctrl.rowMisses);
-    EXPECT_EQ(a.ctrl.rowConflicts, b.ctrl.rowConflicts);
-    EXPECT_EQ(a.ctrl.readForwards, b.ctrl.readForwards);
-    EXPECT_EQ(a.ctrl.readLatencySum, b.ctrl.readLatencySum);
-    EXPECT_EQ(a.ctrl.ptwReads, b.ctrl.ptwReads);
-    EXPECT_EQ(a.ctrl.ptwActs, b.ctrl.ptwActs);
-    EXPECT_EQ(a.ctrl.ptwActHits, b.ctrl.ptwActHits);
-    for (int l = 0; l < 4; ++l)
-        EXPECT_EQ(a.ctrl.ptwReadsByLevel[l], b.ctrl.ptwReadsByLevel[l])
-            << "ptw level " << l;
-    EXPECT_EQ(a.vm.lookups, b.vm.lookups);
-    EXPECT_EQ(a.vm.l1Hits, b.vm.l1Hits);
-    EXPECT_EQ(a.vm.l2Hits, b.vm.l2Hits);
-    EXPECT_EQ(a.vm.walks, b.vm.walks);
-    EXPECT_EQ(a.vm.pteFetches, b.vm.pteFetches);
-    EXPECT_EQ(a.vm.walkCycleSum, b.vm.walkCycleSum);
-    EXPECT_EQ(a.vm.pagesMapped, b.vm.pagesMapped);
-    EXPECT_EQ(a.vm.ptTables, b.vm.ptTables);
-    EXPECT_EQ(a.vm.contextSwitches, b.vm.contextSwitches);
-    EXPECT_EQ(a.vm.remaps, b.vm.remaps);
-    EXPECT_EQ(a.vm.shootdownsSent, b.vm.shootdownsSent);
-    EXPECT_EQ(a.vm.shootdownsReceived, b.vm.shootdownsReceived);
-    EXPECT_EQ(a.vm.pwcLookups, b.vm.pwcLookups);
-    EXPECT_EQ(a.vm.pwcSkippedFetches, b.vm.pwcSkippedFetches);
-    for (std::size_t l = 0; l < a.vm.pwcHitsByLevel.size(); ++l)
-        EXPECT_EQ(a.vm.pwcHitsByLevel[l], b.vm.pwcHitsByLevel[l])
-            << "pwc level " << l;
-    EXPECT_EQ(a.xlatStallCycles, b.xlatStallCycles);
-    EXPECT_EQ(a.shootdownStallCycles, b.shootdownStallCycles);
-
-    EXPECT_EQ(a.llc.accesses, b.llc.accesses);
-    EXPECT_EQ(a.llc.hits, b.llc.hits);
-    EXPECT_EQ(a.llc.misses, b.llc.misses);
-    EXPECT_EQ(a.llc.mshrMerges, b.llc.mshrMerges);
-    EXPECT_EQ(a.llc.writebacks, b.llc.writebacks);
-    EXPECT_EQ(a.llc.blockedMshr, b.llc.blockedMshr);
-    EXPECT_EQ(a.llc.blockedMemQueue, b.llc.blockedMemQueue);
-
-    EXPECT_EQ(a.energy.totalNj(), b.energy.totalNj());
-    EXPECT_EQ(a.energy.actPreNj, b.energy.actPreNj);
-    EXPECT_EQ(a.energy.actStandbyNj, b.energy.actStandbyNj);
-    EXPECT_EQ(a.energy.preStandbyNj, b.energy.preStandbyNj);
-
-    ASSERT_EQ(a.rltl.size(), b.rltl.size());
-    for (size_t i = 0; i < a.rltl.size(); ++i)
-        EXPECT_EQ(a.rltl[i], b.rltl[i]) << "rltl window " << i;
-    EXPECT_EQ(a.afterRefresh8ms, b.afterRefresh8ms);
-
-    // SystemResult::degraded is deliberately NOT compared: the
-    // resilience tests pit a degraded sharded run against a healthy
-    // serial reference precisely to prove the *statistics* stay
-    // bit-identical while the flag differs (tests/test_resilience.cc).
+    const std::vector<ResultField> fa = resultFields(a);
+    const std::vector<ResultField> fb = resultFields(b);
+    for (std::size_t i = 0; i < fa.size() && i < fb.size(); ++i) {
+        // A vector-length mismatch (reported by its ".size" field)
+        // misaligns the names after it; stop there instead of
+        // cascading.
+        ASSERT_EQ(fa[i].name, fb[i].name);
+        EXPECT_EQ(fa[i].bits, fb[i].bits)
+            << fa[i].name << ": " << fa[i].text << " vs " << fb[i].text;
+    }
+    EXPECT_EQ(fa.size(), fb.size());
 }
 
 /** Per-core statistics must also agree (park/wake bulk accounting). */

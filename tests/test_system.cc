@@ -559,5 +559,43 @@ TEST(Experiment, WeightedSpeedupOfIdenticalIpcIsCoreCount)
     EXPECT_NEAR(ws, 2.0, 1e-9);
 }
 
+TEST(Experiment, SweepMatchesSerialRuns)
+{
+    // Whole runs are the unit of parallelism: concurrent Systems share
+    // no mutable state, so every sweep point must come out bit-identical
+    // to the same configuration run alone.
+    struct Point {
+        Scheme scheme;
+        int cores;
+        bool vm;
+    };
+    std::vector<Point> points;
+    for (Scheme s : {Scheme::Baseline, Scheme::ChargeCache}) {
+        points.push_back({s, 1, false});
+        points.push_back({s, 4, false});
+        points.push_back({s, 4, true});
+    }
+    auto run_point = [&points](std::size_t i) {
+        const Point &p = points[i];
+        SimConfig cfg = p.cores == 1 ? tinySingle(p.scheme)
+                                     : tinyEight(p.scheme);
+        cfg.nCores = p.cores;
+        cfg.vm.enable = p.vm;
+        std::vector<std::string> w =
+            p.cores == 1 ? std::vector<std::string>{"tpch6"}
+                         : workloads::mixWorkloads(2, p.cores);
+        System sys(cfg, w);
+        return sys.run();
+    };
+    std::vector<SystemResult> swept = runSweep(points.size(), run_point, 3);
+    ASSERT_EQ(swept.size(), points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        std::string label = std::string(schemeName(points[i].scheme)) +
+                            "/" + std::to_string(points[i].cores) + "c" +
+                            (points[i].vm ? "/vm" : "");
+        expectIdenticalResults(run_point(i), swept[i], label.c_str());
+    }
+}
+
 } // namespace
 } // namespace ccsim::sim
