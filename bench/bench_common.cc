@@ -27,8 +27,8 @@ envInt(const char *name, int def)
  * revision and compiler the binary came from, an FNV-1a hash over the
  * build identity (revision + compiler + compile-time feature set) for
  * cheap "same build?" comparisons across trajectory rows, and the
- * host's hardware thread count (shard speedups are meaningless
- * without it).
+ * host's hardware thread count (parallel sweep speedups are
+ * meaningless without it).
  */
 std::string
 provenanceJson()

@@ -14,7 +14,7 @@ std::atomic<bool> quietMode{false};
 // -1 = not yet resolved from the environment.
 std::atomic<int> levelOverride{-1};
 
-// Serializes stderr writes so multi-threaded shard logs stay line-atomic.
+// Serializes stderr writes so concurrent sweep points log line-atomically.
 std::mutex &
 logMutex()
 {

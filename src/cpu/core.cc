@@ -33,12 +33,6 @@ Core::onMissComplete(std::uint64_t token)
 Core::IssueResult
 Core::issuePte(CpuCycle now)
 {
-    // Nothing is mutated before the LLC access: a deferred issuePte
-    // re-executes verbatim from tickShared.
-    if (deferShared_) {
-        pendingShared_ = true;
-        return IssueResult::NeedsShared;
-    }
     mem::Llc::Result res =
         llc_.access(id_, mmu_->pteLine(), false, kXlatToken,
                     /*is_ptw=*/true, mmu_->walkLevel());
@@ -170,15 +164,6 @@ Core::issueOne(CpuCycle now)
         line_addr =
             record_.addr / static_cast<Addr>(llc_.config().lineBytes);
     }
-    // Deferral point: everything above either committed idempotently
-    // (trace fetch flipped recordValid_, a finished translation set
-    // translatedLine_) or is pure, so re-running issueOne from
-    // tickShared lands back here with identical state and no
-    // double-counted statistic.
-    if (deferShared_) {
-        pendingShared_ = true;
-        return IssueResult::NeedsShared;
-    }
     mem::Llc::Result res =
         llc_.access(id_, line_addr, record_.isWrite, seq_);
     if (res == mem::Llc::Result::Blocked) {
@@ -213,61 +198,6 @@ Core::issueOne(CpuCycle now)
 bool
 Core::tick(CpuCycle now)
 {
-    bool p = tickLocal(now);
-    if (pendingShared_)
-        return tickShared(now);
-    return p;
-}
-
-Core::IssueResult
-Core::issueLoop(CpuCycle now, bool &progressed)
-{
-    IssueResult last = IssueResult::Issued;
-    while (issueSlot_ > 0) {
-        last = issueOne(now);
-        if (last == IssueResult::NeedsShared)
-            return last; // Slot unconsumed: tickShared re-runs it.
-        --issueSlot_;
-        if (last == IssueResult::XlatStep) {
-            // A translation step (TLB timer armed or PTE fetch sent)
-            // consumes the rest of this cycle's issue bandwidth.
-            progressed = true;
-            break;
-        }
-        if (last != IssueResult::Issued)
-            break;
-        progressed = true;
-    }
-    return last;
-}
-
-void
-Core::finishTick(IssueResult last, bool progressed)
-{
-    if (progressed) {
-        stallKind_ = StallKind::None;
-    } else {
-        // A no-progress tick always ends in exactly one failed issue:
-        // window full, LLC rejection, or a translation still in flight.
-        switch (last) {
-          case IssueResult::WindowFull:
-            stallKind_ = StallKind::WindowFull;
-            break;
-          case IssueResult::XlatWait:
-            stallKind_ = StallKind::XlatWait;
-            break;
-          default:
-            stallKind_ = StallKind::BlockedLlc;
-            break;
-        }
-    }
-    wakePending_ = false;
-}
-
-bool
-Core::tickLocal(CpuCycle now)
-{
-    pendingShared_ = false;
     // TLB-shootdown IPI: the pipeline is frozen while the TLB
     // invalidates — no delivery, no retire, no issue. Exactly one
     // stall statistic per cycle, so the event kernels park through the
@@ -278,14 +208,13 @@ Core::tickLocal(CpuCycle now)
             ++stats_.shootdownStallCycles;
             stallKind_ = StallKind::Shootdown;
             wakePending_ = false;
-            tickProgress_ = false;
             return false;
         }
         shootdownUntil_ = 0;
     }
     bool progressed = false;
     // Deliver scheduled LLC-hit data returns due by now. Delivery alone
-    // is not progress (see tick() docs): while the core was parked past
+    // is not progress (see core.hh): while the core was parked past
     // some of these cycles, the per-cycle reference performed the same
     // deliveries on ticks whose only other effect was the one
     // stall-statistic increment the parked accounting settles in bulk.
@@ -311,34 +240,38 @@ Core::tickLocal(CpuCycle now)
         targetRecorded_ = true;
         targetCycle_ = now;
     }
-    // Issue new instructions, deferring at the first shared-LLC access.
-    issueSlot_ = config_.issueWidth;
-    deferShared_ = true;
-    IssueResult last = issueLoop(now, progressed);
-    deferShared_ = false;
-    if (pendingShared_) {
-        // Stop mid-tick: stall classification and the wake-flag clear
-        // belong to tickShared, which sees the full cycle's outcome.
-        tickProgress_ = progressed;
-        return progressed;
+    // Issue new instructions, up to issue width.
+    IssueResult last = IssueResult::Issued;
+    for (int i = 0; i < config_.issueWidth; ++i) {
+        last = issueOne(now);
+        if (last == IssueResult::XlatStep) {
+            // A translation step (TLB timer armed or PTE fetch sent)
+            // consumes the rest of this cycle's issue bandwidth.
+            progressed = true;
+            break;
+        }
+        if (last != IssueResult::Issued)
+            break;
+        progressed = true;
     }
-    finishTick(last, progressed);
-    tickProgress_ = progressed;
-    return progressed;
-}
-
-bool
-Core::tickShared(CpuCycle now)
-{
-    CCSIM_ASSERT(pendingShared_,
-                 "tickShared without a deferred LLC access");
-    pendingShared_ = false;
-    bool progressed = tickProgress_;
-    IssueResult last = issueLoop(now, progressed);
-    CCSIM_ASSERT(last != IssueResult::NeedsShared,
-                 "LLC access deferred with deferral off");
-    finishTick(last, progressed);
-    tickProgress_ = progressed;
+    if (progressed) {
+        stallKind_ = StallKind::None;
+    } else {
+        // A no-progress tick always ends in exactly one failed issue:
+        // window full, LLC rejection, or a translation still in flight.
+        switch (last) {
+          case IssueResult::WindowFull:
+            stallKind_ = StallKind::WindowFull;
+            break;
+          case IssueResult::XlatWait:
+            stallKind_ = StallKind::XlatWait;
+            break;
+          default:
+            stallKind_ = StallKind::BlockedLlc;
+            break;
+        }
+    }
+    wakePending_ = false;
     return progressed;
 }
 
@@ -367,11 +300,6 @@ Core::resetStats(CpuCycle now)
 void
 Core::saveState(resilience::SnapshotWriter &w) const
 {
-    // Checkpoints happen between ticks (the sharded runner quiesces
-    // first), so the mid-tick split state is never live here and the
-    // snapshot format needs no new fields.
-    CCSIM_ASSERT(!pendingShared_,
-                 "checkpoint with a mid-tick deferred LLC access");
     w.putDeque(window_);
     w.put(windowBaseSeq_);
     w.put(seq_);

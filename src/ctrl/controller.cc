@@ -691,10 +691,7 @@ MemoryController::tick()
             obsHists_->readLatency.sample(pr.done - pr.req.arrive);
 #endif
         active = true;
-        if (completionSink_)
-            completionSink_(completionCtx_, pr.req, pr.done);
-        else
-            pr.req.complete(pr.done);
+        pr.req.complete(pr.done);
     }
 
     // Write drain hysteresis.

@@ -23,7 +23,6 @@
 #include "chargecache/providers.hh"
 #include "common/log.hh"
 #include "common/types.hh"
-#include "ctrl/port.hh"
 #include "ctrl/refresh.hh"
 #include "ctrl/request.hh"
 #include "ctrl/rltl.hh"
@@ -109,7 +108,7 @@ struct CtrlStats {
     std::uint64_t ptwReadsByLevel[4] = {0, 0, 0, 0};
 };
 
-class MemoryController : public MemPort
+class MemoryController
 {
   public:
     /**
@@ -128,13 +127,13 @@ class MemoryController : public MemPort
     void addListener(CommandListener *listener);
 
     /** True if a read/write can be accepted this cycle. */
-    bool canAccept(ReqType type) const override;
+    bool canAccept(ReqType type) const;
 
     /**
      * Enqueue a request (must canAccept). Reads complete via
      * `req.callback`; writes are acknowledged immediately.
      */
-    void enqueue(Request req) override;
+    void enqueue(Request req);
 
     /**
      * Advance one controller (DRAM bus) cycle. Returns true if the tick
@@ -161,62 +160,6 @@ class MemoryController : public MemPort
         if (queuedRequests() != 0 && nextServeTry_ < ev)
             ev = nextServeTry_;
         return ev > now_ ? ev : now_;
-    }
-
-    /**
-     * Earliest cycle at which a tick will hand read data back to the
-     * requester (kNoCycle when no read is in flight). Completion times
-     * are fixed at issue time, so between two ticks this horizon can
-     * only be *raised* by the controller itself — the property the
-     * channel-sharded kernel's free-run window relies on: a shard may
-     * tick autonomously up to (but excluding) this cycle without any
-     * callback crossing threads.
-     */
-    Cycle
-    nextDeliveryAt() const
-    {
-        return pending_.empty() ? kNoCycle : pending_.top().done;
-    }
-
-    /**
-     * Lower bound on the cycle at which a *queued* (not yet issued)
-     * read could hand data back, given that any read needs at least
-     * `lmin` cycles between command issue and data delivery (the
-     * caller passes tCL + tBL, the minimum CAS-to-data distance).
-     * kNoCycle when no read is queued. The scheduler never issues
-     * before nextServeTry_, so issue >= max(now, nextServeTry_) and
-     * delivery >= issue + lmin. Unlike nextDeliveryAt() this bound can
-     * move backwards across enqueues, so the sharded kernel must
-     * re-read it after every command it relays — it is a per-epoch
-     * bound, not a monotone horizon.
-     */
-    Cycle
-    readIssueBoundAt(Cycle lmin) const
-    {
-        if (readCount() == 0)
-            return kNoCycle;
-        Cycle issue = nextServeTry_ > now_ ? nextServeTry_ : now_;
-        if (issue >= kNoCycle - lmin)
-            return kNoCycle;
-        return issue + lmin;
-    }
-
-    /**
-     * Completion routing for the channel-sharded kernel: when a sink is
-     * installed, tick() passes finished read data to it instead of
-     * invoking `req.complete()` directly. The sharded runner uses this
-     * to capture (request, done-cycle) pairs on the shard thread and
-     * replay the callbacks on the coordinator in serial channel order.
-     * Raw function pointer + context, mirroring Request::Callback.
-     */
-    using CompletionSink = void (*)(void *ctx, const Request &req,
-                                    Cycle done);
-
-    void
-    setCompletionSink(CompletionSink sink, void *ctx)
-    {
-        completionSink_ = sink;
-        completionCtx_ = ctx;
     }
 
     /**
@@ -499,8 +442,6 @@ class MemoryController : public MemPort
     std::uint64_t tokenSeq_ = 1;
     /** Queue state changed outside a tick; see consumeHorizonDirty(). */
     bool horizonDirty_ = true;
-    CompletionSink completionSink_ = nullptr;
-    void *completionCtx_ = nullptr;
     CtrlStats stats_;
 #if CCSIM_OBS
     obs::CtrlHists *obsHists_ = nullptr; ///< Telemetry histograms.

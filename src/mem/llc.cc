@@ -9,11 +9,11 @@
 namespace ccsim::mem {
 
 Llc::Llc(const LlcConfig &config, const dram::AddressMapper &mapper,
-         std::function<ctrl::MemPort *(int channel)> route,
+         std::vector<ctrl::MemoryController *> channels,
          MissCallback on_miss_complete)
     : config_(config),
       mapper_(mapper),
-      route_(std::move(route)),
+      channels_(std::move(channels)),
       onMissComplete_(std::move(on_miss_complete))
 {
     // Geometry comes from user configuration, so malformed values are
@@ -113,7 +113,7 @@ Llc::sendFetch(Addr line_addr)
     req.ptwLevel = it->second.ptwLevel;
     req.callback = &Llc::fillCallback;
     req.callbackCtx = this;
-    ctrl::MemPort *mc = route_(req.addr.channel);
+    ctrl::MemoryController *mc = channels_[req.addr.channel];
     if (!mc->canAccept(ctrl::ReqType::Read))
         return false;
     // Mark before enqueue: `it` must not be touched afterwards (the
@@ -231,7 +231,7 @@ Llc::tick()
         req.lineAddr = line_addr;
         req.addr = mapper_.decode(line_addr);
         req.coreId = -1;
-        ctrl::MemPort *mc = route_(req.addr.channel);
+        ctrl::MemoryController *mc = channels_[req.addr.channel];
         if (!mc->canAccept(ctrl::ReqType::Write))
             break;
         mc->enqueue(std::move(req));

@@ -61,14 +61,13 @@ class Llc
     using WakeCallback = std::function<void(int core)>;
 
     /**
-     * @param route maps a channel index to its memory port — the
-     *        controller itself in the serial kernels, or a shard proxy
-     *        (sim::ShardedRunner) when the channel lives on another
-     *        thread.
+     * @param channels the memory controller of each channel, by index
+     *        (not owned). Empty for a functional-warming cache, which
+     *        never fetches (warmAccess only).
      * @param on_miss_complete completion notification for Miss results.
      */
     Llc(const LlcConfig &config, const dram::AddressMapper &mapper,
-        std::function<ctrl::MemPort *(int channel)> route,
+        std::vector<ctrl::MemoryController *> channels,
         MissCallback on_miss_complete);
 
     /**
@@ -210,7 +209,7 @@ class Llc
 
     LlcConfig config_;
     const dram::AddressMapper &mapper_;
-    std::function<ctrl::MemPort *(int)> route_;
+    std::vector<ctrl::MemoryController *> channels_;
     MissCallback onMissComplete_;
 
     int sets_;

@@ -5,8 +5,8 @@
  * Probes are registered once at system build (in a fixed order) and
  * point at live statistic fields; sample(now) appends one row whose
  * values are computed purely from simulated state, so the series is
- * bit-identical across kernels and shard widths as long as samples are
- * taken at the same simulated cycles from quiescent state (the kernels
+ * bit-identical across kernels as long as samples are taken at the
+ * same simulated cycles from quiescent state (the kernels
  * guarantee both; see docs/observability.md).
  *
  * Three probe kinds:

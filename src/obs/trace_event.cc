@@ -187,13 +187,4 @@ HostTracer::span(const std::string &name, const char *cat, double t0_us,
                    t1_us - t0_us);
 }
 
-void
-HostTracer::instant(const std::string &name, const char *cat)
-{
-    TraceEventSink *sink = sink_.load(std::memory_order_acquire);
-    if (!sink)
-        return;
-    sink->instant(kPidHost, currentTid(), name, cat, nowUs());
-}
-
 } // namespace ccsim::obs

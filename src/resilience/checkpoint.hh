@@ -10,10 +10,9 @@
  * docs/resilience.md). The config hash covers every knob that shapes
  * simulated state — workloads, core/channel counts, scheme, seeds,
  * instruction targets, VM shape — but deliberately EXCLUDES the
- * execution strategy (kernel mode, shard thread count, paranoia,
- * fault plan): all kernels produce bit-identical schedules, so a
- * snapshot taken under Calendar may be resumed under EventSkip or a
- * different shard width.
+ * execution strategy (kernel mode, paranoia, fault injection): all
+ * kernels produce bit-identical schedules, so a snapshot taken under
+ * Calendar may be resumed under EventSkip or PerCycle.
  *
  * The stop flag is the SIGINT/SIGTERM half of graceful shutdown:
  * installStopSignalHandler() arms an async-signal-safe flag that

@@ -3,24 +3,9 @@
 #include <cstdlib>
 #include <string>
 
-#include "common/random.hh"
 #include "resilience/error.hh"
 
 namespace ccsim::resilience {
-
-const char *
-faultKindName(FaultKind kind)
-{
-    switch (kind) {
-      case FaultKind::None:          return "none";
-      case FaultKind::WorkerStall:   return "worker-stall";
-      case FaultKind::WorkerDeath:   return "worker-death";
-      case FaultKind::RingCorrupt:   return "ring-corrupt";
-      case FaultKind::AllocFail:     return "alloc-fail";
-      case FaultKind::TraceTruncate: return "trace-truncate";
-    }
-    return "unknown";
-}
 
 void
 applyEnvFaults(FaultConfig &cfg)
@@ -29,113 +14,36 @@ applyEnvFaults(FaultConfig &cfg)
         const char *v = std::getenv(name);
         return v && *v ? v : nullptr;
     };
-    // Scalar parses validate the end pointer: strtoull/strtol with a
-    // nullptr end silently read garbage like "abc" as 0, which turns a
-    // typo'd fault spec into "no fault injected" — the one failure mode
-    // a fault harness must not have.
-    auto parseU64 = [](const char *name, const char *v) -> std::uint64_t {
+    // The seed parse validates the end pointer: strtoull with a nullptr
+    // end silently reads garbage like "abc" as 0, which turns a typo'd
+    // fault spec into "no fault injected" — the one failure mode a
+    // fault harness must not have.
+    if (const char *v = env("CCSIM_FAULT_SEED")) {
         char *end = nullptr;
         auto parsed = std::strtoull(v, &end, 10);
         if (end == v || *end != '\0')
             throw SimError(ErrorKind::InvalidConfig,
-                           std::string(name) + "='" + v +
+                           std::string("CCSIM_FAULT_SEED='") + v +
                                "' is not an unsigned integer");
-        return parsed;
-    };
-    auto parseInt = [](const char *name, const char *v) -> int {
-        char *end = nullptr;
-        long parsed = std::strtol(v, &end, 10);
-        if (end == v || *end != '\0')
-            throw SimError(ErrorKind::InvalidConfig,
-                           std::string(name) + "='" + v +
-                               "' is not an integer");
-        return static_cast<int>(parsed);
-    };
-    if (const char *v = env("CCSIM_FAULT_SEED"))
-        cfg.seed = parseU64("CCSIM_FAULT_SEED", v);
+        cfg.seed = parsed;
+    }
     if (const char *v = env("CCSIM_FAULT_KIND")) {
         std::string k = v;
-        if (k == "worker-stall")
-            cfg.kind = FaultKind::WorkerStall;
-        else if (k == "worker-death")
-            cfg.kind = FaultKind::WorkerDeath;
-        else if (k == "ring-corrupt")
-            cfg.kind = FaultKind::RingCorrupt;
-        else if (k == "alloc-fail")
+        if (k == "alloc-fail")
             cfg.kind = FaultKind::AllocFail;
-        else if (k == "trace-truncate")
-            cfg.kind = FaultKind::TraceTruncate;
         else if (k == "none")
             cfg.kind = FaultKind::None;
         else
             throw SimError(ErrorKind::InvalidConfig,
                            "CCSIM_FAULT_KIND='" + k + "' is not a fault");
     }
-    if (const char *v = env("CCSIM_FAULT_AFTER"))
-        cfg.afterCommands = parseU64("CCSIM_FAULT_AFTER", v);
-    if (const char *v = env("CCSIM_FAULT_CHANNEL"))
-        cfg.channel = parseInt("CCSIM_FAULT_CHANNEL", v);
-}
-
-FaultPlan::FaultPlan(const FaultConfig &cfg, int channels) : cfg_(cfg)
-{
-    if (!cfg_.enabled())
-        return;
-    std::uint64_t s = cfg_.seed;
-    // Derivation order is fixed: kind, afterCommands, channel — so a
-    // partially-pinned config consumes the same stream positions.
-    std::uint64_t dk = splitMix64(s);
-    std::uint64_t da = splitMix64(s);
-    std::uint64_t dc = splitMix64(s);
-    kind_ = cfg_.kind != FaultKind::None
-                ? cfg_.kind
-                : static_cast<FaultKind>(1 + dk % 5);
-    after_ = cfg_.afterCommands != 0 ? cfg_.afterCommands : 1 + da % 64;
-    channel_ = cfg_.channel >= 0
-                   ? cfg_.channel % (channels > 0 ? channels : 1)
-                   : static_cast<int>(dc % (channels > 0 ? channels : 1));
 }
 
 bool
-FaultPlan::fireOnce()
+injectsAllocFailure(const FaultConfig &cfg)
 {
-    bool expected = false;
-    return fired_.compare_exchange_strong(expected, true);
-}
-
-bool
-FaultPlan::shouldCorruptCmd(int ch, std::uint64_t cmd_idx)
-{
-    if (!enabled() || kind_ != FaultKind::RingCorrupt || ch != channel_ ||
-        cmd_idx < after_)
-        return false;
-    return fireOnce();
-}
-
-FaultKind
-FaultPlan::workerAction(int ch, std::uint64_t cmd_idx)
-{
-    if (!enabled() || ch != channel_ || cmd_idx < after_)
-        return FaultKind::None;
-    if (kind_ != FaultKind::WorkerStall && kind_ != FaultKind::WorkerDeath)
-        return FaultKind::None;
-    return fireOnce() ? kind_ : FaultKind::None;
-}
-
-bool
-FaultPlan::shouldFailAlloc()
-{
-    if (!enabled() || kind_ != FaultKind::AllocFail)
-        return false;
-    return fireOnce();
-}
-
-std::uint64_t
-FaultPlan::traceTruncateAfter() const
-{
-    if (!enabled() || kind_ != FaultKind::TraceTruncate)
-        return 0;
-    return after_;
+    return cfg.enabled() && (cfg.kind == FaultKind::AllocFail ||
+                             cfg.kind == FaultKind::None);
 }
 
 } // namespace ccsim::resilience

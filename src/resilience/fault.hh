@@ -1,67 +1,41 @@
 /**
  * @file
- * Seed-derived deterministic fault injection.
+ * Deterministic fault injection.
  *
  * A FaultConfig (sim::SimConfig::faults, env-overridable via
- * CCSIM_FAULT_SEED / CCSIM_FAULT_KIND / CCSIM_FAULT_AFTER /
- * CCSIM_FAULT_CHANNEL) names one fault to inject into a run; fields
- * left at their defaults are derived from the seed with SplitMix64, so
- * a single integer reproduces the whole scenario. FaultPlan is the
- * runtime object the injection shims consult:
+ * CCSIM_FAULT_SEED / CCSIM_FAULT_KIND) names one fault to inject into a
+ * run:
  *
- *  - WorkerStall:   a shard worker sleeps stallMs before executing its
- *                   N-th command on the chosen channel (exercises the
- *                   epoch watchdog + quarantine handshake).
- *  - WorkerDeath:   the worker throws SimError{FaultInjected} instead
- *                   of executing that command (exercises journal-replay
- *                   absorption; the command was never applied).
- *  - RingCorrupt:   the coordinator flips a payload bit in the ring
- *                   copy of that command after sealing its checksum
- *                   (the journal copy stays pristine; exercises the
- *                   worker-side checksum + absorb path).
- *  - AllocFail:     System::build throws SimError{ResourceExhausted}
- *                   once (exercises sweep-runner retry/backoff).
- *  - TraceTruncate: a trace reader reports SimError{TraceIo} after N
- *                   lines (exercises malformed-input recovery).
+ *  - AllocFail: System::build throws SimError{ResourceExhausted}
+ *               (exercises sweep-runner retry/backoff).
  *
- * Every fault fires at most once per plan; the decision sequence is a
- * pure function of (seed, kind, afterCommands, channel), never of
- * wall-clock or thread timing, so recovery paths are reproducible in
- * CI. All counters the shims consult are plan-internal atomics — the
- * simulation's own determinism is untouched when seed == 0.
+ * The decision never depends on wall-clock or thread timing, so the
+ * recovery path is reproducible in CI, and the simulation is untouched
+ * when seed == 0.
+ *
+ * Trace-reader truncation is injected directly through the readers'
+ * injectTruncateAfter() hooks (workloads/trace_file.hh,
+ * trace/format.hh), not through a FaultConfig.
  */
 
 #ifndef CCSIM_RESILIENCE_FAULT_HH
 #define CCSIM_RESILIENCE_FAULT_HH
 
-#include <atomic>
 #include <cstdint>
 
 namespace ccsim::resilience {
 
 enum class FaultKind : std::uint8_t {
     None = 0,
-    WorkerStall,
-    WorkerDeath,
-    RingCorrupt,
     AllocFail,
-    TraceTruncate,
 };
-
-const char *faultKindName(FaultKind kind);
 
 /** Declarative fault selection (lives in SimConfig). */
 struct FaultConfig {
     /** 0 disables injection entirely. */
     std::uint64_t seed = 0;
-    /** None + seed != 0 derives the kind from the seed. */
+    /** None + seed != 0 selects AllocFail, the only kind. */
     FaultKind kind = FaultKind::None;
-    /** Commands/lines before the fault fires; 0 derives from seed. */
-    std::uint64_t afterCommands = 0;
-    /** Target channel; -1 derives from seed (mod channel count). */
-    int channel = -1;
-    /** WorkerStall sleep, milliseconds. */
-    double stallMs = 20.0;
 
     bool enabled() const { return seed != 0; }
 };
@@ -69,47 +43,8 @@ struct FaultConfig {
 /** Apply CCSIM_FAULT_* environment overrides onto `cfg`. */
 void applyEnvFaults(FaultConfig &cfg);
 
-class FaultPlan
-{
-  public:
-    /** Resolve seed-derived fields against a concrete channel count. */
-    FaultPlan(const FaultConfig &cfg, int channels);
-
-    bool enabled() const { return cfg_.enabled(); }
-    FaultKind kind() const { return kind_; }
-    int channel() const { return channel_; }
-    std::uint64_t afterCommands() const { return after_; }
-    double stallMs() const { return cfg_.stallMs; }
-
-    /**
-     * Coordinator-side shim: whether the ring copy of command number
-     * `cmd_idx` on `ch` must be corrupted (fires once).
-     */
-    bool shouldCorruptCmd(int ch, std::uint64_t cmd_idx);
-
-    /**
-     * Worker-side shim, called before executing command `cmd_idx` on
-     * `ch`. Returns the injected action for this command (fires once):
-     * None, WorkerStall (caller sleeps stallMs and re-checks its
-     * quarantine flag), or WorkerDeath (caller throws).
-     */
-    FaultKind workerAction(int ch, std::uint64_t cmd_idx);
-
-    /** Build-time shim: one-shot allocation failure. */
-    bool shouldFailAlloc();
-
-    /** Lines after which a trace reader reports truncation (0 = never). */
-    std::uint64_t traceTruncateAfter() const;
-
-  private:
-    bool fireOnce();
-
-    FaultConfig cfg_;
-    FaultKind kind_ = FaultKind::None;
-    int channel_ = 0;
-    std::uint64_t after_ = 0;
-    std::atomic<bool> fired_{false};
-};
+/** True when `cfg` injects an allocation failure into System::build. */
+bool injectsAllocFailure(const FaultConfig &cfg);
 
 } // namespace ccsim::resilience
 

@@ -300,17 +300,13 @@ class TimingWheel
 };
 
 /**
- * Per-run state of the calendar kernel, owned by System while either
- * calendar-driven loop executes: System::runCalendar() (serial) or the
- * channel-sharded coordinator (sim::ShardedRunner::run — the sharded
- * kernel reuses this wheel and park/wake bookkeeping unchanged; only
- * the controller phase moves to worker threads, with each channel's
- * horizon slot becoming a shard-published mirror). The LLC wake
- * callbacks are bound once at System::build() time; they route through
- * this block (when present) so a completion can move a parked core to
- * the wake queue — or directly into the awake set when it fires
- * mid-core-phase for a core the id-ordered walk has not reached yet,
- * matching the per-cycle reference's visit order exactly.
+ * Per-run state of the calendar kernel, owned by System while
+ * System::runCalendar() executes. The LLC wake callbacks are bound
+ * once at System::build() time; they route through this block (when
+ * present) so a completion can move a parked core to the wake queue —
+ * or directly into the awake set when it fires mid-core-phase for a
+ * core the id-ordered walk has not reached yet, matching the per-cycle
+ * reference's visit order exactly.
  */
 struct CalendarKernelState {
     explicit CalendarKernelState(std::size_t cores)

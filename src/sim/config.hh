@@ -105,51 +105,6 @@ struct SimConfig {
 
     KernelMode kernel = KernelMode::Calendar;
     /**
-     * Channel-sharded multi-threaded simulation (KernelMode::Calendar,
-     * non-paranoid only; other kernels ignore it and run serially):
-     * 0 keeps the serial calendar kernel; N >= 1 partitions the
-     * per-channel controller/refresh/provider/energy state onto
-     * min(N, channels) worker threads while the cores and the shared
-     * LLC advance on the coordinator, connected by SPSC queues under a
-     * deterministic barrier protocol (see src/sim/shard.hh and
-     * docs/performance.md). Results are bit-identical to the serial
-     * kernels for every scheme, VM on or off — enforced by
-     * tests/test_shard.cc. N == 1 still exercises the full cross-thread
-     * protocol (useful for testing); speedup needs N >= 2 and >= 2
-     * channels on a multi-core host.
-     */
-    int shardThreads = 0;
-    /**
-     * Sharded kernel only: also parallelise the core phase. Cores are
-     * grouped by the worker that owns their home channel
-     * (channel `i * channels / nCores`); each cycle the coordinator
-     * dispatches every group with at least `shardCoreMinAwake` awake
-     * cores to its worker, which runs the cores' local tick halves
-     * (window/retire/translation — everything up to the first LLC
-     * access) in parallel, then finishes the deferred LLC accesses
-     * in global core order on the coordinator. Bit-identical by
-     * construction (the shared-state order is unchanged). Forced off
-     * under multi-process VM: a TLB shootdown broadcast mutates other
-     * cores mid-phase, which the parallel half must never do.
-     */
-    bool shardCoreGroups = true;
-    /**
-     * Minimum awake cores in a group before its CorePhase is worth a
-     * cross-thread dispatch; smaller groups tick inline on the
-     * coordinator. 1 forces dispatch whenever the group is non-empty
-     * (tests); raising it trades parallelism for fewer barriers.
-     */
-    int shardCoreMinAwake = 2;
-    /**
-     * Paranoid shadow for the sharded kernel: after the sharded run,
-     * replay the identical configuration on the serial calendar kernel
-     * and CCSIM_ASSERT every SystemResult field (incl. ptw/vm/xlat
-     * stats) matches bit for bit. Requires construction from workload
-     * names (the replay needs fresh trace sources). Costs a full serial
-     * re-run; meant for tests/CI.
-     */
-    bool shardShadow = false;
-    /**
      * Calendar/EventSkip only: execute would-be-skipped ticks anyway
      * and assert each one is quiescent — a per-cycle-speed equivalence
      * check of every skip decision (tests/debugging). For Calendar the
@@ -160,39 +115,21 @@ struct SimConfig {
     bool kernelParanoid = false;
 
     /**
-     * Deterministic fault injection (tests/CI soak): disabled unless
-     * faults.seed != 0. The plan derives what/when/where from the seed
-     * (see src/resilience/fault.hh); injected worker faults degrade a
-     * sharded run to serial execution with bit-identical results
-     * (docs/resilience.md).
+     * Deterministic fault injection (tests): disabled unless
+     * faults.seed != 0 (see src/resilience/fault.hh and
+     * docs/resilience.md).
      */
     resilience::FaultConfig faults;
-    /**
-     * Sharded-kernel watchdog: a worker that misses this many epoch
-     * deadlines in a row (each `shardEpochDeadlineMs` of wall-clock
-     * with no sync progress) has its channels absorbed onto the
-     * coordinator and the run continues serially (degraded, but
-     * bit-identical). 0 deadlines disables the watchdog.
-     */
-    int shardMissedDeadlineLimit = 4;
-    /** Wall-clock per-epoch deadline for the sharded watchdog (ms). */
-    double shardEpochDeadlineMs = 250.0;
     /**
      * Telemetry (src/obs/, docs/observability.md): interval
      * time-series, hot-path latency histograms, trace-event export.
      * Observation-only — results are bit-identical with telemetry on
-     * or off, across kernels and shard widths (tests/test_obs.cc).
+     * or off, across kernels (tests/test_obs.cc).
      * Excluded from the snapshot config hash like the other execution-
      * strategy knobs. Inert unless obs.enable (and the CCSIM_OBS
      * compile option, default ON) are set.
      */
     obs::ObsConfig obs;
-    /**
-     * After requesting quarantine of a suspect worker, how long the
-     * coordinator waits for it to release its channels before declaring
-     * the run unrecoverable (ms).
-     */
-    double shardAbsorbGraceMs = 10000.0;
 
     /** Paper single-core system: 1 channel, open-row. */
     static SimConfig singleCore();

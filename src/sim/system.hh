@@ -48,8 +48,6 @@ class OracleListener : public ctrl::CommandListener
     dram::TimingOracle oracle_;
 };
 
-class ShardedRunner;
-
 /** Everything a figure could want from one run. */
 struct SystemResult {
     std::vector<double> ipc; ///< Per core, post-warm-up.
@@ -71,15 +69,6 @@ struct SystemResult {
     std::vector<double> rltl; ///< Per configured window.
     std::vector<double> rltlWindowsMs;
     double afterRefresh8ms = 0.0;
-
-    /**
-     * True when a sharded run lost a worker (injected or real) and the
-     * affected channels were absorbed onto the coordinator. The
-     * statistics above are still bit-identical to an undisturbed run —
-     * degradation changes who executes, never what executes (see
-     * docs/resilience.md).
-     */
-    bool degraded = false;
 
     double
     ipcSum() const
@@ -154,11 +143,10 @@ class System
     // ----- Checkpoint/restore (src/resilience, docs/resilience.md) -----
 
     /**
-     * Hook invoked from the top of the kernel loop (any kernel,
-     * including the sharded coordinator) the first time simulated time
-     * reaches `first_at` and every `interval` CPU cycles thereafter
-     * (interval 0 = once). The hook runs at a quiescent point: parked
-     * cores have been settled, sharded workers synced — so
+     * Hook invoked from the top of the kernel loop (any kernel) the
+     * first time simulated time reaches `first_at` and every `interval`
+     * CPU cycles thereafter (interval 0 = once). The hook runs at a
+     * quiescent point — parked cores have been settled — so
      * serializeSnapshot() is legal inside it. Returning false stops the
      * run: the kernel unwinds with SimError{Interrupted}. The hook is
      * also where the SIGINT/SIGTERM stop flag is typically polled
@@ -173,9 +161,9 @@ class System
      * Serialize the full simulation state as a versioned snapshot.
      * Callable only from inside a checkpoint hook (the kernel records
      * the quiescent run point the snapshot is anchored to). Resuming
-     * from the returned bytes — in a fresh process, under a different
-     * kernel, or with a different shard width — reproduces the
-     * uninterrupted run bit for bit (tests/test_resilience.cc).
+     * from the returned bytes — in a fresh process, or under a
+     * different kernel — reproduces the uninterrupted run bit for bit
+     * (tests/test_resilience.cc).
      */
     std::vector<std::uint8_t> serializeSnapshot() const;
 
@@ -189,17 +177,13 @@ class System
 
     /**
      * Hash of every configuration knob that shapes simulated state.
-     * Deliberately excludes execution strategy (kernel, shard threads,
-     * paranoia, fault plan) so snapshots resume across kernels.
+     * Deliberately excludes execution strategy (kernel, paranoia,
+     * fault plan) so snapshots resume across kernels.
      */
     std::uint64_t configHash() const;
 
   private:
     class StallWatchdog;
-    /** Channel-sharded multi-threaded driver (src/sim/shard.cc). */
-    friend class ShardedRunner;
-    friend void shardShadowReplay(System &sys,
-                                  const SystemResult &sharded);
 
     void build(const std::vector<cpu::TraceSource *> &traces);
     void makeProviders();
@@ -210,11 +194,7 @@ class System
      * (asid, vpn) in every other core's TLBs and stall those cores for
      * vm.mp.shootdownCycles. Fires from inside the initiating core's
      * tick; the wake flags route through the same machinery LLC
-     * completions use, so all kernels — and the sharded coordinator,
-     * where cores always live — see identical schedules. Shootdowns
-     * are thereby pinned to the coordinator phase of a sharded run:
-     * no worker-side state is touched and the shard command set is
-     * unchanged (see docs/performance.md).
+     * completions use, so all kernels see identical schedules.
      */
     void shootdownBroadcast(int initiator, std::uint32_t asid, Addr vpn,
                             CpuCycle now);
@@ -267,16 +247,16 @@ class System
 
     /**
      * Invoke the checkpoint hook. The caller must already have brought
-     * the system to a quiescent point (parked cores settled to `now`,
-     * sharded channels synced). Rearms the next fire time; throws
-     * SimError{Interrupted} when the hook asks the run to stop.
+     * the system to a quiescent point (parked cores settled to `now`).
+     * Rearms the next fire time; throws SimError{Interrupted} when the
+     * hook asks the run to stop.
      */
     void fireCheckpoint(CpuCycle now, bool warm, CpuCycle warm_end);
 
     SimConfig config_;
     dram::DramSpec spec_;
     std::unique_ptr<dram::AddressMapper> mapper_;
-    /** Workload names when name-constructed (shard shadow replay). */
+    /** Workload names when name-constructed (snapshot config hash). */
     std::vector<std::string> workloadNames_;
 
     std::vector<std::unique_ptr<workloads::SyntheticTrace>> ownedTraces_;
@@ -287,12 +267,6 @@ class System
     std::vector<std::unique_ptr<ctrl::MemoryController>> controllers_;
     std::vector<std::unique_ptr<energy::EnergyModel>> energy_;
     std::vector<std::unique_ptr<OracleListener>> oracles_;
-    /**
-     * Per-channel ports the LLC routes through: the controllers
-     * themselves in the serial kernels; temporarily swapped to shard
-     * proxy ports by ShardedRunner for the duration of a sharded run.
-     */
-    std::vector<ctrl::MemPort *> llcRoute_;
     std::unique_ptr<mem::Llc> llc_;
     /** Shared address spaces (multi-process VM mode; else empty — each
         legacy Mmu owns its single space internally). */
@@ -314,9 +288,6 @@ class System
      */
     std::unique_ptr<CalendarKernelState> cal_;
 
-    /** Fault-injection plan (non-null; inert when faults.seed == 0). */
-    std::unique_ptr<resilience::FaultPlan> faultPlan_;
-
     /** Telemetry (null unless config.obs.enable && CCSIM_OBS). */
     std::unique_ptr<obs::Telemetry> tele_;
 
@@ -329,8 +300,6 @@ class System
     bool inCkptHook_ = false;
     /** Set by restoreSnapshot(); consumed by the next run(). */
     std::optional<RunPoint> resume_;
-    /** Sharded run lost a worker and fell back to serial execution. */
-    bool degraded_ = false;
 };
 
 } // namespace ccsim::sim

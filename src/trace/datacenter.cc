@@ -93,7 +93,7 @@ std::uint64_t
 WebTierConfig::footprintLines() const
 {
     return hotLines + nUsers * sessionLines +
-           static_cast<std::uint64_t>(fanout) * shardLines;
+           static_cast<std::uint64_t>(fanout) * backendLines;
 }
 
 std::uint64_t
@@ -195,9 +195,10 @@ WebTierTrace::WebTierTrace(const WebTierConfig &config,
       rng_(seed)
 {
     if (cfg_.fanout <= 0 || cfg_.hotLines == 0 ||
-        cfg_.sessionLines == 0 || cfg_.shardLines == 0)
+        cfg_.sessionLines == 0 || cfg_.backendLines == 0)
         throw SimError(ErrorKind::InvalidConfig,
-                       "web config needs fanout/hot/session/shard sizes");
+                       "web config needs fanout/hot/session/backend "
+                       "sizes");
 }
 
 bool
@@ -206,7 +207,7 @@ WebTierTrace::next(cpu::TraceRecord &record)
     record.nonMemInsts = sampleGap(rng_, gapMean_);
     record.isWrite = false;
     const Addr sessionBase = cfg_.hotLines;
-    const Addr shardBase =
+    const Addr backendBase =
         sessionBase + cfg_.nUsers * cfg_.sessionLines;
 
     if (reqPos_ == 0) {
@@ -227,12 +228,12 @@ WebTierTrace::next(cpu::TraceRecord &record)
                 rng_.below(cfg_.sessionLines);
         record.isWrite = (reqPos_ == 3);
     } else {
-        // Backend fan-out across the shard regions.
+        // Backend fan-out across the partitions.
         std::uint64_t k = static_cast<std::uint64_t>(reqPos_) - 4;
-        std::uint64_t shard =
+        std::uint64_t part =
             (curUser_ + k) % static_cast<std::uint64_t>(cfg_.fanout);
-        local = shardBase + shard * cfg_.shardLines +
-                mix64(curUser_ * 31 + k) % cfg_.shardLines;
+        local = backendBase + part * cfg_.backendLines +
+                mix64(curUser_ * 31 + k) % cfg_.backendLines;
         record.isWrite = rng_.chance(cfg_.writeFraction);
     }
     record.addr = lineToAddr(baseLine_, local, capacityLines_);

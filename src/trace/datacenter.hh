@@ -14,7 +14,7 @@
  *
  *  - WebTierTrace: a web tier fanning each request from a large user
  *    population (Zipfian user popularity) across session state, a hot
- *    shared-template set, and `fanout` backend shard regions. Phase
+ *    shared-template set, and `fanout` backend partitions. Phase
  *    changes rotate which users are hot (diurnal shift).
  *
  *  - AnalyticsScanTrace: scan-heavy analytics. Long sequential column
@@ -87,8 +87,8 @@ struct WebTierConfig : DatacenterBase {
     double theta = 0.8;             ///< User popularity skew.
     std::uint64_t sessionLines = 8; ///< Per-user session state.
     std::uint64_t hotLines = 1 << 12; ///< Shared templates/config.
-    int fanout = 8;                   ///< Backend shards per request.
-    std::uint64_t shardLines = 1 << 16; ///< Per-shard region.
+    int fanout = 8;                   ///< Backend partitions per request.
+    std::uint64_t backendLines = 1 << 16; ///< Per-partition region.
     double writeFraction = 0.15;
     std::uint64_t phaseRequests = 0; ///< 0 = no diurnal shift.
 

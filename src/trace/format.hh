@@ -178,9 +178,9 @@ class TraceReader
     void seekRecord(std::uint64_t pos);
 
     /**
-     * Fault injection (resilience::FaultPlan::TraceTruncate and the
-     * test suites): report SimError{TraceIo} truncation once `records`
-     * records have been produced (0 disables) — the binary sibling of
+     * Fault injection (the trace tests): report SimError{TraceIo}
+     * truncation once `records` records have been produced (0
+     * disables) — the binary sibling of
      * RamulatorTraceReader::injectTruncateAfter.
      */
     void injectTruncateAfter(std::uint64_t records)

@@ -463,11 +463,7 @@ SampledSimulation::run()
             // functionalWarmInsts before the lead-in, because record
             // indices are only known at boundaries.
             obs::HostSpan span("sampling: functional warm", "sampling");
-            mem::Llc warmLlc(
-                cfg.llc, mapper, [](int) -> ctrl::MemPort * {
-                    return nullptr;
-                },
-                nullptr);
+            mem::Llc warmLlc(cfg.llc, mapper, {}, nullptr);
             std::vector<std::unique_ptr<
                 chargecache::ChargeCacheProvider>> warmCc;
             if (warmHcrac)

@@ -17,8 +17,7 @@
  * First-touch allocation order (and therefore the physical layout) is
  * a pure function of the sequence of mapPage calls, which the
  * bit-identical-schedule invariant makes identical across all
- * simulation kernels and the sharded runner (cores always advance on
- * one thread, in id order).
+ * simulation kernels (cores always advance in id order).
  *
  * Unmap/remap (MultiProcessConfig::remapPeriod): every remapPeriod-th
  * first-touch reclaims the oldest still-mapped page — the new page

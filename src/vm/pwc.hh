@@ -15,8 +15,7 @@
  *
  * The PWC is core-local state consulted at deterministic points of the
  * core's issue stream, so it needs no cross-kernel machinery: all
- * three kernels and the sharded runner see identical hit/miss
- * sequences by construction.
+ * three kernels see identical hit/miss sequences by construction.
  */
 
 #ifndef CCSIM_VM_PWC_HH

@@ -46,7 +46,7 @@ class RamulatorTraceReader : public cpu::TraceSource
     std::uint64_t linesParsed() const { return linesParsed_; }
 
     /** Fault injection: report TraceIo truncation after `lines` lines
-        (0 disables). Wired from resilience::FaultPlan by tests. */
+        (0 disables). Called directly by the resilience tests. */
     void injectTruncateAfter(std::uint64_t lines)
     {
         truncateAfter_ = lines;

@@ -1,9 +1,8 @@
 /**
  * @file
- * Shared kernel-equivalence scaffolding: bit-identical SystemResult /
- * CoreStats comparators and the CCSIM_PARANOID env upgrade, used by the
- * kernel-equivalence suites (tests/test_system.cc) and the sharded-run
- * equivalence matrix (tests/test_shard.cc).
+ * Shared kernel-equivalence scaffolding: the SystemResult field walk
+ * behind the bit-identical comparators and the pinned digests
+ * (tests/test_golden.cc), plus the CCSIM_PARANOID env upgrade.
  */
 
 #ifndef CCSIM_TESTS_SYSTEM_COMPARE_HH
@@ -28,9 +27,7 @@ namespace ccsim::test {
  * kernel under test to its shadow-validation mode: all skip decisions
  * are executed-and-asserted instead of taken on faith, and the
  * calendar kernel's wheel and cached horizons are cross-checked
- * against the per-cycle schedule. For sharded configurations the
- * equivalent upgrade is SimConfig::shardShadow (a full serial replay
- * compared field by field), applied by applyEnvShardParanoia.
+ * against the per-cycle schedule.
  */
 inline bool
 envParanoid()
@@ -44,15 +41,6 @@ applyEnvParanoia(sim::SimConfig &cfg)
 {
     if (cfg.kernel != sim::KernelMode::PerCycle && envParanoid())
         cfg.kernelParanoid = true;
-}
-
-/** CCSIM_PARANOID upgrade for sharded configs: serial shadow replay.
-    Only valid for workload-name-constructed Systems. */
-inline void
-applyEnvShardParanoia(sim::SimConfig &cfg)
-{
-    if (cfg.shardThreads > 0 && envParanoid())
-        cfg.shardShadow = true;
 }
 
 /** One SystemResult field as resultFields() walks it. */
@@ -160,11 +148,6 @@ resultFields(const sim::SystemResult &r)
     for (std::size_t i = 0; i < r.rltlWindowsMs.size(); ++i)
         f64(at("rltlWindowsMs", i), r.rltlWindowsMs[i]);
     f64("afterRefresh8ms", r.afterRefresh8ms);
-
-    // SystemResult::degraded is deliberately NOT walked: it is
-    // execution status, not a statistic — the resilience tests pit a
-    // degraded sharded run against a healthy serial reference precisely
-    // to prove the statistics stay bit-identical while the flag differs.
     return out;
 }
 

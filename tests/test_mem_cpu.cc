@@ -22,7 +22,8 @@ struct LlcHarness {
     explicit LlcHarness(mem::LlcConfig cfg = {})
     {
         llc = std::make_unique<mem::Llc>(
-            cfg, mapper, [this](int) { return ctrl.mc.get(); },
+            cfg, mapper,
+            std::vector<ctrl::MemoryController *>{ctrl.mc.get()},
             [this](int core, std::uint64_t token) {
                 fills.emplace_back(core, token);
             });
@@ -216,7 +217,8 @@ struct CoreTest : ::testing::Test {
     {
         mem::LlcConfig cfg;
         llc = std::make_unique<mem::Llc>(
-            cfg, mapper, [this](int) { return ctrl.mc.get(); },
+            cfg, mapper,
+            std::vector<ctrl::MemoryController *>{ctrl.mc.get()},
             [this](int, std::uint64_t token) {
                 core->onMissComplete(token);
             });

@@ -4,12 +4,12 @@
  *
  *  - telemetry on/off bit-identity: enabling the time series, the
  *    latency histograms and the trace-event exporters changes no
- *    SystemResult field, on every kernel and every shard width;
+ *    SystemResult field, on every kernel;
  *  - time-series determinism: the sampled rows are bit-identical
- *    across {PerCycle, EventSkip, Calendar} and shard widths {1,2,4};
+ *    across {PerCycle, EventSkip, Calendar};
  *  - checkpoint/resume continuity: a run killed at a checkpoint and
- *    resumed in a fresh System (same or different kernel/shard width)
- *    reproduces the uninterrupted series with no gap and no duplicate;
+ *    resumed in a fresh System (same or different kernel) reproduces
+ *    the uninterrupted series with no gap and no duplicate;
  *  - histogram accounting: the merged read-latency histogram agrees
  *    exactly with the controller statistics of the measured region;
  *  - trace-event export: the emitted JSON has the Chrome trace shape.
@@ -109,7 +109,7 @@ expectIdenticalSeries(const SeriesDump &a, const SeriesDump &b,
 }
 
 // ---------------------------------------------------------------------
-// On/off bit-identity across every kernel and shard width.
+// On/off bit-identity across every kernel.
 
 TEST(ObsEquivalence, OnOffBitIdenticalAllKernels)
 {
@@ -139,30 +139,10 @@ TEST(ObsEquivalence, OnOffBitIdenticalAllKernels)
     }
 }
 
-TEST(ObsEquivalence, OnOffBitIdenticalAllShardWidths)
-{
-    const auto w = obsWorkloads(4);
-    SimConfig off = obsConfig(false);
-    off.kernel = KernelMode::Calendar;
-    System ref_sys(off, w);
-    SystemResult ref = ref_sys.run();
-
-    for (int threads : {1, 2, 4}) {
-        SimConfig on = obsConfig(true);
-        on.kernel = KernelMode::Calendar;
-        on.shardThreads = threads;
-        System sys(on, w);
-        SystemResult res = sys.run();
-        std::string label =
-            "obs-on-sharded-T" + std::to_string(threads) + "-vs-serial-off";
-        expectIdenticalResults(ref, res, label.c_str());
-    }
-}
-
 // ---------------------------------------------------------------------
 // The time series itself is deterministic across execution strategies.
 
-TEST(ObsSeries, IdenticalAcrossKernelsAndShardWidths)
+TEST(ObsSeries, IdenticalAcrossKernels)
 {
     const auto w = obsWorkloads(4);
 
@@ -186,17 +166,6 @@ TEST(ObsSeries, IdenticalAcrossKernelsAndShardWidths)
         sys.run();
         SeriesDump got = dumpSeries(sys);
         expectIdenticalSeries(ref, got, kernelModeName(k));
-    }
-
-    for (int threads : {1, 2, 4}) {
-        SimConfig cfg = obsConfig(true);
-        cfg.kernel = KernelMode::Calendar;
-        cfg.shardThreads = threads;
-        System sys(cfg, w);
-        sys.run();
-        SeriesDump got = dumpSeries(sys);
-        std::string label = "sharded-T" + std::to_string(threads);
-        expectIdenticalSeries(ref, got, label.c_str());
     }
 }
 
@@ -242,24 +211,14 @@ TEST(ObsSeries, SurvivesCheckpointResume)
     for (CpuCycle at : kill_cycles) {
         std::vector<std::uint8_t> snap = killAt(cfg, w, at);
 
-        struct Resume {
-            KernelMode kernel;
-            int shardThreads;
-            const char *label;
-        } resumes[] = {
-            {KernelMode::Calendar, 0, "resume-calendar"},
-            {KernelMode::PerCycle, 0, "resume-percycle"},
-            {KernelMode::Calendar, 2, "resume-sharded-T2"},
-        };
-        for (const Resume &rm : resumes) {
+        for (KernelMode k : {KernelMode::Calendar, KernelMode::PerCycle}) {
             SimConfig rcfg = cfg;
-            rcfg.kernel = rm.kernel;
-            rcfg.shardThreads = rm.shardThreads;
+            rcfg.kernel = k;
             System sys(rcfg, w);
             sys.restoreSnapshot(snap);
             SystemResult res = sys.run();
-            std::string label = std::string(rm.label) + "@" +
-                                std::to_string(at);
+            std::string label = std::string("resume-") + kernelModeName(k) +
+                                "@" + std::to_string(at);
             expectIdenticalResults(ref, res, label.c_str());
             expectIdenticalSeries(ref_series, dumpSeries(sys),
                                   label.c_str());
@@ -305,19 +264,6 @@ TEST(ObsHistogram, ReadLatencyMatchesCtrlStats)
 
     // VM is on, so page walks completed and were timed.
     EXPECT_GT(t->mergedPtwWalk().count(), 0u);
-
-    // Identical when sharded (per-channel objects, merged in order).
-    SimConfig scfg = cfg;
-    scfg.shardThreads = 2;
-    System ssys(scfg, w);
-    SystemResult sres = ssys.run();
-    Histogram sread = ssys.telemetry()->mergedReadLatency();
-    EXPECT_EQ(sread.count(), read_lat.count());
-    EXPECT_EQ(sread.sum(), read_lat.sum());
-    for (int i = 0; i < Histogram::kBuckets; ++i)
-        EXPECT_EQ(sread.bucketCount(i), read_lat.bucketCount(i))
-            << "bucket " << i;
-    EXPECT_EQ(sres.ctrl.reads, res.ctrl.reads);
 }
 
 TEST(ObsHistogram, DisabledHooksReturnNull)

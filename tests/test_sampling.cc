@@ -298,8 +298,7 @@ TEST(Sampling, WarmInjectLlcTagState)
     SimConfig cfg = sampleConfig();
     dram::DramSpec spec = cfg.buildSpec();
     dram::AddressMapper mapper(spec.org, cfg.mapping);
-    auto route = [](int) -> ctrl::MemPort * { return nullptr; };
-    mem::Llc warm(cfg.llc, mapper, route, nullptr);
+    mem::Llc warm(cfg.llc, mapper, {}, nullptr);
     const Addr sets = static_cast<Addr>(warm.numSets());
     const int ways = cfg.llc.ways;
 
@@ -323,7 +322,7 @@ TEST(Sampling, WarmInjectLlcTagState)
 
     // Injection: a detailed-path access on the receiving LLC hits for
     // a warmed line without any memory traffic.
-    mem::Llc cold(cfg.llc, mapper, route, nullptr);
+    mem::Llc cold(cfg.llc, mapper, {}, nullptr);
     cold.warmCopyTagsFrom(warm);
     EXPECT_EQ(cold.access(0, 5 + sets, false, 0),
               mem::Llc::Result::Hit);
@@ -333,7 +332,7 @@ TEST(Sampling, WarmInjectLlcTagState)
     // Geometry mismatches are structured errors, not corruption.
     mem::LlcConfig small_cfg = cfg.llc;
     small_cfg.sizeBytes = 1 << 20;
-    mem::Llc small(small_cfg, mapper, route, nullptr);
+    mem::Llc small(small_cfg, mapper, {}, nullptr);
     EXPECT_THROW(small.warmCopyTagsFrom(warm), SimError);
 }
 

@@ -7,8 +7,7 @@
  *    -> IoError (never a silent empty stream), corruption ->
  *    MalformedTrace, plus a seeded garbage-byte fuzz corpus;
  *  - replay equivalence: traced replay of every synthetic workload is
- *    bit-identical to in-process generation, across all three kernels
- *    and shard widths 1/2/4 (the ISSUE-7 acceptance matrix);
+ *    bit-identical to in-process generation, across all three kernels;
  *  - checkpoint/resume through a replayed trace (PR-6 hooks);
  *  - datacenter generators: determinism, checkpointability, Zipfian
  *    skew sanity, and driving a System end to end.
@@ -203,8 +202,7 @@ TEST(TraceFormat, TruncationReportsTraceIo)
 
 TEST(TraceFormat, InjectTruncateAfterReportsTraceIo)
 {
-    // The binary sibling of the PR-6 RamulatorTraceReader hook
-    // (resilience::FaultPlan::TraceTruncate).
+    // The binary sibling of RamulatorTraceReader::injectTruncateAfter.
     const std::string path = tmpPath("itrunc");
     writeAll(path, sampleRecords(500), 64);
     trace::TraceReader rd(path);
@@ -396,11 +394,10 @@ TEST(TraceReplay, EveryWorkloadBitIdenticalToInProcess)
     }
 }
 
-TEST(TraceReplay, KernelAndShardWidthMatrix)
+TEST(TraceReplay, KernelMatrix)
 {
     // Two cores, four channels: traced replay must agree with the
-    // in-process reference across {PerCycle, EventSkip, Calendar} and
-    // sharded calendar runs at widths 1/2/4 (shards are per-channel).
+    // in-process reference across {PerCycle, EventSkip, Calendar}.
     const SimConfig base = replayConfig(2, 4, KernelMode::PerCycle);
     const Addr capacity = capacityLinesOf(base);
     const std::vector<std::string> names = workloads::mixWorkloads(2, 2);
@@ -426,12 +423,6 @@ TEST(TraceReplay, KernelAndShardWidthMatrix)
         SimConfig cfg = replayConfig(2, 4, k);
         applyEnvParanoia(cfg);
         expectIdenticalResults(ref, runReplay(cfg), kernelModeName(k));
-    }
-    for (int threads : {1, 2, 4}) {
-        SimConfig cfg = replayConfig(2, 4, KernelMode::Calendar);
-        cfg.shardThreads = threads;
-        std::string label = "sharded-T" + std::to_string(threads);
-        expectIdenticalResults(ref, runReplay(cfg), label.c_str());
     }
     for (const auto &p : paths)
         std::remove(p.c_str());
