@@ -11,8 +11,9 @@
  *     time since process start: sampled-simulation stages.
  *
  * Load the written file at https://ui.perfetto.dev or
- * chrome://tracing. The sink is mutex-protected so concurrent runs
- * can record into it; the event cap turns overflow into a drop
+ * chrome://tracing. The sink is mutex-protected because the
+ * process-wide host tracer may record into it from any thread; the
+ * event cap turns overflow into a drop
  * counter rather than unbounded memory.
  */
 

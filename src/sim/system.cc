@@ -1213,7 +1213,8 @@ System::configHash() const
 {
     // Advisory compatibility check: covers the knobs that shape
     // simulated state, excludes pure execution strategy (kernel mode,
-    // paranoia, fault plan) so snapshots resume across kernels. See resilience/checkpoint.hh.
+    // paranoia, fault injection) so snapshots resume across kernels.
+    // See resilience/checkpoint.hh.
     std::uint64_t h = 0x4343534e41503031ull; // "CCSNAP01"
     auto mix = [&h](std::uint64_t v) { h = mix64(h ^ v); };
     auto mix_str = [&](const std::string &s) {
