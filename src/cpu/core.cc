@@ -5,12 +5,24 @@
 
 namespace ccsim::cpu {
 
+namespace {
+
+/** The window size, validated before any ring is sized from it. */
+std::size_t
+windowCapacity(const CoreConfig &config)
+{
+    CCSIM_ASSERT(config.issueWidth >= 1 && config.windowSize >= 1,
+                 "bad core configuration");
+    return static_cast<std::size_t>(config.windowSize);
+}
+
+} // namespace
+
 Core::Core(int id, const CoreConfig &config, TraceSource &trace,
            mem::Llc &llc, vm::Mmu *mmu)
-    : id_(id), config_(config), trace_(trace), llc_(llc), mmu_(mmu)
+    : id_(id), config_(config), trace_(trace), llc_(llc), mmu_(mmu),
+      window_(windowCapacity(config)), hitQueue_(windowCapacity(config))
 {
-    CCSIM_ASSERT(config_.issueWidth >= 1 && config_.windowSize >= 1,
-                 "bad core configuration");
     if (mmu_ && mmu_->multiProcess())
         switchQuantum_ = mmu_->nextQuantum();
 }
@@ -117,7 +129,7 @@ Core::advanceTranslation(CpuCycle now)
 Core::IssueResult
 Core::issueOne(CpuCycle now)
 {
-    if (window_.size() >= static_cast<size_t>(config_.windowSize)) {
+    if (window_.full()) {
         ++stats_.stallCyclesFull;
         return IssueResult::WindowFull;
     }
@@ -184,7 +196,7 @@ Core::issueOne(CpuCycle now)
             CCSIM_ASSERT(hitQueue_.empty() ||
                              hitQueue_.back().first <= ret,
                          "hit queue must stay cycle-monotone");
-            hitQueue_.emplace_back(ret, seq_);
+            hitQueue_.push_back({ret, seq_});
         }
         // Miss: completion arrives through onMissComplete().
     }
@@ -300,10 +312,10 @@ Core::resetStats(CpuCycle now)
 void
 Core::saveState(resilience::SnapshotWriter &w) const
 {
-    w.putDeque(window_);
+    w.putRing(window_);
     w.put(windowBaseSeq_);
     w.put(seq_);
-    w.putDeque(hitQueue_);
+    w.putRing(hitQueue_);
     w.put(xlatEventAt_);
     w.put(xlatState_);
     w.put(xlatReady_);
@@ -326,10 +338,10 @@ Core::saveState(resilience::SnapshotWriter &w) const
 void
 Core::loadState(resilience::SnapshotReader &r)
 {
-    r.getDeque(window_);
+    r.getRing(window_);
     r.get(windowBaseSeq_);
     r.get(seq_);
-    r.getDeque(hitQueue_);
+    r.getRing(hitQueue_);
     r.get(xlatEventAt_);
     r.get(xlatState_);
     r.get(xlatReady_);

@@ -24,10 +24,11 @@
 #ifndef CCSIM_CPU_CORE_HH
 #define CCSIM_CPU_CORE_HH
 
-#include <deque>
 #include <functional>
 #include <limits>
+#include <utility>
 
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "cpu/trace.hh"
@@ -158,8 +159,7 @@ class Core
         if (!hitQueue_.empty() &&
             hitQueue_.front().second == windowBaseSeq_)
             ev = hitQueue_.front().first;
-        if (xlatEventAt_ < ev &&
-            window_.size() < static_cast<size_t>(config_.windowSize))
+        if (xlatEventAt_ < ev && !window_.full())
             ev = xlatEventAt_;
         return ev;
     }
@@ -263,17 +263,20 @@ class Core
     mem::Llc &llc_;
     vm::Mmu *mmu_; ///< Null: physical mode (legacy behavior).
 
-    std::deque<WinEntry> window_;
+    /** Instruction window, windowSize entries (checked at issue). */
+    Ring<WinEntry> window_;
     std::uint64_t windowBaseSeq_ = 0; ///< Seq number of window_.front().
     std::uint64_t seq_ = 0;           ///< Next entry's seq number.
 
     /**
      * Self-scheduled completions for LLC data hits: (cycle, seq). Every
      * hit return is scheduled `hitLatencyCpu` after its issue, so the
-     * deque is monotone in both cycle and seq — the front is at once
-     * the earliest return and the oldest (the head's, if queued).
+     * queue is monotone in both cycle and seq — the front is at once
+     * the earliest return and the oldest (the head's, if queued). Each
+     * entry belongs to an incomplete load still in the window, so
+     * windowSize bounds it.
      */
-    std::deque<std::pair<CpuCycle, std::uint64_t>> hitQueue_;
+    Ring<std::pair<CpuCycle, std::uint64_t>> hitQueue_;
 
     /** Translation timer: L2-hit latency or a PTE LLC-hit return. */
     CpuCycle xlatEventAt_ = kNoCycle;

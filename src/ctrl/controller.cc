@@ -33,20 +33,22 @@ MemoryController::MemoryController(const dram::DramSpec &spec,
     bankCtl_.resize(spec_.org.ranksPerChannel);
     for (auto &per_rank : bankCtl_)
         per_rank.resize(spec_.org.banksPerRank);
+    // channel_ validated the spec: banksPerRank is a power of two.
+    bankShift_ = log2Exact(static_cast<std::uint64_t>(spec_.org.banksPerRank));
     for (int rank = 0; rank < spec_.org.ranksPerChannel; ++rank)
         for (int bank = 0; bank < spec_.org.banksPerRank; ++bank)
             bankPtr_.push_back(&channel_.rank(rank).bank(bank));
-    readBankCount_.assign(bankPtr_.size(), 0);
-    writeBankCount_.assign(bankPtr_.size(), 0);
     CCSIM_ASSERT(config_.useBankLists == config_.useServeHorizon,
                  "the serve-horizon scheduler is the bank-list scan: "
                  "both event kernels use it, the per-cycle reference "
                  "uses neither");
     if (config_.useBankLists) {
-        readBankHead_.assign(bankPtr_.size(), -1);
-        readBankTail_.assign(bankPtr_.size(), -1);
-        writeBankHead_.assign(bankPtr_.size(), -1);
-        writeBankTail_.assign(bankPtr_.size(), -1);
+        CCSIM_ASSERT(spec_.org.ranksPerChannel <= kMaxScanRanks &&
+                         bankPtr_.size() <= 64,
+                     "DRAM geometry exceeds the bank-list scan's fixed "
+                     "tables");
+        readLists_.reset(bankPtr_.size());
+        writeLists_.reset(bankPtr_.size());
         slots_.reserve(static_cast<std::size_t>(config_.readQueueSize) +
                        static_cast<std::size_t>(config_.writeQueueSize));
     }
@@ -87,79 +89,98 @@ MemoryController::allocSlot()
 }
 
 void
+MemoryController::BankLists::reset(std::size_t banks)
+{
+    head.assign(banks, -1);
+    tail.assign(banks, -1);
+    count.assign(banks, 0);
+    hits.assign(banks, 0);
+    nonEmpty = 0;
+    size = 0;
+}
+
+void
 MemoryController::enqueueListed(Request req, bool is_write)
 {
     const std::size_t bi = bankIndexOf(req.addr);
-    const std::uint64_t key = rowKeyOf(req.addr);
+    BankLists &q = lists(is_write);
     int s = allocSlot();
     Slot &sl = slots_[s];
+    sl.seq = arrivalSeq_++;
+    sl.bankNext = -1;
+    sl.bankPrev = q.tail[bi];
     sl.qr.req = std::move(req);
     sl.qr.serviced = false;
-    sl.key = key;
-    sl.seq = arrivalSeq_++;
-    sl.bankNext = sl.rowNext = -1;
-
-    std::vector<int> &head = is_write ? writeBankHead_ : readBankHead_;
-    std::vector<int> &tail = is_write ? writeBankTail_ : readBankTail_;
-    sl.bankPrev = tail[bi];
-    if (tail[bi] >= 0)
-        slots_[tail[bi]].bankNext = s;
+    if (q.tail[bi] >= 0)
+        slots_[q.tail[bi]].bankNext = s;
     else
-        head[bi] = s;
-    tail[bi] = s;
+        q.head[bi] = s;
+    q.tail[bi] = s;
 
-    RowList &row = (is_write ? writeRows_ : readRows_)[key];
-    sl.rowPrev = row.tail;
-    if (row.tail >= 0)
-        slots_[row.tail].rowNext = s;
-    else
-        row.head = s;
-    row.tail = s;
-    ++row.count;
-
-    ++(is_write ? writeBankCount_ : readBankCount_)[bi];
-    ++(is_write ? writeSize_ : readSize_);
+    const dram::Bank &b = *bankPtr_[bi];
+    if (b.state() == dram::Bank::State::Active &&
+        b.openRow() == sl.qr.req.addr.row)
+        ++q.hits[bi];
+    if (q.count[bi]++ == 0)
+        q.nonEmpty |= std::uint64_t(1) << bi;
+    ++q.size;
 }
 
 void
 MemoryController::unlinkSlot(int s, bool is_write)
 {
     Slot &sl = slots_[s];
-    const std::size_t bi =
-        static_cast<std::size_t>(rankOfKey(sl.key)) *
-            static_cast<std::size_t>(spec_.org.banksPerRank) +
-        static_cast<std::size_t>(bankOfKey(sl.key));
-
-    std::vector<int> &head = is_write ? writeBankHead_ : readBankHead_;
-    std::vector<int> &tail = is_write ? writeBankTail_ : readBankTail_;
+    const std::size_t bi = bankIndexOf(sl.qr.req.addr);
+    BankLists &q = lists(is_write);
     if (sl.bankPrev >= 0)
         slots_[sl.bankPrev].bankNext = sl.bankNext;
     else
-        head[bi] = sl.bankNext;
+        q.head[bi] = sl.bankNext;
     if (sl.bankNext >= 0)
         slots_[sl.bankNext].bankPrev = sl.bankPrev;
     else
-        tail[bi] = sl.bankPrev;
+        q.tail[bi] = sl.bankPrev;
 
-    auto &rows = is_write ? writeRows_ : readRows_;
-    auto it = rows.find(sl.key);
-    CCSIM_ASSERT(it != rows.end() && it->second.count > 0,
-                 "row list out of sync");
-    RowList &row = it->second;
-    if (sl.rowPrev >= 0)
-        slots_[sl.rowPrev].rowNext = sl.rowNext;
-    else
-        row.head = sl.rowNext;
-    if (sl.rowNext >= 0)
-        slots_[sl.rowNext].rowPrev = sl.rowPrev;
-    else
-        row.tail = sl.rowPrev;
-    if (--row.count == 0)
-        rows.erase(it);
-
-    --(is_write ? writeBankCount_ : readBankCount_)[bi];
-    --(is_write ? writeSize_ : readSize_);
+    const dram::Bank &b = *bankPtr_[bi];
+    if (b.state() == dram::Bank::State::Active &&
+        b.openRow() == sl.qr.req.addr.row)
+        --q.hits[bi];
+    if (--q.count[bi] == 0)
+        q.nonEmpty &= ~(std::uint64_t(1) << bi);
+    --q.size;
     freeSlots_.push_back(s);
+}
+
+int
+MemoryController::countRow(int head, int row) const
+{
+    int n = 0;
+    for (int s = head; s >= 0; s = slots_[s].bankNext)
+        n += slots_[s].qr.req.addr.row == row;
+    return n;
+}
+
+void
+MemoryController::noteRowChange(const dram::Command &cmd)
+{
+    const std::size_t bi = bankIndexOf(cmd.addr);
+    switch (cmd.type) {
+      case dram::CmdType::ACT:
+        readLists_.hits[bi] = countRow(readLists_.head[bi], cmd.addr.row);
+        writeLists_.hits[bi] =
+            countRow(writeLists_.head[bi], cmd.addr.row);
+        break;
+      case dram::CmdType::PRE:
+      case dram::CmdType::RDA:
+      case dram::CmdType::WRA:
+        readLists_.hits[bi] = 0;
+        writeLists_.hits[bi] = 0;
+        break;
+      case dram::CmdType::PREA:
+        CCSIM_PANIC("the controller closes banks with PRE, never PREA");
+      default:
+        break; // RD/WR/REF leave every open row as it was.
+    }
 }
 
 void
@@ -229,6 +250,8 @@ MemoryController::issue(const dram::Command &cmd,
 {
     nextServeTry_ = 0; // Bank/bus state changed: rescan.
     channel_.issue(cmd, now_, eff);
+    if (config_.useBankLists)
+        noteRowChange(cmd);
     notify(cmd, eff);
 }
 
@@ -322,18 +345,11 @@ bool
 MemoryController::anotherHitQueued(const dram::DramAddr &addr,
                                    std::uint64_t skip_token) const
 {
-    if (config_.useServeHorizon) {
-        // The per-queue row counts include the candidate request
-        // itself, so "another hit" means at least two queued requests
-        // for this row across both queues.
-        int count = 0;
-        auto rit = readRows_.find(rowKeyOf(addr));
-        if (rit != readRows_.end())
-            count += rit->second.count;
-        auto wit = writeRows_.find(rowKeyOf(addr));
-        if (wit != writeRows_.end())
-            count += wit->second.count;
-        return count >= 2;
+    if (config_.useBankLists) {
+        // `addr` hits its bank's open row, so the open-row hit count is
+        // this row's count. It includes the candidate itself: "another
+        // hit" means two queued requests across both queues.
+        return openRowHits(addr) >= 2;
     }
     // Reference path: the seed's queue scan, kept as the oracle the
     // kernel-equivalence tests compare the O(1) row count against.
@@ -378,103 +394,71 @@ void
 MemoryController::scanBanks(bool is_write, std::uint64_t &hit_ready,
                             std::uint64_t &drive_ready, Cycle &bound)
 {
-    // Per-bank readiness and horizon-bound pass shared by the
-    // optimized FR-FCFS scans. Two ideas:
+    // Per-bank readiness and horizon-bound pass of the bank-list scan.
+    // Two ideas:
     //
-    //  1. Rank/bus gates are invariant across one scan, so they are
-    //     evaluated once per rank instead of per entry.
+    //  1. Rank/bus state is invariant across one scan, so each rank's
+    //     part of every command class's earliest-issue cycle is read
+    //     once per rank instead of per request.
     //  2. Within one bank every queued request of the same class (row
     //     hit / conflict / idle-bank) shares identical issue timing, so
     //     readiness and the scheduler-horizon bound are decided per
-    //     BANK from the per-queue row/bank counts — a fruitless scan
-    //     costs O(banks), not O(queue).
+    //     BANK from the per-bank counts — a fruitless scan costs
+    //     O(non-empty banks), not O(queue).
     //
-    // RDA/WRA share RD/WR issue timing, so the plain column class
-    // stands in for the auto-precharge variants throughout.
+    // A command is legal now iff max(rank base, Bank::earliest()) <=
+    // now (Rank/Channel::canIssue decompose exactly so), and that max
+    // is also its horizon bound. RDA/WRA share RD/WR issue timing, so
+    // the plain column class stands in for the auto-precharge variants.
     const dram::CmdType col_cmd =
         is_write ? dram::CmdType::WR : dram::CmdType::RD;
-    std::unordered_map<std::uint64_t, RowList> &rows =
-        is_write ? writeRows_ : readRows_;
-    std::vector<int> &bank_count =
-        is_write ? writeBankCount_ : readBankCount_;
+    const BankLists &q = lists(is_write);
 
     struct RankGate {
-        bool valid;
         bool refDue;
-        bool colOk;
-        bool actOk;
-        bool preOk;
         Cycle colBase; ///< Rank+bus part of a column cmd's earliest.
         Cycle actBase; ///< Rank part of an ACT's earliest.
         Cycle preBase; ///< Rank part of a PRE's earliest.
     };
-    std::array<RankGate, 8> gates;
-    const int n_ranks = spec_.org.ranksPerChannel;
-    const int banks_per_rank = spec_.org.banksPerRank;
-    const int n_banks = n_ranks * banks_per_rank;
-    CCSIM_ASSERT(n_ranks <= static_cast<int>(gates.size()) &&
-                     n_banks <= 64,
-                 "DRAM geometry exceeds the scan's fixed tables");
-    for (int r = 0; r < n_ranks; ++r)
-        gates[r].valid = false;
-    auto fill_gate = [&](RankGate &g, int r) {
-        const dram::Rank &rank = channel_.rank(r);
-        bool pre_ok = rank.preReady(now_);
-        g.valid = true;
-        g.refDue = refresh_.due(r, now_);
-        g.preOk = pre_ok;
-        g.colOk = pre_ok && rank.columnReady(is_write, now_) &&
-                  channel_.busReady(r, !is_write, now_);
-        g.actOk = pre_ok && rank.actRankReady(now_);
-        g.colBase = std::max(rank.columnEarliestBase(is_write),
-                             channel_.busEarliestBase(r, !is_write));
-        g.actBase = rank.actEarliestBase();
-        g.preBase = rank.preEarliestBase();
-    };
+    std::array<RankGate, kMaxScanRanks> gates;
+    unsigned filled = 0; // Bit per rank whose gate is read.
 
-    // Per-bank readiness and, for what is not ready, the horizon bound.
     hit_ready = 0;   // Bank's open-row hits issuable now.
     drive_ready = 0; // Bank's PRE/ACT issuable now.
     bound = kNoCycle;
-    for (int bi = 0; bi < n_banks; ++bi) {
-        int in_queue = bank_count[bi];
-        if (in_queue == 0)
-            continue;
-        const int r = bi / banks_per_rank;
+    for (std::uint64_t m = q.nonEmpty; m; m &= m - 1) {
+        const int bi = ctz64(m);
+        const int r = bi >> bankShift_;
         RankGate &g = gates[r];
-        if (!g.valid)
-            fill_gate(g, r);
+        if (!(filled & (1u << r))) {
+            filled |= 1u << r;
+            const dram::Rank &rank = channel_.rank(r);
+            g.refDue = refresh_.due(r, now_);
+            g.colBase = std::max(rank.columnEarliestBase(is_write),
+                                 channel_.busEarliestBase(r, !is_write));
+            g.actBase = rank.actEarliestBase();
+            g.preBase = rank.preEarliestBase();
+        }
         if (g.refDue)
             continue; // Un-gated only by a REF issue (rescans anyway).
+        const std::uint64_t bit = std::uint64_t(1) << bi;
+        auto gate = [&](Cycle earliest, std::uint64_t &ready) {
+            if (earliest <= now_)
+                ready |= bit;
+            else
+                bound = std::min(bound, earliest);
+        };
         const dram::Bank &b = *bankPtr_[bi];
         if (b.state() == dram::Bank::State::Active) {
-            const int open_row = b.openRow();
-            auto rc = rows.find(
-                rowKeyOf(r, bi % banks_per_rank, open_row));
-            const int hits = rc == rows.end() ? 0 : rc->second.count;
-            if (hits > 0) {
-                if (g.colOk && now_ >= b.earliest(col_cmd))
-                    hit_ready |= std::uint64_t(1) << bi;
-                else
-                    bound = std::min(
-                        bound, std::max(g.colBase, b.earliest(col_cmd)));
-            }
-            if (in_queue > hits) { // Conflicting rows queued: PRE.
-                if (g.preOk && now_ >= b.earliest(dram::CmdType::PRE))
-                    drive_ready |= std::uint64_t(1) << bi;
-                else
-                    bound = std::min(
-                        bound,
-                        std::max(g.preBase,
-                                 b.earliest(dram::CmdType::PRE)));
-            }
+            const int hits = q.hits[bi];
+            if (hits > 0)
+                gate(std::max(g.colBase, b.earliest(col_cmd)), hit_ready);
+            if (q.count[bi] > hits) // Conflicting rows queued: PRE.
+                gate(std::max(g.preBase, b.earliest(dram::CmdType::PRE)),
+                     drive_ready);
         } else {
-            if (g.actOk && now_ >= b.earliest(dram::CmdType::ACT))
-                drive_ready |= std::uint64_t(1) << bi;
-            else
-                bound = std::min(
-                    bound,
-                    std::max(g.actBase, b.earliest(dram::CmdType::ACT)));
+            gate(std::max(g.actBase, b.earliest(dram::CmdType::ACT)),
+                 drive_ready);
         }
     }
 }
@@ -482,21 +466,22 @@ MemoryController::scanBanks(bool is_write, std::uint64_t &hit_ready,
 bool
 MemoryController::serveQueueBankLists(bool is_write)
 {
-    // Calendar-kernel FR-FCFS scan over the per-bank / per-row lists.
-    // Selection needs no arrival-order walk:
+    // Calendar-kernel FR-FCFS scan over the per-bank lists. Selection
+    // needs no arrival-order walk:
     //
-    //  - FR: a hit-ready bank's oldest open-row hit is the head of the
-    //    open row's arrival-ordered list; the winner is the minimum
-    //    arrival seq over hit-ready banks. "First ready hit in arrival
-    //    order" and "oldest per ready bank, min across banks" are the
-    //    same element, which is how this stays bit-identical to the
-    //    walk-based scans.
+    //  - FR: a hit-ready bank's oldest open-row hit is the first entry
+    //    for the open row on its arrival-ordered list; the winner is
+    //    the minimum arrival seq over hit-ready banks. "First ready hit
+    //    in arrival order" and "oldest per ready bank, min across
+    //    banks" are the same element, which is how this stays
+    //    bit-identical to the walk-based reference scan.
     //  - FCFS: a drive-ready bank's oldest driver is the head of its
     //    bank list (idle bank: every entry drives an ACT) or the first
     //    entry past the leading open-row hits (active bank: those are
     //    served by column commands, not PRE); minimum seq across banks
     //    again.
-    if ((is_write ? writeSize_ : readSize_) == 0) {
+    BankLists &q = lists(is_write);
+    if (q.size == 0) {
         nextServeTry_ = kNoCycle; // Re-armed by the next enqueue.
         return false;
     }
@@ -505,26 +490,22 @@ MemoryController::serveQueueBankLists(bool is_write)
     scanBanks(is_write, hit_ready, drive_ready, bound);
 
     if (hit_ready == 0 && drive_ready == 0) {
-        // Same horizon-publication soundness argument as serveQueue.
+        // Nothing is legal before `bound`, and only an enqueue or an
+        // issued command (both reset the horizon) can move it earlier.
         nextServeTry_ = std::max(bound, now_ + 1);
         return false;
     }
-
-    auto &rows = is_write ? writeRows_ : readRows_;
-    const int banks_per_rank = spec_.org.banksPerRank;
 
     if (hit_ready != 0) {
         int best = -1;
         std::uint64_t best_seq = ~std::uint64_t(0);
         for (std::uint64_t m = hit_ready; m; m &= m - 1) {
             const int bi = ctz64(m);
-            const dram::Bank &b = *bankPtr_[bi];
-            auto it = rows.find(rowKeyOf(bi / banks_per_rank,
-                                         bi % banks_per_rank,
-                                         b.openRow()));
-            CCSIM_ASSERT(it != rows.end() && it->second.head >= 0,
-                         "hit-ready bank without a row list");
-            const int s = it->second.head;
+            const int open = bankPtr_[bi]->openRow();
+            int s = q.head[bi];
+            while (s >= 0 && slots_[s].qr.req.addr.row != open)
+                s = slots_[s].bankNext;
+            CCSIM_ASSERT(s >= 0, "hit-ready bank without an open-row hit");
             if (slots_[s].seq < best_seq) {
                 best_seq = slots_[s].seq;
                 best = s;
@@ -551,7 +532,7 @@ MemoryController::serveQueueBankLists(bool is_write)
                 obsHists_->queueWait.sample(now_ - qr.req.arrive);
 #endif
             PendingRead pr;
-            pr.req = std::move(qr.req);
+            pr.req = qr.req;
             pr.done = channel_.readDataDone(now_);
             pending_.push(std::move(pr));
         } else {
@@ -561,18 +542,17 @@ MemoryController::serveQueueBankLists(bool is_write)
         return true;
     }
 
-    auto &bank_head = is_write ? writeBankHead_ : readBankHead_;
     int best = -1;
     std::uint64_t best_seq = ~std::uint64_t(0);
     bool best_is_act = false;
     for (std::uint64_t m = drive_ready; m; m &= m - 1) {
         const int bi = ctz64(m);
         const dram::Bank &b = *bankPtr_[bi];
-        int s = bank_head[bi];
+        int s = q.head[bi];
         const bool is_act = b.state() == dram::Bank::State::Idle;
         if (!is_act) {
             const int open = b.openRow();
-            while (s >= 0 && rowOfKey(slots_[s].key) == open)
+            while (s >= 0 && slots_[s].qr.req.addr.row == open)
                 s = slots_[s].bankNext;
             CCSIM_ASSERT(s >= 0,
                          "drive-ready bank without a conflicting entry");
@@ -868,19 +848,12 @@ MemoryController::loadState(resilience::SnapshotReader &r,
     readQ_.clear();
     writeQ_.clear();
     writeLines_.clear();
-    readRows_.clear();
-    writeRows_.clear();
-    std::fill(readBankCount_.begin(), readBankCount_.end(), 0);
-    std::fill(writeBankCount_.begin(), writeBankCount_.end(), 0);
     slots_.clear();
     freeSlots_.clear();
     if (config_.useBankLists) {
-        std::fill(readBankHead_.begin(), readBankHead_.end(), -1);
-        std::fill(readBankTail_.begin(), readBankTail_.end(), -1);
-        std::fill(writeBankHead_.begin(), writeBankHead_.end(), -1);
-        std::fill(writeBankTail_.begin(), writeBankTail_.end(), -1);
+        readLists_.reset(bankPtr_.size());
+        writeLists_.reset(bankPtr_.size());
     }
-    readSize_ = writeSize_ = 0;
     arrivalSeq_ = 0;
 
     auto get_queue = [&](bool is_write) {
@@ -894,7 +867,7 @@ MemoryController::loadState(resilience::SnapshotReader &r,
             if (config_.useBankLists) {
                 const std::size_t bi = bankIndexOf(req.addr);
                 enqueueListed(std::move(req), is_write);
-                int s = (is_write ? writeBankTail_ : readBankTail_)[bi];
+                int s = lists(is_write).tail[bi];
                 slots_[static_cast<std::size_t>(s)].qr.serviced = serviced;
             } else {
                 (is_write ? writeQ_ : readQ_)
@@ -915,6 +888,9 @@ MemoryController::loadState(resilience::SnapshotReader &r,
     std::vector<PendingRead> &heap = Opener::container(pending_);
     heap.clear();
     std::uint64_t n_pending = r.get<std::uint64_t>();
+    if (n_pending > r.remaining())
+        throw resilience::SimError(resilience::ErrorKind::CorruptSnapshot,
+                                   "pending-read count exceeds snapshot");
     heap.resize(n_pending);
     for (PendingRead &pr : heap) {
         getRequest(r, pr.req, cb, cb_ctx);

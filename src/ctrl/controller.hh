@@ -16,7 +16,6 @@
 #include <deque>
 #include <memory>
 #include <queue>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -72,14 +71,13 @@ struct CtrlConfig {
      */
     bool paranoidSchedule = false;
     /**
-     * Event kernels: keep queued requests on per-bank and per-row
-     * arrival-ordered lists so an issuing scan selects the FR-FCFS
-     * winner in O(banks touched) instead of walking the queue in
-     * arrival order. Must equal useServeHorizon (the per-bank
-     * readiness pass is shared; asserted in the constructor) — the
-     * PerCycle reference keeps its exhaustive arrival-order scan, so
-     * the kernel-equivalence tests verify the list-based selection
-     * against it.
+     * Event kernels: keep queued requests on per-bank arrival-ordered
+     * lists with per-bank open-row hit counts, so an issuing scan
+     * selects the FR-FCFS winner in O(banks touched) instead of
+     * walking the queue in arrival order. Must equal useServeHorizon
+     * (asserted in the constructor) — the PerCycle reference keeps its
+     * exhaustive arrival-order scan, so the kernel-equivalence tests
+     * verify the list-based selection against it.
      */
     bool useBankLists = true;
 };
@@ -216,14 +214,14 @@ class MemoryController
     std::size_t
     readCount() const
     {
-        return config_.useBankLists ? readSize_ : readQ_.size();
+        return config_.useBankLists ? readLists_.size : readQ_.size();
     }
 
     /** Queued writes. */
     std::size_t
     writeCount() const
     {
-        return config_.useBankLists ? writeSize_ : writeQ_.size();
+        return config_.useBankLists ? writeLists_.size : writeQ_.size();
     }
 
     /** Outstanding queued requests (reads + writes). */
@@ -231,6 +229,20 @@ class MemoryController
 
     /** In-flight reads whose data has not yet returned. */
     size_t pendingReads() const { return pending_.size(); }
+
+    /**
+     * Queued requests, reads plus writes, that hit the open row of
+     * `addr`'s bank (0 while the bank is idle). Bank-list mode only:
+     * the event kernels keep this count exact incrementally.
+     */
+    int
+    openRowHits(const dram::DramAddr &addr) const
+    {
+        CCSIM_ASSERT(config_.useBankLists,
+                     "open-row hit counts are kept in bank-list mode");
+        const std::size_t bi = bankIndexOf(addr);
+        return readLists_.hits[bi] + writeLists_.hits[bi];
+    }
 
     const CtrlStats &stats() const { return stats_; }
     void resetStats();
@@ -257,8 +269,8 @@ class MemoryController
      * Checkpoint. Queues are dumped in canonical arrival order (and the
      * pending heap as its exact array), so a snapshot from any kernel
      * restores into any other: loadState() rebuilds whatever mirror
-     * bookkeeping (key vectors, bank/row lists, slot pool) the
-     * restoring controller's config calls for. The scheduler-horizon
+     * bookkeeping (bank lists, hit counts, slot pool) the restoring
+     * controller's config calls for. The scheduler-horizon
      * cache is deliberately NOT carried over — restore re-arms it at 0
      * (full rescan), which the horizon-equivalence machinery proves
      * observationally identical.
@@ -298,22 +310,55 @@ class MemoryController
      */
     enum class ProviderKind { Generic, Standard, ChargeCache };
 
+    /** Rank capacity of scanBanks' per-scan gate table. */
+    static constexpr int kMaxScanRanks = 8;
+
+    /**
+     * Slot-pool request storage (useBankLists): requests live in a
+     * free-listed pool, threaded onto their bank's arrival-ordered
+     * (seq) list. The FR pass takes each hit-ready bank's oldest
+     * open-row hit by walking that list; the FCFS pass takes each
+     * drive-ready bank's oldest request not served by a column
+     * command; arrival seq numbers arbitrate across banks. Replaces
+     * the deques entirely in this mode.
+     */
+    struct Slot {
+        QueuedReq qr;
+        std::uint64_t seq = 0; ///< Arrival order, monotone.
+        int bankNext = -1, bankPrev = -1;
+    };
+    /**
+     * One queue's bank lists, indexed by bankIndexOf: each bank's list
+     * head/tail, its queued-request count, and how many of those hit
+     * the bank's open row (0 while it is idle). enqueueListed,
+     * unlinkSlot and noteRowChange keep the hit counts exact, so the
+     * scan decides a bank's readiness in O(1) and the closed-row
+     * auto-precharge test is a sum of two counts.
+     */
+    struct BankLists {
+        std::vector<int> head, tail;
+        std::vector<int> count;
+        std::vector<int> hits;
+        std::uint64_t nonEmpty = 0; ///< Bit per bank with count > 0.
+        std::size_t size = 0;       ///< Queued requests.
+
+        void reset(std::size_t banks);
+    };
+
     void notify(const dram::Command &cmd, const dram::EffActTiming *eff);
     void issue(const dram::Command &cmd, const dram::EffActTiming *eff);
     void issueAct(const dram::DramAddr &addr, int core_id, bool is_ptw);
     void recordPrechargeOf(int rank, int bank, int row);
     bool tryRefresh();
     bool trickleWrites() const;
-    /** Per-bank readiness + horizon-bound pass shared by the optimized
-        scans: which banks could issue a row hit / a PRE-ACT driver this
-        cycle, and (for the rest) the earliest cycle that could change. */
+    /** Per-bank readiness + horizon-bound pass of the bank-list scan:
+        which banks could issue a row hit / a PRE-ACT driver this cycle,
+        and (for the rest) the earliest cycle that could change. */
     void scanBanks(bool is_write, std::uint64_t &hit_ready,
                    std::uint64_t &drive_ready, Cycle &bound);
     /** Event-kernel FR-FCFS scan (EventSkip and Calendar): selects the
-        winner directly from the per-bank / per-row arrival-ordered
-        lists — O(banks touched), no arrival-order walk. (The interim
-        key-mirror scan the EventSkip kernel soaked on was folded away
-        once the bank lists proved bit-identical.) Equivalence-tested
+        winner directly from the per-bank arrival-ordered lists —
+        O(banks touched), no arrival-order walk. Equivalence-tested
         against serveQueueReference. */
     bool serveQueueBankLists(bool is_write);
     /** The seed's two-pass FR-FCFS scan, preserved verbatim as the
@@ -328,36 +373,23 @@ class MemoryController
     int allocSlot();
     void enqueueListed(Request req, bool is_write);
     void unlinkSlot(int slot, bool is_write);
+    /** Keep the open-row hit counts exact across a command that opens
+        (ACT: recount) or closes (PRE/RDA/WRA: zero) a bank's row. */
+    void noteRowChange(const dram::Command &cmd);
+    /** Queued requests for `row` on the bank list starting at `head`. */
+    int countRow(int head, int row) const;
 
-    /** Pack a row identity for the key mirrors / row-count maps. */
-    static std::uint64_t
-    rowKeyOf(int rank, int bank, int row)
+    BankLists &
+    lists(bool is_write)
     {
-        return (std::uint64_t(rank) << 48) | (std::uint64_t(bank) << 40) |
-               std::uint64_t(static_cast<std::uint32_t>(row));
+        return is_write ? writeLists_ : readLists_;
     }
 
-    static std::uint64_t
-    rowKeyOf(const dram::DramAddr &addr)
-    {
-        return rowKeyOf(addr.rank, addr.bank, addr.row);
-    }
-
-    // Unpack helpers — the single place that mirrors rowKeyOf's layout.
-    static int rankOfKey(std::uint64_t key) { return int(key >> 48); }
-    static int bankOfKey(std::uint64_t key) { return int(key >> 40) & 0xFF; }
-    static int
-    rowOfKey(std::uint64_t key)
-    {
-        return static_cast<int>(key & 0xFFFFFFFF);
-    }
-
-    /** Flat index into bankPtr_ for the FR-FCFS scan's hot lookup. */
+    /** Flat bank index: rank above the (power-of-two) bank bits. */
     std::size_t
     bankIndexOf(const dram::DramAddr &addr) const
     {
-        return static_cast<std::size_t>(addr.rank) *
-                   static_cast<std::size_t>(spec_.org.banksPerRank) +
+        return (static_cast<std::size_t>(addr.rank) << bankShift_) |
                static_cast<std::size_t>(addr.bank);
     }
 
@@ -380,61 +412,25 @@ class MemoryController
      * write coalescing O(1) per enqueue instead of a writeQ_ scan.
      */
     std::unordered_set<Addr> writeLines_;
-    /**
-     * Per-row bookkeeping: request count plus the head/tail of the
-     * row's arrival-ordered slot list. The counts let the optimized
-     * scan decide a whole bank's readiness (and its contribution to
-     * the scheduler-horizon bound) in O(1), and make the closed-row
-     * auto-precharge test ("is another hit to this row queued?") O(1)
-     * instead of a scan of both queues. Maintained only when
-     * useBankLists (== useServeHorizon).
-     */
-    struct RowList {
-        int count = 0;
-        int head = -1; ///< Oldest slot for this row (useBankLists).
-        int tail = -1;
-    };
-    std::unordered_map<std::uint64_t, RowList> readRows_;
-    std::unordered_map<std::uint64_t, RowList> writeRows_;
-    std::vector<int> readBankCount_;  ///< By bankIndexOf.
-    std::vector<int> writeBankCount_; ///< By bankIndexOf.
 
-    /**
-     * Slot-pool request storage (useBankLists): requests live in a
-     * free-listed pool and are threaded onto two intrusive lists each —
-     * their bank's and their row's, both in arrival order (seq). The
-     * FR pass reads each hit-ready bank's oldest open-row hit straight
-     * from the row list head; the FCFS pass reads each drive-ready
-     * bank's oldest conflicting request from the bank list; arrival
-     * seq numbers arbitrate across banks. Replaces the deques (and the
-     * key mirror) entirely in this mode.
-     */
-    struct Slot {
-        QueuedReq qr;
-        std::uint64_t key = 0; ///< rowKeyOf the request.
-        std::uint64_t seq = 0; ///< Arrival order, monotone.
-        int bankNext = -1, bankPrev = -1;
-        int rowNext = -1, rowPrev = -1;
-    };
     std::vector<Slot> slots_;
     std::vector<int> freeSlots_;
-    std::vector<int> readBankHead_, readBankTail_;   ///< By bankIndexOf.
-    std::vector<int> writeBankHead_, writeBankTail_; ///< By bankIndexOf.
-    std::size_t readSize_ = 0, writeSize_ = 0;
+    BankLists readLists_, writeLists_;
+    int bankShift_ = 0; ///< log2(banksPerRank).
     std::uint64_t arrivalSeq_ = 0;
     using PendingQueue =
         std::priority_queue<PendingRead, std::vector<PendingRead>,
                             std::greater<>>;
     PendingQueue pending_;
     std::vector<std::vector<BankCtl>> bankCtl_; ///< [rank][bank].
-    /** Flat [rank * banksPerRank + bank] pointers into channel_. */
+    /** Flat bankIndexOf-indexed pointers into channel_. */
     std::vector<const dram::Bank *> bankPtr_;
 
     bool drainMode_ = false;
     /**
      * Scheduler horizon: no serveQueue scan before this cycle can issue
-     * a command. Computed after each fruitless scan from per-request
-     * Channel::earliest() lower bounds; reset to 0 (rescan) by anything
+     * a command. Computed after each fruitless scan from per-bank
+     * earliest-issue lower bounds; reset to 0 (rescan) by anything
      * that changes scheduling state — an enqueue or any issued command.
      */
     Cycle nextServeTry_ = 0;

@@ -38,24 +38,10 @@ class Channel
     Cycle earliest(const Command &cmd) const;
 
     /**
-     * Cross-rank data-bus gate (tRTRS) for a column command issued on
-     * `rank` at `now` — the channel-scope piece of canIssue(), hoisted
-     * per rank out of the FR-FCFS scan.
-     */
-    bool
-    busReady(int rank, bool is_read, Cycle now) const
-    {
-        if (rank == lastBusRank_ || lastBusRank_ < 0)
-            return true;
-        const DramTiming &t = spec_.timing;
-        Cycle data_start = now + (is_read ? Cycle(t.tCL) : Cycle(t.tCWL));
-        return data_start >= busFreeAt_ + Cycle(t.tRTRS);
-    }
-
-    /**
      * Channel-scope component of a column command's earliest issue
      * cycle on `rank` (0 when no cross-rank turnaround applies) — the
-     * bus term of earliest(), hoisted per rank for schedulers.
+     * bus term of earliest() and of canIssue()'s tRTRS check, hoisted
+     * per rank for schedulers.
      */
     Cycle
     busEarliestBase(int rank, bool is_read) const

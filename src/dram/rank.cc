@@ -42,8 +42,7 @@ Rank::canIssue(const Command &cmd, Cycle now) const
             return false;
         if (now < nextActRank_)
             return false;
-        if (actWindow_.size() >= 4 &&
-            now < actWindow_.front() + Cycle(timing_.tFAW))
+        if (acts_.full() && now < acts_.front() + Cycle(timing_.tFAW))
             return false;
         return true;
       }
@@ -84,8 +83,8 @@ Rank::earliest(const Command &cmd) const
       case CmdType::ACT: {
         t = std::max(t, b.earliest(CmdType::ACT));
         t = std::max(t, nextActRank_);
-        if (actWindow_.size() >= 4)
-            t = std::max(t, actWindow_.front() + Cycle(timing_.tFAW));
+        if (acts_.full())
+            t = std::max(t, acts_.front() + Cycle(timing_.tFAW));
         return t;
       }
       case CmdType::RD:
@@ -121,9 +120,9 @@ Rank::issue(const Command &cmd, Cycle now, const EffActTiming *eff)
       case CmdType::ACT:
         b.issue(CmdType::ACT, cmd.addr.row, now, eff);
         nextActRank_ = now + t.tRRD;
-        actWindow_.push_back(now);
-        if (actWindow_.size() > 4)
-            actWindow_.pop_front();
+        if (acts_.full())
+            acts_.pop_front();
+        acts_.push_back(now);
         break;
       case CmdType::PRE:
         b.issue(CmdType::PRE, -1, now, nullptr);
@@ -155,7 +154,7 @@ void
 Rank::saveState(resilience::SnapshotWriter &w) const
 {
     w.put(nextActRank_);
-    w.putDeque(actWindow_);
+    w.putRing(acts_);
     w.put(nextRd_);
     w.put(nextWr_);
     w.put(busyUntil_);
@@ -167,7 +166,7 @@ void
 Rank::loadState(resilience::SnapshotReader &r)
 {
     r.get(nextActRank_);
-    r.getDeque(actWindow_);
+    r.getRing(acts_);
     r.get(nextRd_);
     r.get(nextWr_);
     r.get(busyUntil_);

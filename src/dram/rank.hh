@@ -8,9 +8,9 @@
 #ifndef CCSIM_DRAM_RANK_HH
 #define CCSIM_DRAM_RANK_HH
 
-#include <deque>
 #include <vector>
 
+#include "common/ring.hh"
 #include "common/types.hh"
 #include "dram/bank.hh"
 
@@ -45,33 +45,11 @@ class Rank
      */
     Cycle earliest(const Command &cmd) const;
 
-    // Rank-scope gate predicates, exact decompositions of canIssue()
-    // hoisted out of the FR-FCFS scan (rank state is invariant across
-    // one scan: it only changes when a command issues).
-
-    /** Not inside a tRFC window (gates every command class). */
-    bool preReady(Cycle now) const { return now >= busyUntil_; }
-
-    /** Column command gate: tCCD and read/write turnaround. */
-    bool
-    columnReady(bool is_write, Cycle now) const
-    {
-        return now >= (is_write ? nextWr_ : nextRd_);
-    }
-
-    /** ACT gate: tRRD and the four-activate window (tFAW). */
-    bool
-    actRankReady(Cycle now) const
-    {
-        if (now < nextActRank_)
-            return false;
-        return actWindow_.size() < 4 ||
-               now >= actWindow_.front() + Cycle(timing_.tFAW);
-    }
-
     // Rank-scope components of earliest(), for schedulers that combine
-    // them with the per-bank terms inline (max with Bank::earliest()
-    // reproduces earliest() exactly).
+    // them with the per-bank terms inline: max with Bank::earliest()
+    // reproduces earliest() exactly, and a command is rank-legal at
+    // `now` iff that max is <= now (rank state only changes when a
+    // command issues, so the FR-FCFS scan reads these once per rank).
 
     /** Rank part of a column command's earliest cycle. */
     Cycle
@@ -86,8 +64,8 @@ class Rank
     actEarliestBase() const
     {
         Cycle t = nextActRank_ > busyUntil_ ? nextActRank_ : busyUntil_;
-        if (actWindow_.size() >= 4) {
-            Cycle faw = actWindow_.front() + Cycle(timing_.tFAW);
+        if (acts_.full()) {
+            Cycle faw = acts_.front() + Cycle(timing_.tFAW);
             t = faw > t ? faw : t;
         }
         return t;
@@ -108,7 +86,7 @@ class Rank
     std::vector<Bank> banks_;
 
     Cycle nextActRank_ = 0;        ///< tRRD gate.
-    std::deque<Cycle> actWindow_;  ///< Last up-to-4 ACT cycles (tFAW).
+    Ring<Cycle> acts_{4};          ///< Last up-to-4 ACT cycles (tFAW).
     Cycle nextRd_ = 0;             ///< Column read gate (tCCD/WTR).
     Cycle nextWr_ = 0;             ///< Column write gate (tCCD/RTW).
     Cycle busyUntil_ = 0;          ///< tRFC window after REF.

@@ -1,7 +1,8 @@
 #include "mem/llc.hh"
 
 #include <algorithm>
-#include <map>
+#include <string>
+#include <utility>
 
 #include "common/log.hh"
 #include "resilience/serial.hh"
@@ -36,34 +37,40 @@ Llc::Llc(const LlcConfig &config, const dram::AddressMapper &mapper,
         throw resilience::SimError(
             resilience::ErrorKind::InvalidConfig,
             "LLC set count must be a power of two");
-    lines_.resize(lines);
-    mshrInUse_.assign(64, 0); // up to 64 cores
-    blockedLine_.assign(64, kNoAddr);
+    setShift_ = log2Exact(static_cast<std::uint64_t>(sets_));
+    tags_.assign(lines, kInvalidTag);
+    lru_.assign(lines, 0);
+    dirty_.assign(lines, 0);
+    mshrInUse_.assign(kMaxCores, 0);
+    blockedLine_.assign(kMaxCores, kNoAddr);
 }
 
-Llc::Line *
-Llc::findLine(Addr line_addr)
+std::ptrdiff_t
+Llc::findLine(Addr line_addr) const
 {
-    std::uint64_t set = line_addr & (sets_ - 1);
-    std::uint64_t tag = line_addr >> log2Exact(sets_);
-    Line *base = &lines_[set * config_.ways];
+    const std::size_t base =
+        static_cast<std::size_t>(line_addr & (sets_ - 1)) *
+        static_cast<std::size_t>(config_.ways);
+    const std::uint64_t tag = line_addr >> setShift_;
+    const std::uint64_t *t = &tags_[base];
     for (int w = 0; w < config_.ways; ++w)
-        if (base[w].valid && base[w].tag == tag)
-            return &base[w];
-    return nullptr;
+        if (t[w] == tag)
+            return static_cast<std::ptrdiff_t>(base) + w;
+    return -1;
 }
 
-Llc::Line *
-Llc::victimFor(Addr line_addr)
+std::size_t
+Llc::victimFor(Addr line_addr) const
 {
-    std::uint64_t set = line_addr & (sets_ - 1);
-    Line *base = &lines_[set * config_.ways];
-    Line *victim = &base[0];
-    for (int w = 0; w < config_.ways; ++w) {
-        if (!base[w].valid)
-            return &base[w];
-        if (base[w].lru < victim->lru)
-            victim = &base[w];
+    const std::size_t base =
+        static_cast<std::size_t>(line_addr & (sets_ - 1)) *
+        static_cast<std::size_t>(config_.ways);
+    std::size_t victim = base;
+    for (std::size_t i = base; i < base + config_.ways; ++i) {
+        if (tags_[i] == kInvalidTag)
+            return i;
+        if (lru_[i] < lru_[victim])
+            victim = i;
     }
     return victim;
 }
@@ -84,41 +91,37 @@ Llc::installLine(Addr line_addr, bool dirty)
                 onWake_(static_cast<int>(c));
         }
     }
-    std::uint64_t set = line_addr & (sets_ - 1);
-    Line *victim = victimFor(line_addr);
-    if (victim->valid && victim->dirty) {
+    const std::size_t v = victimFor(line_addr);
+    if (tags_[v] != kInvalidTag && dirty_[v]) {
         Addr victim_addr =
-            (victim->tag << log2Exact(sets_)) | set;
+            (tags_[v] << setShift_) | (line_addr & (sets_ - 1));
         writebackQ_.push_back(victim_addr);
         drainBlocked_ = false;
         ++stats_.writebacks;
     }
-    victim->valid = true;
-    victim->dirty = dirty;
-    victim->tag = line_addr >> log2Exact(sets_);
-    victim->lru = ++lruClock_;
+    tags_[v] = line_addr >> setShift_;
+    dirty_[v] = dirty;
+    lru_[v] = ++lruClock_;
 }
 
 bool
-Llc::sendFetch(Addr line_addr)
+Llc::sendFetch(Addr line_addr, MshrEntry &entry)
 {
-    auto it = mshrs_.find(line_addr);
-    CCSIM_ASSERT(it != mshrs_.end(), "fetch without MSHR");
     ctrl::Request req;
     req.type = ctrl::ReqType::Read;
     req.lineAddr = line_addr;
     req.addr = mapper_.decode(line_addr);
-    req.coreId = it->second.waiters.front().core;
-    req.isPtw = it->second.isPtw;
-    req.ptwLevel = it->second.ptwLevel;
+    req.coreId = entry.waiters.front().core;
+    req.isPtw = entry.isPtw;
+    req.ptwLevel = entry.ptwLevel;
     req.callback = &Llc::fillCallback;
     req.callbackCtx = this;
     ctrl::MemoryController *mc = channels_[req.addr.channel];
     if (!mc->canAccept(ctrl::ReqType::Read))
         return false;
-    // Mark before enqueue: `it` must not be touched afterwards (the
+    // Mark before enqueue: `entry` must not be touched afterwards (the
     // controller owns the request from here on).
-    it->second.issued = true;
+    entry.issued = true;
     mc->enqueue(std::move(req));
     return true;
 }
@@ -134,9 +137,9 @@ Llc::access(int core, Addr line_addr, bool is_write, std::uint64_t token,
         blockedLine_[core] = kNoAddr;
         --watchCount_;
     }
-    if (Line *line = findLine(line_addr)) {
-        line->lru = ++lruClock_;
-        line->dirty |= is_write;
+    if (std::ptrdiff_t way = findLine(line_addr); way >= 0) {
+        lru_[way] = ++lruClock_;
+        dirty_[way] |= is_write;
         ++stats_.hits;
         return Result::Hit;
     }
@@ -165,23 +168,19 @@ Llc::access(int core, Addr line_addr, bool is_write, std::uint64_t token,
         }
         return Result::Blocked;
     }
-    auto it = mshrs_.find(line_addr);
-    if (it != mshrs_.end()) {
-        it->second.waiters.push_back({core, token, is_write});
+    if (MshrEntry *merge = mshrs_.find(line_addr)) {
+        merge->waiters.push_back({core, token, is_write});
         ++mshrInUse_[core];
         ++stats_.mshrMerges;
         return Result::Miss;
     }
-    MshrEntry entry;
+    MshrEntry &entry = mshrs_.insert(line_addr);
     entry.isPtw = is_ptw;
     entry.ptwLevel = static_cast<std::int8_t>(ptw_level);
     entry.waiters.push_back({core, token, is_write});
-    auto [ins, ok] = mshrs_.emplace(line_addr, std::move(entry));
-    CCSIM_ASSERT(ok, "duplicate MSHR");
-    (void)ins;
     ++mshrInUse_[core];
     ++stats_.misses;
-    if (!sendFetch(line_addr)) {
+    if (!sendFetch(line_addr, entry)) {
         fetchRetryQ_.push_back(line_addr);
         drainBlocked_ = false;
         ++stats_.blockedMemQueue;
@@ -192,22 +191,24 @@ Llc::access(int core, Addr line_addr, bool is_write, std::uint64_t token,
 void
 Llc::onFill(Addr line_addr)
 {
-    auto it = mshrs_.find(line_addr);
-    CCSIM_ASSERT(it != mshrs_.end(), "fill without MSHR");
+    MshrEntry *entry = mshrs_.find(line_addr);
+    CCSIM_ASSERT(entry, "fill without MSHR");
     bool dirty = false;
-    for (const auto &w : it->second.waiters)
+    for (const auto &w : entry->waiters)
         dirty |= w.isWrite;
     installLine(line_addr, dirty);
-    // Notify after erasing so callbacks can re-access the cache.
-    std::vector<MshrEntry::Waiter> waiters =
-        std::move(it->second.waiters);
-    mshrs_.erase(it);
-    for (const auto &w : waiters) {
+    // Notify after erasing so callbacks can re-access the cache. The
+    // miss callbacks only flag the core, so they never nest a fill.
+    CCSIM_ASSERT(fillWaiters_.empty(), "nested LLC fill");
+    fillWaiters_.swap(entry->waiters);
+    mshrs_.erase(line_addr);
+    for (const auto &w : fillWaiters_) {
         --mshrInUse_[w.core];
         CCSIM_ASSERT(mshrInUse_[w.core] >= 0, "MSHR accounting broke");
         if (onMissComplete_)
             onMissComplete_(w.core, w.token);
     }
+    fillWaiters_.clear();
 }
 
 void
@@ -215,12 +216,12 @@ Llc::tick()
 {
     while (!fetchRetryQ_.empty()) {
         Addr line_addr = fetchRetryQ_.front();
-        auto it = mshrs_.find(line_addr);
-        if (it == mshrs_.end() || it->second.issued) {
+        MshrEntry *entry = mshrs_.find(line_addr);
+        if (!entry || entry->issued) {
             fetchRetryQ_.pop_front(); // stale entry
             continue;
         }
-        if (!sendFetch(line_addr))
+        if (!sendFetch(line_addr, *entry))
             break;
         fetchRetryQ_.pop_front();
     }
@@ -245,19 +246,18 @@ Llc::warmAccess(Addr line_addr, bool is_write, Addr *evicted_dirty)
 {
     if (evicted_dirty)
         *evicted_dirty = kNoAddr;
-    if (Line *line = findLine(line_addr)) {
-        line->lru = ++lruClock_;
-        line->dirty = line->dirty || is_write;
+    if (std::ptrdiff_t way = findLine(line_addr); way >= 0) {
+        lru_[way] = ++lruClock_;
+        dirty_[way] |= is_write;
         return true;
     }
-    std::uint64_t set = line_addr & (sets_ - 1);
-    Line *victim = victimFor(line_addr);
-    if (victim->valid && victim->dirty && evicted_dirty)
-        *evicted_dirty = (victim->tag << log2Exact(sets_)) | set;
-    victim->valid = true;
-    victim->dirty = is_write;
-    victim->tag = line_addr >> log2Exact(sets_);
-    victim->lru = ++lruClock_;
+    const std::size_t v = victimFor(line_addr);
+    if (tags_[v] != kInvalidTag && dirty_[v] && evicted_dirty)
+        *evicted_dirty =
+            (tags_[v] << setShift_) | (line_addr & (sets_ - 1));
+    tags_[v] = line_addr >> setShift_;
+    dirty_[v] = is_write;
+    lru_[v] = ++lruClock_;
     return false;
 }
 
@@ -268,7 +268,9 @@ Llc::warmCopyTagsFrom(const Llc &other)
         throw resilience::SimError(
             resilience::ErrorKind::InvalidConfig,
             "warm-state injection needs matching LLC geometry");
-    lines_ = other.lines_;
+    tags_ = other.tags_;
+    lru_ = other.lru_;
+    dirty_ = other.dirty_;
     lruClock_ = other.lruClock_;
 }
 
@@ -281,19 +283,25 @@ Llc::fillCallback(void *ctx, const ctrl::Request &req, Cycle)
 void
 Llc::saveState(resilience::SnapshotWriter &w) const
 {
-    // Field-wise (not raw struct) dumps: Line and Waiter carry padding
-    // bytes, and snapshots must be byte-deterministic.
-    w.put(static_cast<std::uint64_t>(lines_.size()));
-    for (const Line &l : lines_) {
-        w.put(l.tag);
-        w.put(l.lru);
-        w.put(l.valid);
-        w.put(l.dirty);
+    // Field-wise dumps (Waiter carries padding bytes, and snapshots
+    // must be byte-deterministic). Each way is (tag, lru, valid,
+    // dirty); a never-filled way reads tag 0, not valid.
+    w.put(static_cast<std::uint64_t>(tags_.size()));
+    for (std::size_t i = 0; i < tags_.size(); ++i) {
+        const bool valid = tags_[i] != kInvalidTag;
+        w.put(valid ? tags_[i] : std::uint64_t(0));
+        w.put(lru_[i]);
+        w.put(valid);
+        w.put(static_cast<bool>(dirty_[i]));
     }
     w.put(lruClock_);
-    std::map<Addr, const MshrEntry *> sorted;
-    for (const auto &kv : mshrs_)
-        sorted.emplace(kv.first, &kv.second);
+    // MSHRs in address order (table order depends on its history).
+    std::vector<std::pair<Addr, const MshrEntry *>> sorted;
+    sorted.reserve(mshrs_.size());
+    mshrs_.forEach([&](Addr addr, const MshrEntry &entry) {
+        sorted.emplace_back(addr, &entry);
+    });
+    std::sort(sorted.begin(), sorted.end());
     w.put(static_cast<std::uint64_t>(sorted.size()));
     for (const auto &[addr, entry] : sorted) {
         w.put(addr);
@@ -320,39 +328,61 @@ Llc::saveState(resilience::SnapshotWriter &w) const
 void
 Llc::loadState(resilience::SnapshotReader &r)
 {
+    auto corrupt = [](const std::string &what) {
+        return resilience::SimError(resilience::ErrorKind::CorruptSnapshot,
+                                    what);
+    };
     std::uint64_t n_lines = r.get<std::uint64_t>();
-    if (n_lines != lines_.size())
-        throw resilience::SimError(
-            resilience::ErrorKind::CorruptSnapshot,
-            "LLC line-array size mismatch in snapshot");
-    for (Line &l : lines_) {
-        r.get(l.tag);
-        r.get(l.lru);
-        r.get(l.valid);
-        r.get(l.dirty);
+    if (n_lines != tags_.size())
+        throw corrupt("LLC line-array size mismatch in snapshot");
+    for (std::size_t i = 0; i < tags_.size(); ++i) {
+        const std::uint64_t tag = r.get<std::uint64_t>();
+        r.get(lru_[i]);
+        const bool valid = r.get<bool>();
+        dirty_[i] = r.get<bool>();
+        if (valid && tag == kInvalidTag)
+            throw corrupt("LLC line carries the reserved invalid tag");
+        tags_[i] = valid ? tag : kInvalidTag;
     }
     r.get(lruClock_);
+    // Every waiter holds one of its core's MSHRs, so the per-core
+    // limit bounds both the entry count and each entry's waiters.
+    const std::uint64_t max_waiters =
+        std::uint64_t(kMaxCores) *
+        static_cast<std::uint64_t>(std::max(config_.mshrsPerCore, 0));
     mshrs_.clear();
     std::uint64_t n_mshrs = r.get<std::uint64_t>();
+    if (n_mshrs > max_waiters)
+        throw corrupt("snapshot holds " + std::to_string(n_mshrs) +
+                      " MSHRs, capacity is " +
+                      std::to_string(max_waiters));
     for (std::uint64_t i = 0; i < n_mshrs; ++i) {
         Addr addr = r.get<Addr>();
-        MshrEntry entry;
+        if (addr == kNoAddr || mshrs_.find(addr))
+            throw corrupt("duplicate or invalid MSHR address in snapshot");
+        MshrEntry &entry = mshrs_.insert(addr);
         std::uint64_t n_waiters = r.get<std::uint64_t>();
+        if (n_waiters == 0 || n_waiters > max_waiters)
+            throw corrupt("MSHR waiter count out of range in snapshot");
         entry.waiters.resize(n_waiters);
         for (MshrEntry::Waiter &wt : entry.waiters) {
             r.get(wt.core);
             r.get(wt.token);
             r.get(wt.isWrite);
+            if (wt.core < 0 || wt.core >= kMaxCores)
+                throw corrupt("MSHR waiter core out of range in snapshot");
         }
         r.get(entry.issued);
         r.get(entry.isPtw);
         r.get(entry.ptwLevel);
-        mshrs_.emplace(addr, std::move(entry));
     }
     r.getVec(mshrInUse_);
     r.getDeque(fetchRetryQ_);
     r.getDeque(writebackQ_);
     r.getVec(blockedLine_);
+    if (mshrInUse_.size() != std::size_t(kMaxCores) ||
+        blockedLine_.size() != std::size_t(kMaxCores))
+        throw corrupt("LLC per-core table size mismatch in snapshot");
     r.get(watchCount_);
     r.get(watchLimit_);
     r.get(drainBlocked_);

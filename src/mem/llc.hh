@@ -12,12 +12,12 @@
 
 #include <deque>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hh"
 #include "ctrl/controller.hh"
 #include "dram/addr.hh"
+#include "mem/mshr_table.hh"
 
 namespace ccsim::resilience {
 class SnapshotWriter;
@@ -59,6 +59,13 @@ class Llc
 
     /** Invoked when a line a Blocked core was waiting for is installed. */
     using WakeCallback = std::function<void(int core)>;
+
+    /**
+     * Cores one LLC serves at most: the per-core MSHR counters and park
+     * watches are this wide (System and SampledSimulation reject a
+     * larger nCores with InvalidConfig).
+     */
+    static constexpr int kMaxCores = 64;
 
     /**
      * @param channels the memory controller of each channel, by index
@@ -182,29 +189,16 @@ class Llc
     void loadState(resilience::SnapshotReader &r);
 
   private:
-    struct Line {
-        std::uint64_t tag = 0;
-        std::uint64_t lru = 0;
-        bool valid = false;
-        bool dirty = false;
-    };
+    /** Tag of a never-filled way (no cached line address maps to it). */
+    static constexpr std::uint64_t kInvalidTag = ~std::uint64_t(0);
 
-    struct MshrEntry {
-        struct Waiter {
-            int core;
-            std::uint64_t token;
-            bool isWrite;
-        };
-        std::vector<Waiter> waiters;
-        bool issued = false; ///< Fetch accepted by the controller.
-        bool isPtw = false;  ///< Fetch is a page-table-walker read.
-        std::int8_t ptwLevel = -1; ///< Walk level of a PTW fetch.
-    };
-
-    Line *findLine(Addr line_addr);
-    Line *victimFor(Addr line_addr);
+    /** Flat way index holding `line_addr`, or -1 when it is not cached. */
+    std::ptrdiff_t findLine(Addr line_addr) const;
+    /** Way an install of `line_addr` takes: the set's first never-filled
+        way, else its least recently used one. */
+    std::size_t victimFor(Addr line_addr) const;
     void installLine(Addr line_addr, bool dirty);
-    bool sendFetch(Addr line_addr);
+    bool sendFetch(Addr line_addr, MshrEntry &entry);
     void onFill(Addr line_addr);
 
     LlcConfig config_;
@@ -213,10 +207,18 @@ class Llc
     MissCallback onMissComplete_;
 
     int sets_;
-    std::vector<Line> lines_; ///< sets_ * ways, set-major.
+    int setShift_; ///< log2(sets_): a line's tag is line >> setShift_.
+    // Tag store, sets_ * ways entries set-major, split by field so the
+    // tag probe reads a contiguous run of 8-byte tags.
+    std::vector<std::uint64_t> tags_; ///< kInvalidTag: never filled.
+    std::vector<std::uint64_t> lru_;
+    std::vector<std::uint8_t> dirty_;
     std::uint64_t lruClock_ = 0;
 
-    std::unordered_map<Addr, MshrEntry> mshrs_; ///< By line address.
+    MshrTable mshrs_;
+    /** onFill's waiter scratch (swapped with the entry's, so neither
+        vector gives up its capacity). */
+    std::vector<MshrEntry::Waiter> fillWaiters_;
     std::vector<int> mshrInUse_;                ///< Per core.
     std::deque<Addr> fetchRetryQ_; ///< Misses awaiting queue space.
     std::deque<Addr> writebackQ_;  ///< Dirty victims awaiting drain.

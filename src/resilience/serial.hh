@@ -32,6 +32,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/ring.hh"
 #include "resilience/error.hh"
 
 namespace ccsim::resilience {
@@ -145,6 +146,16 @@ class SnapshotWriter
             put(v);
     }
 
+    /** Same layout as putDeque: count, then front to back. */
+    template <typename T>
+    void
+    putRing(const Ring<T> &ring)
+    {
+        put<std::uint64_t>(ring.size());
+        for (std::size_t i = 0; i < ring.size(); ++i)
+            put(ring[i]);
+    }
+
     /** Open a named, versioned section; every write until the matching
         endSection() lands in its payload. Sections do not nest. */
     void
@@ -240,11 +251,15 @@ class SnapshotReader
     {
         std::uint64_t n = get<std::uint64_t>();
         if constexpr (std::is_trivially_copyable<T>::value) {
-            checkAvail(n * sizeof(T));
+            // Divide rather than multiply: n * sizeof(T) can wrap.
+            if (n > remaining() / sizeof(T))
+                throw SimError(ErrorKind::CorruptSnapshot,
+                               "snapshot truncated");
             v.resize(static_cast<std::size_t>(n));
             if (n)
                 copyOut(v.data(), v.size() * sizeof(T));
         } else {
+            checkAvail(n); // Every element takes at least one byte.
             v.clear();
             v.resize(static_cast<std::size_t>(n));
             for (T &e : v)
@@ -257,10 +272,31 @@ class SnapshotReader
     getDeque(std::deque<T> &d)
     {
         std::uint64_t n = get<std::uint64_t>();
+        checkAvail(n);
         d.clear();
         for (std::uint64_t i = 0; i < n; ++i) {
             d.emplace_back();
             get(d.back());
+        }
+    }
+
+    /** Refill `ring` from a putRing/putDeque dump; a count above the
+        ring's capacity is a corrupt snapshot. */
+    template <typename T>
+    void
+    getRing(Ring<T> &ring)
+    {
+        std::uint64_t n = get<std::uint64_t>();
+        if (n > ring.capacity())
+            throw SimError(ErrorKind::CorruptSnapshot,
+                           "snapshot queue holds " + std::to_string(n) +
+                               " entries, capacity is " +
+                               std::to_string(ring.capacity()));
+        ring.clear();
+        for (std::uint64_t i = 0; i < n; ++i) {
+            T v{};
+            get(v);
+            ring.push_back(v);
         }
     }
 
@@ -313,6 +349,9 @@ class SnapshotReader
     }
 
     bool atEnd() const { return pos_ == size_; }
+
+    /** Unread bytes: an upper bound on any count still to come. */
+    std::size_t remaining() const { return size_ - pos_; }
 
   private:
     void

@@ -27,6 +27,11 @@ validateCounts(const SimConfig &config, std::size_t sources,
     if (config.nCores <= 0)
         throw SimError(ErrorKind::InvalidConfig,
                        "nCores must be positive");
+    if (config.nCores > mem::Llc::kMaxCores)
+        throw SimError(ErrorKind::InvalidConfig,
+                       "nCores must be at most " +
+                           std::to_string(mem::Llc::kMaxCores) +
+                           " (the shared LLC's per-core tables)");
     if (config.channels <= 0)
         throw SimError(ErrorKind::InvalidConfig,
                        "channels must be positive");
@@ -932,12 +937,21 @@ System::runCalendar()
     bool warm = false;
     CpuCycle warm_end = 0;
     const CpuCycle ratio = static_cast<CpuCycle>(config_.cpuRatio);
+    // First controller (DRAM) boundary at or after `now`; kept in step
+    // instead of testing now % ratio every cycle.
+    CpuCycle next_boundary = 0;
+    auto boundary_from = [&](CpuCycle at) {
+        return (at + ratio - 1) / ratio * ratio;
+    };
 
-    auto all_retired_at_least = [&](std::uint64_t n) {
-        for (const auto &core : cores_)
-            if (core->stats().retired < n)
-                return false;
-        return true;
+    // Warm-up and done tests as monotone cursors: retired counts only
+    // grow between stat resets, so a core that passed a threshold stays
+    // past it and each test resumes at the first core not yet past.
+    std::size_t warm_cursor = 0, done_cursor = 0;
+    auto all_past = [&](std::size_t &cursor, auto &&past) {
+        while (cursor < cores_.size() && past(*cores_[cursor]))
+            ++cursor;
+        return cursor == cores_.size();
     };
 
     StallWatchdog watchdog(*this);
@@ -987,6 +1001,7 @@ System::runCalendar()
         warm = resume_->warm;
         warm_end = resume_->warmEnd;
         next_progress_check = now + 65536;
+        next_boundary = boundary_from(now);
         resume_.reset();
     }
 
@@ -1010,7 +1025,9 @@ System::runCalendar()
 
         if (progress_since_check) {
             progress_since_check = false;
-            if (!warm && all_retired_at_least(config_.warmupInsts)) {
+            if (!warm && all_past(warm_cursor, [&](const cpu::Core &c) {
+                    return c.stats().retired >= config_.warmupInsts;
+                })) {
                 warm = true;
                 warm_end = now;
                 settle_all_parked(now);
@@ -1020,14 +1037,10 @@ System::runCalendar()
                     tele_->rebase();
 #endif
             }
-            if (warm) {
-                bool done = true;
-                for (const auto &core : cores_)
-                    if (!core->reachedTarget())
-                        done = false;
-                if (done)
-                    break;
-            }
+            if (warm && all_past(done_cursor, [](const cpu::Core &c) {
+                    return c.reachedTarget();
+                }))
+                break;
         }
 
         cal.now = now;
@@ -1044,7 +1057,8 @@ System::runCalendar()
             }
         });
 
-        if (now % ratio == 0) {
+        if (now == next_boundary) {
+            next_boundary += ratio;
             for (std::size_t ch = 0; ch < controllers_.size(); ++ch) {
                 if (controllers_[ch]->consumeHorizonDirty())
                     repost_ctrl(ch);
@@ -1143,6 +1157,8 @@ System::runCalendar()
             }
         }
         now = next;
+        if (now > next_boundary)
+            next_boundary = boundary_from(now); // Jumped past it.
 
         while (now >= next_progress_check) {
             watchdog.checkAt(now);

@@ -65,6 +65,11 @@ SampledSimulation::SampledSimulation(
         throw SimError(ErrorKind::InvalidConfig,
                        "sampled simulation needs exactly one trace per "
                        "core");
+    if (config_.nCores > mem::Llc::kMaxCores)
+        throw SimError(ErrorKind::InvalidConfig,
+                       "sampled simulation supports at most " +
+                           std::to_string(mem::Llc::kMaxCores) +
+                           " cores (the shared LLC's per-core tables)");
     if (sampling_.intervalInsts == 0)
         throw SimError(ErrorKind::InvalidConfig,
                        "sampling intervalInsts must be positive");

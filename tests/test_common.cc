@@ -3,18 +3,110 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <deque>
 #include <fstream>
 #include <sstream>
 
 #include "common/config.hh"
 #include "common/log.hh"
 #include "common/random.hh"
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "resilience/error.hh"
+#include "resilience/serial.hh"
 
 namespace ccsim {
 namespace {
+
+TEST(Ring, WrapsAroundInFifoOrder)
+{
+    Ring<int> ring(3); // Stored 4 wide: the wrap exercises the mask.
+    std::deque<int> model;
+    int next = 0;
+    for (int round = 0; round < 20; ++round) {
+        while (!ring.full()) {
+            ring.push_back(next);
+            model.push_back(next++);
+        }
+        for (int k = 0; k < 1 + round % 3; ++k) {
+            ASSERT_EQ(ring.front(), model.front());
+            ring.pop_front();
+            model.pop_front();
+        }
+        ASSERT_EQ(ring.size(), model.size());
+        for (std::size_t i = 0; i < model.size(); ++i)
+            ASSERT_EQ(ring[i], model[i]) << "round " << round;
+        if (!model.empty()) {
+            ASSERT_EQ(ring.back(), model.back());
+        }
+    }
+}
+
+TEST(Ring, FullAtCapacityNotStorageWidth)
+{
+    Ring<int> ring(5);
+    EXPECT_EQ(ring.capacity(), 5u);
+    EXPECT_TRUE(ring.empty());
+    for (int i = 0; i < 5; ++i) {
+        EXPECT_FALSE(ring.full());
+        ring.push_back(i);
+    }
+    EXPECT_TRUE(ring.full());
+    EXPECT_EQ(ring.size(), 5u);
+    ring.pop_front();
+    ring.push_back(5); // Room again after a pop.
+    EXPECT_TRUE(ring.full());
+    EXPECT_EQ(ring.front(), 1);
+    EXPECT_EQ(ring.back(), 5);
+    ring.clear();
+    EXPECT_TRUE(ring.empty());
+    EXPECT_FALSE(ring.full());
+}
+
+TEST(Ring, SnapshotRoundTripMatchesDequeLayout)
+{
+    Ring<std::pair<std::uint64_t, std::uint64_t>> ring(4);
+    std::deque<std::pair<std::uint64_t, std::uint64_t>> model;
+    for (std::uint64_t i = 0; i < 7; ++i) { // Wraps the storage.
+        if (ring.full()) {
+            ring.pop_front();
+            model.pop_front();
+        }
+        ring.push_back({i, 100 + i});
+        model.push_back({i, 100 + i});
+    }
+    resilience::SnapshotWriter ring_w, deque_w;
+    ring_w.putRing(ring);
+    deque_w.putDeque(model);
+    EXPECT_EQ(ring_w.bytes(), deque_w.bytes());
+
+    Ring<std::pair<std::uint64_t, std::uint64_t>> back(4);
+    back.push_back({9, 9}); // Replaced, not appended to.
+    resilience::SnapshotReader r(ring_w.bytes());
+    r.getRing(back);
+    EXPECT_TRUE(r.atEnd());
+    ASSERT_EQ(back.size(), model.size());
+    for (std::size_t i = 0; i < model.size(); ++i)
+        EXPECT_EQ(back[i], model[i]);
+}
+
+TEST(Ring, LoaderRefusesCountAboveCapacity)
+{
+    Ring<std::uint32_t> big(6);
+    for (std::uint32_t i = 0; i < 6; ++i)
+        big.push_back(i);
+    resilience::SnapshotWriter w;
+    w.putRing(big);
+    Ring<std::uint32_t> small(5);
+    resilience::SnapshotReader r(w.bytes());
+    try {
+        r.getRing(small);
+        FAIL() << "expected CorruptSnapshot";
+    } catch (const resilience::SimError &e) {
+        EXPECT_EQ(e.kind(), resilience::ErrorKind::CorruptSnapshot);
+    }
+}
 
 TEST(Log2, ExactPowers)
 {

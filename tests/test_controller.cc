@@ -199,6 +199,94 @@ TEST(Controller, ClosedRowPolicyKeepsRowForQueuedHits)
     EXPECT_TRUE(h.violations().empty());
 }
 
+/** Records the type of every command a controller issues. */
+struct CmdLog : CommandListener {
+    std::vector<dram::CmdType> types;
+    void
+    onCommand(const dram::Command &cmd, Cycle,
+              const dram::EffActTiming *) override
+    {
+        types.push_back(cmd.type);
+    }
+};
+
+TEST(Controller, ClosedRowQueuedWriteHitKeepsReadAsPlainRd)
+{
+    CtrlHarness h(RowPolicy::Closed);
+    CmdLog log;
+    h.mc->addListener(&log);
+    dram::DramAddr a;
+    a.bank = 0;
+    a.row = 100;
+    h.read(0, 100, 0);
+    h.write(0, 100, 1); // Same row, other queue.
+    while (h.mc->channel().rank(0).bank(0).state() !=
+           dram::Bank::State::Active)
+        h.mc->tick();
+    EXPECT_EQ(h.mc->openRowHits(a), 2);
+    h.drain();
+    // Reads go first; the queued write hit keeps the row open, so the
+    // read is a plain RD and the write carries the auto-precharge.
+    EXPECT_EQ(log.types, (std::vector<dram::CmdType>{dram::CmdType::ACT,
+                                                     dram::CmdType::RD,
+                                                     dram::CmdType::WRA}));
+    EXPECT_EQ(h.mc->stats().acts, 1u);
+    EXPECT_EQ(h.mc->stats().autoPres, 1u);
+    EXPECT_EQ(h.mc->openRowHits(a), 0);
+    EXPECT_TRUE(h.violations().empty());
+}
+
+TEST(Controller, OpenRowHitCountsReturnToZeroOnPreAndRda)
+{
+    dram::DramAddr a;
+    a.bank = 2;
+    a.row = 7;
+
+    // RDA: the last queued hit auto-precharges; the other requests to
+    // the bank target another row and must not count as hits.
+    CtrlHarness closed(RowPolicy::Closed);
+    closed.read(2, 7, 0);
+    closed.read(2, 9, 0);
+    closed.write(2, 9, 1);
+    while (closed.mc->stats().autoPres == 0) {
+        if (closed.mc->channel().rank(0).bank(2).state() ==
+            dram::Bank::State::Active) {
+            EXPECT_EQ(closed.mc->openRowHits(a), 1);
+        }
+        closed.mc->tick();
+    }
+    EXPECT_EQ(closed.mc->openRowHits(a), 0);
+    dram::DramAddr b = a;
+    b.row = 9;
+    EXPECT_EQ(closed.mc->openRowHits(b), 0) << "bank is idle after RDA";
+    closed.drain();
+    EXPECT_EQ(closed.mc->stats().acts, 2u);
+    EXPECT_EQ(closed.mc->openRowHits(b), 0);
+
+    // PRE: refresh closes an open row while hits to it are queued
+    // (open-row policy leaves the row open after the first read).
+    CtrlHarness open;
+    open.read(2, 7, 0);
+    open.drain();
+    Cycle until_ref = open.spec.timing.tREFI;
+    while (open.mc->now() + 2 < until_ref)
+        open.mc->tick();
+    open.read(2, 7, 1);
+    open.read(2, 7, 2);
+    EXPECT_EQ(open.mc->openRowHits(a), 2);
+    const std::uint64_t pres = open.mc->stats().pres;
+    while (open.mc->stats().pres == pres)
+        open.mc->tick();
+    EXPECT_EQ(open.mc->channel().rank(0).bank(2).state(),
+              dram::Bank::State::Idle);
+    EXPECT_EQ(open.mc->openRowHits(a), 0);
+    open.drain();
+    EXPECT_EQ(open.mc->stats().reads, 3u);
+    EXPECT_EQ(open.mc->openRowHits(a), 0);
+    EXPECT_TRUE(open.violations().empty());
+    EXPECT_TRUE(closed.violations().empty());
+}
+
 TEST(Controller, ChargeCacheHitLowersReadLatency)
 {
     auto make_cc = []() {

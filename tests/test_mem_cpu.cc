@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 
+#include "common/random.hh"
 #include "cpu/core.hh"
 #include "dram/addr.hh"
 #include "helpers.hh"
 #include "mem/llc.hh"
+#include "mem/mshr_table.hh"
 
 namespace ccsim {
 namespace {
@@ -182,6 +185,117 @@ TEST(Llc, GeometryValidation)
     cfg.ways = 16;
     LlcHarness h(cfg);
     EXPECT_EQ(h.llc->numSets(), 4096);
+}
+
+// ---------------------------------------------------------------------
+// MSHR table.
+
+/** `n` distinct line addresses whose home slot in a `slots`-wide table
+    is the same, so they form one probe run. */
+std::vector<Addr>
+collidingLines(std::size_t slots, std::size_t n)
+{
+    std::vector<Addr> out;
+    const std::uint64_t want = mix64(1) & (slots - 1);
+    for (Addr a = 1; out.size() < n; ++a)
+        if ((mix64(a) & (slots - 1)) == want)
+            out.push_back(a);
+    return out;
+}
+
+TEST(MshrTable, CollidingKeysProbeToDistinctEntries)
+{
+    mem::MshrTable t;
+    const std::vector<Addr> keys = collidingLines(t.slotCount(), 4);
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        t.insert(keys[i]).waiters.push_back({int(i), 10 + i, false});
+    EXPECT_EQ(t.size(), keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        mem::MshrEntry *e = t.find(keys[i]);
+        ASSERT_NE(e, nullptr);
+        ASSERT_EQ(e->waiters.size(), 1u);
+        EXPECT_EQ(e->waiters[0].token, 10 + i);
+    }
+    EXPECT_EQ(t.find(keys.back() + 1), nullptr);
+    EXPECT_EQ(t.find(kNoAddr), nullptr);
+}
+
+TEST(MshrTable, EraseFromMiddleOfProbeRunKeepsTheRestReachable)
+{
+    mem::MshrTable t;
+    const std::vector<Addr> keys = collidingLines(t.slotCount(), 5);
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        t.insert(keys[i]).waiters.push_back({0, i, false});
+    t.erase(keys[1]);
+    t.erase(keys[3]);
+    EXPECT_EQ(t.size(), 3u);
+    EXPECT_EQ(t.find(keys[1]), nullptr);
+    EXPECT_EQ(t.find(keys[3]), nullptr);
+    for (std::size_t i : {0u, 2u, 4u}) {
+        mem::MshrEntry *e = t.find(keys[i]);
+        ASSERT_NE(e, nullptr) << "key " << i << " lost by erase";
+        EXPECT_EQ(e->waiters.at(0).token, i);
+    }
+    // Reinsertion finds a clean entry: flags reset, no stale waiters.
+    mem::MshrEntry &again = t.insert(keys[1]);
+    EXPECT_TRUE(again.waiters.empty());
+    EXPECT_FALSE(again.issued);
+    EXPECT_EQ(again.ptwLevel, -1);
+}
+
+TEST(MshrTable, GrowsAndKeepsEveryEntry)
+{
+    mem::MshrTable t;
+    const std::size_t initial = t.slotCount();
+    std::map<Addr, std::uint64_t> model;
+    Rng rng(7);
+    for (std::uint64_t i = 0; i < 4 * initial; ++i) {
+        Addr line = rng.below(1u << 20) + 1;
+        if (model.count(line))
+            continue;
+        mem::MshrEntry &e = t.insert(line);
+        e.issued = (i % 2) == 1;
+        e.waiters.push_back({0, i, false});
+        model[line] = i;
+        // Interleave erases so growth rehashes a table with holes.
+        if (i % 5 == 4) {
+            Addr victim = model.begin()->first;
+            t.erase(victim);
+            model.erase(model.begin());
+        }
+    }
+    EXPECT_GT(t.slotCount(), initial);
+    EXPECT_LE(2 * t.size(), t.slotCount());
+    EXPECT_EQ(t.size(), model.size());
+    std::size_t visited = 0;
+    t.forEach([&](Addr line, const mem::MshrEntry &e) {
+        ++visited;
+        ASSERT_TRUE(model.count(line));
+        EXPECT_EQ(e.waiters.at(0).token, model[line]);
+        EXPECT_EQ(e.issued, model[line] % 2 == 1);
+    });
+    EXPECT_EQ(visited, model.size());
+}
+
+TEST(MshrTable, LlcMergedWaitersAllComplete)
+{
+    LlcHarness h;
+    EXPECT_EQ(h.llc->access(0, 42, false, 1), mem::Llc::Result::Miss);
+    EXPECT_EQ(h.llc->access(1, 42, true, 2), mem::Llc::Result::Miss);
+    EXPECT_EQ(h.llc->access(2, 42, false, 3), mem::Llc::Result::Miss);
+    EXPECT_EQ(h.llc->stats().misses, 1u);
+    EXPECT_EQ(h.llc->stats().mshrMerges, 2u);
+    h.settle();
+    ASSERT_EQ(h.fills.size(), 3u);
+    EXPECT_EQ(h.fills[0], (std::pair<int, std::uint64_t>{0, 1}));
+    EXPECT_EQ(h.fills[1], (std::pair<int, std::uint64_t>{1, 2}));
+    EXPECT_EQ(h.fills[2], (std::pair<int, std::uint64_t>{2, 3}));
+    EXPECT_TRUE(h.llc->quiesced());
+    // A second miss on the same line after the fill reuses the slot.
+    EXPECT_EQ(h.llc->access(0, 42, false, 4), mem::Llc::Result::Hit);
+    EXPECT_EQ(h.llc->access(0, 43, false, 5), mem::Llc::Result::Miss);
+    h.settle();
+    EXPECT_EQ(h.fills.size(), 4u);
 }
 
 // ---------------------------------------------------------------------

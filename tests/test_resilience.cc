@@ -25,10 +25,17 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "dram/addr.hh"
+#include "dram/rank.hh"
+#include "helpers.hh"
+#include "mem/llc.hh"
 #include "resilience/checkpoint.hh"
 #include "resilience/error.hh"
 #include "resilience/fault.hh"
@@ -37,6 +44,7 @@
 #include "sim/experiment.hh"
 #include "sim/system.hh"
 #include "system_compare.hh"
+#include "trace/sampling.hh"
 #include "workloads/profiles.hh"
 #include "workloads/trace_file.hh"
 
@@ -125,6 +133,151 @@ TEST(Resilience, SerializerDetectsCorruption)
     } catch (const SimError &e) {
         EXPECT_EQ(e.kind(), ErrorKind::CorruptSnapshot);
     }
+}
+
+/** Run `load`, requiring it to throw SimError{CorruptSnapshot}. */
+template <typename F>
+void
+expectCorrupt(F &&load, const char *what)
+{
+    try {
+        load();
+        ADD_FAILURE() << what << ": expected CorruptSnapshot";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.kind(), ErrorKind::CorruptSnapshot) << what;
+    }
+}
+
+void
+patchU64(std::vector<std::uint8_t> &bytes, std::size_t at,
+         std::uint64_t v)
+{
+    ASSERT_LE(at + sizeof(v), bytes.size());
+    std::memcpy(bytes.data() + at, &v, sizeof(v));
+}
+
+TEST(Resilience, VectorCountsCannotWrapTheSizeCheck)
+{
+    // 2^61 + 1 eight-byte elements is 2^64 + 8 bytes: a multiplied
+    // size check wraps to 8 and passes against 8 remaining bytes.
+    resilience::SnapshotWriter w;
+    w.put<std::uint64_t>((std::uint64_t(1) << 61) + 1);
+    w.put<std::uint64_t>(0);
+    std::vector<std::uint64_t> v;
+    resilience::SnapshotReader r(w.bytes());
+    expectCorrupt([&] { r.getVec(v); }, "trivially copyable getVec");
+
+    // Element-wise branch: the count is checked before resizing.
+    using Pair = std::pair<std::uint32_t, std::uint64_t>;
+    static_assert(!std::is_trivially_copyable<Pair>::value,
+                  "must exercise the element-wise branch");
+    resilience::SnapshotWriter w2;
+    w2.put<std::uint64_t>(std::uint64_t(1) << 40);
+    w2.put<std::uint64_t>(0);
+    std::vector<Pair> pairs;
+    resilience::SnapshotReader r2(w2.bytes());
+    expectCorrupt([&] { r2.getVec(pairs); }, "element-wise getVec");
+}
+
+TEST(Resilience, RankLoaderRefusesOversizedTfawWindow)
+{
+    dram::DramSpec spec = dram::DramSpec::ddr3_1600(1);
+    dram::Rank rank(spec.org, spec.timing);
+    resilience::SnapshotWriter w;
+    rank.saveState(w);
+    std::vector<std::uint8_t> bytes = w.take();
+    // Layout: nextActRank u64, then the window's count.
+    patchU64(bytes, sizeof(std::uint64_t), 5);
+    for (int i = 0; i < 5; ++i) // Enough payload to read 5 entries.
+        bytes.insert(bytes.begin() + 16, 8, std::uint8_t(0));
+    resilience::SnapshotReader r(bytes);
+    expectCorrupt([&] { rank.loadState(r); }, "tFAW window of 5");
+}
+
+TEST(Resilience, ControllerLoaderRefusesHugePendingCount)
+{
+    test::CtrlHarness h;
+    resilience::SnapshotWriter w;
+    h.mc->saveState(w);
+    std::vector<std::uint8_t> bytes = w.take();
+    {
+        resilience::SnapshotReader r(bytes);
+        h.mc->loadState(r, nullptr, nullptr); // The untouched dump loads.
+        EXPECT_TRUE(r.atEnd());
+    }
+    // An idle controller's dump ends: pending count, one owner-core int
+    // per bank, drainMode, now, tokenSeq, statistics.
+    const std::size_t banks = static_cast<std::size_t>(
+        h.spec.org.ranksPerChannel * h.spec.org.banksPerRank);
+    const std::size_t tail =
+        8 + banks * sizeof(int) + 1 + 8 + 8 + sizeof(ctrl::CtrlStats);
+    ASSERT_GT(bytes.size(), tail);
+    patchU64(bytes, bytes.size() - tail, std::uint64_t(1) << 40);
+    resilience::SnapshotReader r(bytes);
+    expectCorrupt([&] { h.mc->loadState(r, nullptr, nullptr); },
+                  "pending-read count 2^40");
+}
+
+TEST(Resilience, LlcLoaderRefusesMshrOverflowAndDuplicates)
+{
+    dram::DramSpec spec = dram::DramSpec::ddr3_1600(1);
+    dram::AddressMapper mapper(spec.org, dram::MapScheme::RoBaRaCoCh);
+    mem::LlcConfig cfg;
+    cfg.sizeBytes = 8192;
+    cfg.ways = 2;
+    mem::Llc llc(cfg, mapper, {}, nullptr);
+    resilience::SnapshotWriter w;
+    llc.saveState(w);
+    const std::vector<std::uint8_t> clean = w.take();
+    // Lines (count + 18 bytes each), then lruClock, then the MSHR count.
+    const std::size_t lines = cfg.sizeBytes / cfg.lineBytes;
+    const std::size_t mshr_count_at = 8 + lines * 18 + 8;
+    {
+        resilience::SnapshotReader r(clean);
+        llc.loadState(r); // The untouched dump loads.
+        EXPECT_TRUE(r.atEnd());
+    }
+
+    std::vector<std::uint8_t> huge = clean;
+    patchU64(huge, mshr_count_at, std::uint64_t(1) << 40);
+    resilience::SnapshotReader r1(huge);
+    expectCorrupt([&] { llc.loadState(r1); }, "MSHR count 2^40");
+
+    // A dump holding `lines` (one well-formed entry each, one waiter).
+    auto with_mshrs = [&](const std::vector<Addr> &entries) {
+        resilience::SnapshotWriter d;
+        d.putRaw(clean.data(), mshr_count_at);
+        d.put<std::uint64_t>(entries.size());
+        for (std::size_t i = 0; i < entries.size(); ++i) {
+            d.put<Addr>(entries[i]);
+            d.put<std::uint64_t>(1); // One waiter.
+            d.put<int>(static_cast<int>(i % mem::Llc::kMaxCores));
+            d.put<std::uint64_t>(5 + i);
+            d.put<bool>(false);
+            d.put<bool>(true);  // issued
+            d.put<bool>(false); // isPtw
+            d.put<std::int8_t>(-1);
+        }
+        d.putRaw(clean.data() + mshr_count_at + 8,
+                 clean.size() - mshr_count_at - 8);
+        return d.take();
+    };
+    const std::uint64_t cap =
+        std::uint64_t(mem::Llc::kMaxCores) * std::uint64_t(cfg.mshrsPerCore);
+    std::vector<Addr> distinct;
+    for (Addr a = 1; a <= cap + 1; ++a)
+        distinct.push_back(a);
+    const std::vector<std::uint8_t> over = with_mshrs(distinct);
+    resilience::SnapshotReader r2(over);
+    expectCorrupt([&] { llc.loadState(r2); }, "MSHR count above capacity");
+    distinct.pop_back(); // Exactly at capacity: loads.
+    const std::vector<std::uint8_t> full = with_mshrs(distinct);
+    resilience::SnapshotReader r_full(full);
+    EXPECT_NO_THROW(llc.loadState(r_full));
+
+    const std::vector<std::uint8_t> dup = with_mshrs({77, 77});
+    resilience::SnapshotReader r3(dup);
+    expectCorrupt([&] { llc.loadState(r3); }, "duplicate MSHR address");
 }
 
 TEST(Resilience, AtomicFileWriteAndAppend)
@@ -482,6 +635,33 @@ TEST(Resilience, ConfigValidationThrowsStructuredErrors)
     SimConfig cfg3 = ckptConfig(KernelMode::Calendar, false);
     cfg3.dramStandard = "DDR9-99999";
     EXPECT_THROW(cfg3.buildSpec(), SimError);
+}
+
+TEST(Resilience, MoreCoresThanTheLlcServesAreRejected)
+{
+    // The LLC's per-core MSHR counters and park watches are kMaxCores
+    // wide; one more core used to index past them on its first miss.
+    SimConfig cfg = ckptConfig(KernelMode::Calendar, false);
+    cfg.nCores = mem::Llc::kMaxCores + 1;
+    std::vector<std::string> names(cfg.nCores, "mcf");
+    try {
+        System sys(cfg, names);
+        FAIL() << "expected InvalidConfig for " << cfg.nCores << " cores";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.kind(), ErrorKind::InvalidConfig);
+    }
+
+    std::vector<std::string> paths(cfg.nCores, "never-opened.cctr");
+    try {
+        trace::SampledSimulation sim(cfg, paths, trace::SamplingConfig{});
+        FAIL() << "expected InvalidConfig for a sampled run";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.kind(), ErrorKind::InvalidConfig);
+    }
+
+    cfg.nCores = mem::Llc::kMaxCores; // The limit itself is legal.
+    names.resize(cfg.nCores);
+    EXPECT_NO_THROW(System sys(cfg, names));
 }
 
 TEST(Resilience, SweepRetriesTransientFailures)
