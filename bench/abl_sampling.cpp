@@ -14,7 +14,10 @@
  *
  * and reports, per workload: IPC and HCRAC-hit-rate relative error of
  * the sampled estimate, detailed-instruction fraction, and wall-clock
- * speedup (slices run serially, so the speedup is honest).
+ * speedup. The sampled run's slices execute on a pool of
+ * min(slices, CCSIM_THREADS or all hardware threads) workers, so
+ * t_sampled_s and the speedup include that parallelism: compare
+ * records only at equal prov.hw_threads (and CCSIM_THREADS).
  *
  * A second section runs the paper's 8-core configuration (2 channels,
  * closed-row) on a heterogeneous datacenter mix — cores 0-2 kv-zipf,

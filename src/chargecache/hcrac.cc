@@ -8,6 +8,51 @@
 
 namespace ccsim::chargecache {
 
+namespace {
+
+/**
+ * Snapshot layout of one table slot, shared by Hcrac entries and
+ * UnlimitedHcrac slots: key u64 | stamp u64 | flag u8 | 7 zero bytes
+ * (the offsets of the 24-byte structs earlier snapshots dumped raw).
+ */
+constexpr std::size_t kSlotBytes = 24;
+constexpr std::size_t kSlotPad = kSlotBytes - 17; ///< After the flag.
+
+void
+putSlot(resilience::SnapshotWriter &w, std::uint64_t key,
+        std::uint64_t stamp, bool flag)
+{
+    w.put(key);
+    w.put(stamp);
+    w.put(flag);
+    w.putZeros(kSlotPad);
+}
+
+void
+getSlot(resilience::SnapshotReader &r, std::uint64_t &key,
+        std::uint64_t &stamp, bool &flag)
+{
+    r.get(key);
+    r.get(stamp);
+    r.get(flag);
+    r.skip(kSlotPad);
+}
+
+/** Slot count of a table dump; refuses counts the payload cannot hold
+    and, when `expect` is non-zero, any other count. */
+std::size_t
+getSlotCount(resilience::SnapshotReader &r, std::size_t expect)
+{
+    const std::uint64_t n = r.get<std::uint64_t>();
+    if (n > r.remaining() / kSlotBytes || (expect && n != expect))
+        throw resilience::SimError(resilience::ErrorKind::CorruptSnapshot,
+                                   "snapshot HCRAC table holds " +
+                                       std::to_string(n) + " slots");
+    return static_cast<std::size_t>(n);
+}
+
+} // namespace
+
 const char *
 insertPolicyName(InsertPolicy policy)
 {
@@ -151,7 +196,7 @@ UnlimitedHcrac::Slot *
 UnlimitedHcrac::find(std::uint64_t key)
 {
     std::size_t idx = static_cast<std::size_t>(mix64(key)) & mask_;
-    while (slots_[idx].used && slots_[idx].key != key)
+    while (slots_[idx].key != kEmptyKey && slots_[idx].key != key)
         idx = (idx + 1) & mask_;
     return &slots_[idx];
 }
@@ -163,7 +208,7 @@ UnlimitedHcrac::grow()
     slots_.assign(old.size() * 2, Slot());
     mask_ = slots_.size() - 1;
     for (const Slot &s : old) {
-        if (!s.used)
+        if (s.key == kEmptyKey)
             continue;
         Slot *dst = find(s.key);
         *dst = s;
@@ -173,14 +218,15 @@ UnlimitedHcrac::grow()
 void
 UnlimitedHcrac::insert(std::uint64_t key, Cycle now)
 {
+    CCSIM_ASSERT(key != kEmptyKey, "unlimited HCRAC key collides with "
+                                   "the empty-slot marker");
     Slot *slot = find(key);
-    if (!slot->used) {
+    if (slot->key == kEmptyKey) {
         // Keep the load factor under ~70% so probes stay short.
         if ((count_ + 1) * 10 > slots_.size() * 7) {
             grow();
             slot = find(key);
         }
-        slot->used = true;
         slot->key = key;
         ++count_;
     }
@@ -192,7 +238,7 @@ UnlimitedHcrac::lookup(std::uint64_t key, Cycle now)
 {
     ++stats_.lookups;
     Slot *slot = find(key);
-    if (!slot->used)
+    if (slot->key == kEmptyKey)
         return false;
     if (now - slot->stamp <= duration_) {
         ++stats_.hits;
@@ -217,7 +263,9 @@ Hcrac::warmCopyFrom(const Hcrac &other)
 void
 Hcrac::saveState(resilience::SnapshotWriter &w) const
 {
-    w.putVec(entries_);
+    w.put<std::uint64_t>(entries_.size());
+    for (const Entry &e : entries_)
+        putSlot(w, e.key, e.stamp, e.valid);
     w.put(clock_);
     w.put(valid_);
     w.put(rng_.state());
@@ -227,7 +275,9 @@ Hcrac::saveState(resilience::SnapshotWriter &w) const
 void
 Hcrac::loadState(resilience::SnapshotReader &r)
 {
-    r.getVec(entries_);
+    getSlotCount(r, entries_.size());
+    for (Entry &e : entries_)
+        getSlot(r, e.key, e.stamp, e.valid);
     r.get(clock_);
     r.get(valid_);
     rng_.setState(r.get<std::array<std::uint64_t, 4>>());
@@ -251,7 +301,13 @@ SweepInvalidator::loadState(resilience::SnapshotReader &r)
 void
 UnlimitedHcrac::saveState(resilience::SnapshotWriter &w) const
 {
-    w.putVec(slots_);
+    // An unused slot keeps the {0, 0, unused} image older snapshots
+    // hold.
+    w.put<std::uint64_t>(slots_.size());
+    for (const Slot &s : slots_) {
+        const bool used = s.key != kEmptyKey;
+        putSlot(w, used ? s.key : 0, s.stamp, used);
+    }
     w.put<std::uint64_t>(mask_);
     w.put<std::uint64_t>(count_);
     w.put(stats_);
@@ -260,9 +316,20 @@ UnlimitedHcrac::saveState(resilience::SnapshotWriter &w) const
 void
 UnlimitedHcrac::loadState(resilience::SnapshotReader &r)
 {
-    r.getVec(slots_);
+    slots_.assign(getSlotCount(r, 0), Slot());
+    for (Slot &s : slots_) {
+        std::uint64_t key = 0;
+        bool used = false;
+        getSlot(r, key, s.stamp, used);
+        s.key = used ? key : kEmptyKey;
+    }
     mask_ = static_cast<std::size_t>(r.get<std::uint64_t>());
     count_ = static_cast<std::size_t>(r.get<std::uint64_t>());
+    if (slots_.empty() || mask_ != slots_.size() - 1 ||
+        (slots_.size() & mask_) != 0)
+        throw resilience::SimError(
+            resilience::ErrorKind::CorruptSnapshot,
+            "snapshot unlimited HCRAC table size is not a power of two");
     r.get(stats_);
 }
 

@@ -189,10 +189,12 @@ class UnlimitedHcrac
     void loadState(resilience::SnapshotReader &r);
 
   private:
+    /** Key of an unused slot; rowKey() never produces it. */
+    static constexpr std::uint64_t kEmptyKey = ~std::uint64_t(0);
+
     struct Slot {
-        std::uint64_t key = 0;
+        std::uint64_t key = kEmptyKey;
         Cycle stamp = 0;
-        bool used = false;
     };
 
     Slot *find(std::uint64_t key);

@@ -1,5 +1,7 @@
 #include "cpu/core.hh"
 
+#include <cstddef>
+
 #include "common/log.hh"
 #include "resilience/serial.hh"
 
@@ -17,6 +19,31 @@ windowCapacity(const CoreConfig &config)
 }
 
 } // namespace
+
+static_assert(sizeof(TraceRecord) == 24 &&
+                  offsetof(TraceRecord, addr) == 8 &&
+                  offsetof(TraceRecord, isWrite) == 16,
+              "saveRecord writes the 24-byte record layout");
+
+void
+saveRecord(resilience::SnapshotWriter &w, const TraceRecord &record)
+{
+    w.put(record.nonMemInsts);
+    w.putZeros(4);
+    w.put(record.addr);
+    w.put(record.isWrite);
+    w.putZeros(7);
+}
+
+void
+loadRecord(resilience::SnapshotReader &r, TraceRecord &record)
+{
+    r.get(record.nonMemInsts);
+    r.skip(4);
+    r.get(record.addr);
+    r.get(record.isWrite);
+    r.skip(7);
+}
 
 Core::Core(int id, const CoreConfig &config, TraceSource &trace,
            mem::Llc &llc, vm::Mmu *mmu)
@@ -321,7 +348,7 @@ Core::saveState(resilience::SnapshotWriter &w) const
     w.put(xlatReady_);
     w.put(translatedLine_);
     w.put(pendingCompute_);
-    w.put(record_);
+    saveRecord(w, record_);
     w.put(recordValid_);
     w.put(memIssued_);
     w.put(baseCycle_);
@@ -347,7 +374,7 @@ Core::loadState(resilience::SnapshotReader &r)
     r.get(xlatReady_);
     r.get(translatedLine_);
     r.get(pendingCompute_);
-    r.get(record_);
+    loadRecord(r, record_);
     r.get(recordValid_);
     r.get(memIssued_);
     r.get(baseCycle_);

@@ -28,6 +28,14 @@ struct TraceRecord {
     bool isWrite = false;
 };
 
+/**
+ * Snapshot a record field by field at its in-memory offsets, padding
+ * zeroed (a raw dump would copy whatever the padding holds); the
+ * loader reads both this and the raw dumps of older snapshots.
+ */
+void saveRecord(resilience::SnapshotWriter &w, const TraceRecord &record);
+void loadRecord(resilience::SnapshotReader &r, TraceRecord &record);
+
 class TraceSource
 {
   public:

@@ -262,19 +262,6 @@ Llc::warmAccess(Addr line_addr, bool is_write, Addr *evicted_dirty)
 }
 
 void
-Llc::warmCopyTagsFrom(const Llc &other)
-{
-    if (other.sets_ != sets_ || other.config_.ways != config_.ways)
-        throw resilience::SimError(
-            resilience::ErrorKind::InvalidConfig,
-            "warm-state injection needs matching LLC geometry");
-    tags_ = other.tags_;
-    lru_ = other.lru_;
-    dirty_ = other.dirty_;
-    lruClock_ = other.lruClock_;
-}
-
-void
 Llc::fillCallback(void *ctx, const ctrl::Request &req, Cycle)
 {
     static_cast<Llc *>(ctx)->onFill(req.lineAddr);

@@ -69,8 +69,8 @@ class Llc
 
     /**
      * @param channels the memory controller of each channel, by index
-     *        (not owned). Empty for a functional-warming cache, which
-     *        never fetches (warmAccess only).
+     *        (not owned). Empty for a cache that never fetches
+     *        (warmAccess only).
      * @param on_miss_complete completion notification for Miss results.
      */
     Llc(const LlcConfig &config, const dram::AddressMapper &mapper,
@@ -175,14 +175,6 @@ class Llc
      */
     bool warmAccess(Addr line_addr, bool is_write,
                     Addr *evicted_dirty = nullptr);
-
-    /**
-     * Warm-state injection: adopt `other`'s tag/LRU arrays (geometry
-     * must match or SimError{InvalidConfig} is thrown). Seeds a fresh
-     * detailed slice from a functionally warmed cache; MSHRs, queues
-     * and statistics are untouched.
-     */
-    void warmCopyTagsFrom(const Llc &other);
 
     /** Checkpoint: tag/LRU arrays, MSHRs, drain queues, park watches. */
     void saveState(resilience::SnapshotWriter &w) const;

@@ -123,6 +123,14 @@ class SnapshotWriter
     /** Raw bytes, length implied by context (e.g. fixed-size magic). */
     void putRaw(const void *p, std::size_t n) { append(p, n); }
 
+    /**
+     * `n` zero bytes: the padding of a struct written field by field
+     * at its in-memory offsets. put() of a padded struct would copy
+     * whatever its padding holds, and snapshots must be
+     * byte-deterministic.
+     */
+    void putZeros(std::size_t n) { buf_.insert(buf_.end(), n, 0); }
+
     template <typename T>
     void
     putVec(const std::vector<T> &v)
@@ -233,6 +241,14 @@ class SnapshotReader
 
     /** Raw bytes, length implied by context (e.g. fixed-size magic). */
     void getRaw(void *dst, std::size_t n) { copyOut(dst, n); }
+
+    /** Skip `n` padding bytes (older snapshots may hold any value). */
+    void
+    skip(std::size_t n)
+    {
+        checkAvail(n);
+        pos_ += n;
+    }
 
     std::string
     getString()

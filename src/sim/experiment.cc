@@ -1,5 +1,6 @@
 #include "sim/experiment.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <future>
@@ -130,23 +131,51 @@ aloneIpc(const std::string &workload)
 int
 ParallelRunner::defaultThreads()
 {
-    std::uint64_t env = envU64("CCSIM_THREADS", 0);
+    const std::uint64_t env = envU64("CCSIM_THREADS", 0);
+    if (env > static_cast<std::uint64_t>(kMaxThreads))
+        throw resilience::SimError(
+            resilience::ErrorKind::InvalidConfig,
+            "environment variable CCSIM_THREADS=" + std::to_string(env) +
+                " exceeds the cap of " + std::to_string(kMaxThreads) +
+                " threads");
     if (env > 0)
         return static_cast<int>(env);
     unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? static_cast<int>(hw) : 1;
+    return hw > 0 ? static_cast<int>(std::min<unsigned>(hw, kMaxThreads))
+                  : 1;
 }
 
 ParallelRunner::ParallelRunner(int threads)
 {
     if (threads <= 0)
         threads = defaultThreads();
-    workers_.reserve(static_cast<std::size_t>(threads));
-    for (int i = 0; i < threads; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
+    if (threads > kMaxThreads)
+        throw resilience::SimError(
+            resilience::ErrorKind::InvalidConfig,
+            "a thread pool of " + std::to_string(threads) +
+                " exceeds the cap of " + std::to_string(kMaxThreads));
+    try {
+        workers_.reserve(static_cast<std::size_t>(threads));
+        for (int i = 0; i < threads; ++i)
+            workers_.emplace_back([this] { workerLoop(); });
+    } catch (const std::exception &e) {
+        // Destroying a joinable std::thread terminates the process.
+        const std::size_t started = workers_.size();
+        joinAll();
+        throw resilience::SimError(
+            resilience::ErrorKind::ResourceExhausted,
+            "cannot start worker " + std::to_string(started) + " of " +
+                std::to_string(threads) + ": " + e.what());
+    }
 }
 
 ParallelRunner::~ParallelRunner()
+{
+    joinAll();
+}
+
+void
+ParallelRunner::joinAll()
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -155,6 +184,7 @@ ParallelRunner::~ParallelRunner()
     workCv_.notify_all();
     for (std::thread &w : workers_)
         w.join();
+    workers_.clear();
 }
 
 void

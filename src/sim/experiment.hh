@@ -81,7 +81,15 @@ double weightedSpeedup(const std::vector<std::string> &mix,
 class ParallelRunner
 {
   public:
-    /** `threads` <= 0 selects defaultThreads(). */
+    /** Most workers one pool may start (and CCSIM_THREADS may ask for). */
+    static constexpr int kMaxThreads = 1024;
+
+    /**
+     * `threads` <= 0 selects defaultThreads().
+     * @throws resilience::SimError{InvalidConfig} above kMaxThreads,
+     *         {ResourceExhausted} when a worker cannot be started (the
+     *         workers already running are joined first).
+     */
     explicit ParallelRunner(int threads = 0);
 
     /** Joins the workers; outstanding jobs are completed first. */
@@ -101,11 +109,18 @@ class ParallelRunner
 
     int threads() const { return static_cast<int>(workers_.size()); }
 
-    /** CCSIM_THREADS when set, else std::thread::hardware_concurrency. */
+    /**
+     * CCSIM_THREADS when set and non-zero, else
+     * std::thread::hardware_concurrency.
+     * @throws resilience::SimError{InvalidConfig} naming the variable
+     *         when it does not parse or exceeds kMaxThreads.
+     */
     static int defaultThreads();
 
   private:
     void workerLoop();
+    /** Stop and join every started worker. */
+    void joinAll();
 
     std::vector<std::thread> workers_;
     std::deque<std::function<void()>> queue_;

@@ -316,12 +316,8 @@ System::provider(int channel)
 
 void
 System::injectWarmState(
-    const mem::Llc &warm_llc,
     const std::vector<const chargecache::ChargeCacheProvider *> &warm_cc)
 {
-    llc_->warmCopyTagsFrom(warm_llc);
-    if (warm_cc.empty())
-        return;
     if (warm_cc.size() != providers_.size())
         throw resilience::SimError(
             resilience::ErrorKind::InvalidConfig,

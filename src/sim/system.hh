@@ -97,19 +97,18 @@ class System
     SystemResult run();
 
     /**
-     * Warm-state injection for sampled slices (SMARTS-style functional
-     * warming, trace/sampling.cc): adopt a functionally warmed LLC's
-     * tag/LRU state and, when the scheme carries an HCRAC and an image
-     * is supplied for the channel, each channel's table contents. Call
-     * between construction and run(); the detailed warm lead-in then
-     * only re-warms in-flight machine state (MSHRs, queues, row
-     * buffers), not the big arrays. `warm_cc` may be empty (LLC-only
-     * injection) or must hold one entry per channel (nullptr = skip).
+     * HCRAC warm-state injection for sampled slices (SMARTS-style
+     * functional warming, trace/sampling.cc): when the scheme carries
+     * an HCRAC, adopt each channel's functionally warmed table
+     * contents. `warm_cc` holds one entry per channel (nullptr =
+     * skip). Call between construction and run(), like warming the
+     * LLC in place through llc().warmAccess; the detailed warm
+     * lead-in then only re-warms in-flight machine state (MSHRs,
+     * queues, row buffers), not the big arrays.
      */
     void injectWarmState(
-        const mem::Llc &warm_llc,
         const std::vector<const chargecache::ChargeCacheProvider *>
-            &warm_cc = {});
+            &warm_cc);
 
     // Component access for tests.
     ctrl::MemoryController &controller(int channel);

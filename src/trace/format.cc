@@ -56,6 +56,58 @@ unpackHdr(const std::uint8_t in[kBlockHdrBytes])
     return h;
 }
 
+/**
+ * One varint from p[pos..n), advancing pos. Returns nullptr, or why
+ * the bytes do not decode.
+ */
+const char *
+readVarint(const std::uint8_t *p, std::size_t n, std::size_t &pos,
+           std::uint64_t &v)
+{
+    v = 0;
+    for (int shift = 0;; shift += 7) {
+        if (pos >= n)
+            return "record varint runs past block payload";
+        const std::uint8_t b = p[pos++];
+        if (shift >= 63 && (b & 0x7e))
+            return "record varint overflows 64 bits";
+        if (shift < 64)
+            v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+        if (!(b & 0x80))
+            return nullptr;
+    }
+}
+
+/**
+ * Decode the record at p[pos] (the caller has checked pos < n),
+ * advancing pos; `first` selects the block's absolute-address form,
+ * otherwise the address is a zigzag delta from `prev`, which is
+ * updated. Returns nullptr, or why the record does not decode.
+ */
+const char *
+decodeRecord(const std::uint8_t *p, std::size_t n, bool first,
+             std::size_t &pos, Addr &prev, cpu::TraceRecord &rec)
+{
+    const std::uint8_t lead = p[pos++];
+    rec.isWrite = (lead & 0x80) != 0;
+    std::uint64_t gap = lead & 0x7f;
+    if (gap == 127) {
+        if (const char *err = readVarint(p, n, pos, gap))
+            return err;
+        if (gap > 0xffffffffull)
+            return "compute gap overflows 32 bits";
+    }
+    rec.nonMemInsts = static_cast<std::uint32_t>(gap);
+    std::uint64_t a = 0;
+    if (const char *err = readVarint(p, n, pos, a))
+        return err;
+    rec.addr = first ? a
+                     : static_cast<Addr>(static_cast<std::int64_t>(prev) +
+                                         unzigzag(a));
+    prev = rec.addr;
+    return nullptr;
+}
+
 } // namespace
 
 // ------------------------------------------------------------------ writer
@@ -227,60 +279,33 @@ TraceReader::readHeader()
         throwMalformed("unknown flags");
 }
 
-std::uint64_t
-TraceReader::getVarint(const std::uint8_t *p, std::size_t n,
-                       std::size_t &pos) const
-{
-    std::uint64_t v = 0;
-    int shift = 0;
-    while (true) {
-        if (pos >= n)
-            throwMalformed("record varint runs past block payload");
-        std::uint8_t b = p[pos++];
-        if (shift >= 63 && (b & 0x7e))
-            throwMalformed("record varint overflows 64 bits");
-        v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-        if (!(b & 0x80))
-            return v;
-        shift += 7;
-    }
-}
-
 void
-TraceReader::decodeBlock(std::uint32_t record_count)
+TraceReader::loadBlock(std::uint32_t record_count)
 {
-    records_.clear();
-    records_.reserve(record_count);
     std::size_t pos = 0;
     Addr prev = 0;
+    cpu::TraceRecord rec;
     for (std::uint32_t i = 0; i < record_count; ++i) {
         if (pos >= payload_.size())
             throwMalformed("block payload shorter than its record count");
-        std::uint8_t lead = payload_[pos++];
-        cpu::TraceRecord rec;
-        rec.isWrite = (lead & 0x80) != 0;
-        std::uint32_t gap = lead & 0x7f;
-        if (gap == 127) {
-            std::uint64_t g =
-                getVarint(payload_.data(), payload_.size(), pos);
-            if (g > 0xffffffffull)
-                throwMalformed("compute gap overflows 32 bits");
-            gap = static_cast<std::uint32_t>(g);
-        }
-        rec.nonMemInsts = gap;
-        std::uint64_t a =
-            getVarint(payload_.data(), payload_.size(), pos);
-        if (i == 0)
-            rec.addr = a;
-        else
-            rec.addr = static_cast<Addr>(
-                static_cast<std::int64_t>(prev) + unzigzag(a));
-        prev = rec.addr;
-        records_.push_back(rec);
+        if (const char *err = decodeRecord(payload_.data(),
+                                           payload_.size(), i == 0, pos,
+                                           prev, rec))
+            throwMalformed(err);
     }
     if (pos != payload_.size())
         throwMalformed("trailing bytes in block payload");
-    cursor_ = 0;
+    payloadPos_ = 0;
+    blockSize_ = blockLeft_ = record_count;
+    prevAddr_ = 0;
+}
+
+void
+TraceReader::decodeNext(cpu::TraceRecord &record)
+{
+    decodeRecord(payload_.data(), payload_.size(),
+                 blockLeft_ == blockSize_, payloadPos_, prevAddr_, record);
+    --blockLeft_;
 }
 
 bool
@@ -349,13 +374,12 @@ TraceReader::refill()
         if (in_.gcount() != 0)
             throwMalformed("trailing bytes after end block");
         atEnd_ = true;
-        records_.clear();
-        cursor_ = 0;
+        blockLeft_ = 0;
         return false;
     }
     if (h.recordCount == 0)
         throwMalformed("empty records block");
-    decodeBlock(h.recordCount);
+    loadBlock(h.recordCount);
     return true;
 }
 
@@ -367,10 +391,10 @@ TraceReader::next(cpu::TraceRecord &record)
                        "trace file '" + path_ + "' truncated after " +
                            std::to_string(position_) +
                            " records (injected)");
-    while (cursor_ >= records_.size())
+    while (blockLeft_ == 0)
         if (!refill())
             return false;
-    record = records_[cursor_++];
+    decodeNext(record);
     ++position_;
     return true;
 }
@@ -384,8 +408,7 @@ TraceReader::rewind()
         throw SimError(ErrorKind::IoError,
                        "cannot rewind trace file '" + path_ + "'");
     payload_.clear();
-    records_.clear();
-    cursor_ = 0;
+    blockLeft_ = 0;
     position_ = 0;
     atEnd_ = false;
 }
@@ -393,13 +416,14 @@ TraceReader::rewind()
 void
 TraceReader::skipRecords(std::uint64_t n)
 {
+    cpu::TraceRecord rec;
     while (n > 0) {
-        std::uint64_t resident = records_.size() - cursor_;
-        if (resident > 0) {
-            std::uint64_t take = std::min(n, resident);
-            cursor_ += static_cast<std::size_t>(take);
-            position_ += take;
-            n -= take;
+        if (blockLeft_ > 0) {
+            // Resident records still decode one by one: each address
+            // is a delta from the one before.
+            decodeNext(rec);
+            ++position_;
+            --n;
             continue;
         }
         if (atEnd_)
@@ -474,7 +498,7 @@ TraceReader::skipRecords(std::uint64_t n)
         crc = resilience::crc32(payload_.data(), payload_.size(), crc);
         if (stored != crc)
             throwMalformed("block CRC mismatch");
-        decodeBlock(h.recordCount);
+        loadBlock(h.recordCount);
     }
 }
 

@@ -136,10 +136,13 @@ class TraceWriter
 };
 
 /**
- * Streaming trace reader with bounded readahead: exactly one block is
- * resident at a time (decoded up front into fixed-size records), so
- * memory stays O(block) however long the trace is. Implements the
- * error contract in the file header above.
+ * Streaming trace reader with bounded readahead: exactly one block's
+ * compressed payload is resident at a time, so memory stays O(block)
+ * however long the trace is. A block is validated whole when it loads
+ * (CRC and every record's encoding, so a malformed block fails at the
+ * call that loaded it), then its records decode on demand straight
+ * from the payload. Implements the error contract in the file header
+ * above.
  */
 class TraceReader
 {
@@ -203,10 +206,11 @@ class TraceReader
     void readHeader();
     /** Refill the readahead with the next block; false at clean end. */
     bool refill();
-    /** Decode the resident block's payload into records_. */
-    void decodeBlock(std::uint32_t record_count);
-    std::uint64_t getVarint(const std::uint8_t *p, std::size_t n,
-                            std::size_t &pos) const;
+    /** Check that payload_ holds exactly `record_count` well-formed
+        records, then make it the resident block. */
+    void loadBlock(std::uint32_t record_count);
+    /** Decode the resident block's next record (validated on load). */
+    void decodeNext(cpu::TraceRecord &record);
 
     [[noreturn]] void throwTruncated(const std::string &what) const;
     [[noreturn]] void throwMalformed(const std::string &what) const;
@@ -215,8 +219,10 @@ class TraceReader
     std::ifstream in_;
 
     std::vector<std::uint8_t> payload_; ///< Resident block payload.
-    std::vector<cpu::TraceRecord> records_; ///< Decoded resident block.
-    std::size_t cursor_ = 0; ///< Next record within records_.
+    std::size_t payloadPos_ = 0;  ///< Next record's offset in payload_.
+    std::uint32_t blockSize_ = 0; ///< Records in the resident block.
+    std::uint32_t blockLeft_ = 0; ///< Of those, not yet handed out.
+    Addr prevAddr_ = 0;           ///< Delta base: last decoded address.
     std::uint64_t position_ = 0;
     bool atEnd_ = false;
 

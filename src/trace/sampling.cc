@@ -8,6 +8,7 @@
 #include "common/random.hh"
 #include "obs/trace_event.hh"
 #include "resilience/error.hh"
+#include "sim/experiment.hh"
 #include "trace/replay.hh"
 
 namespace ccsim::trace {
@@ -362,6 +363,144 @@ SampledSimulation::clusterIntervals(std::vector<IntervalInfo> &ivs)
     return k;
 }
 
+void
+SampledSimulation::simulateSlice(const std::vector<IntervalInfo> &ivs,
+                                 SliceJob &job) const
+{
+    const int n = config_.nCores;
+    const std::size_t rep = job.slice.interval;
+    const IntervalInfo &iv = ivs[rep];
+    const sim::SimConfig &cfg = job.config;
+
+    // Functional warming needs the physical address stream; with the
+    // VM subsystem enabled the cores translate first, so warming is
+    // skipped and the detailed lead-in carries the full burden.
+    const bool funcWarm =
+        sampling_.functionalWarmInsts > 0 && !config_.vm.enable;
+
+    // One reader per core serves the warm window and then the detailed
+    // run. Fast-forward is a whole-block seek-skip (no decoding) to the
+    // warm window's start, or straight to the detailed lead-in without
+    // warming. The window start snaps to the latest profiled interval
+    // boundary at least functionalWarmInsts before the lead-in,
+    // because record indices are only known at boundaries.
+    struct WarmCursor {
+        std::uint64_t recIdx = 0;
+        std::uint64_t stopRec = 0;
+        std::uint64_t pos = 0; ///< Absolute instruction index.
+    };
+    std::vector<WarmCursor> cur(n);
+    std::vector<std::unique_ptr<TraceReplaySource>> srcs;
+    std::vector<cpu::TraceSource *> traces;
+    for (int cc = 0; cc < n; ++cc) {
+        srcs.push_back(std::make_unique<TraceReplaySource>(paths_[cc]));
+        traces.push_back(srcs.back().get());
+        WarmCursor &wc = cur[cc];
+        wc.recIdx = wc.stopRec = iv.cores[cc].warmStartRecord;
+        if (funcWarm) {
+            std::size_t j = rep;
+            while (j > 0) {
+                const std::uint64_t s = ivs[j].cores[cc].startInst;
+                if (s <= iv.cores[cc].warmStartInst &&
+                    iv.cores[cc].warmStartInst - s >=
+                        sampling_.functionalWarmInsts)
+                    break;
+                --j;
+            }
+            wc.recIdx = ivs[j].cores[cc].startRecord;
+            wc.pos = ivs[j].cores[cc].startInst;
+        }
+        srcs.back()->reader().skipRecords(wc.recIdx);
+    }
+    sim::System sys(cfg, traces);
+
+    if (funcWarm) {
+        // SMARTS-style functional warming: replay the warm window into
+        // the slice's own fresh LLC (tag/LRU/dirty state, no timing)
+        // and into HCRAC twins whose tables are then injected. The
+        // twins stay separate because an insert bumps the table's
+        // statistics and, under BIP, draws from its RNG.
+        obs::HostSpan span("sampling: functional warm", "sampling");
+        const dram::DramSpec spec = cfg.buildSpec();
+        const dram::AddressMapper mapper(spec.org, cfg.mapping);
+        mem::Llc &llc = sys.llc();
+        std::vector<std::unique_ptr<chargecache::ChargeCacheProvider>>
+            warmCc;
+        if (cfg.scheme == sim::Scheme::ChargeCache ||
+            cfg.scheme == sim::Scheme::ChargeCacheNuat)
+            for (int ch = 0; ch < cfg.channels; ++ch)
+                warmCc.push_back(
+                    std::make_unique<chargecache::ChargeCacheProvider>(
+                        spec.timing, cfg.cc, n));
+
+        // Merge the per-core streams by absolute instruction position
+        // (ties to the lowest core id) — a deterministic stand-in for
+        // the detailed interleave.
+        const int lineBytes = cfg.llc.lineBytes;
+        const bool linePow2 = (lineBytes & (lineBytes - 1)) == 0;
+        const int lineShift =
+            linePow2 ? log2Exact(static_cast<std::uint64_t>(lineBytes))
+                     : 0;
+        cpu::TraceRecord rec;
+        while (true) {
+            int pick = -1;
+            std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
+            for (int cc = 0; cc < n; ++cc) {
+                if (cur[cc].recIdx >= cur[cc].stopRec)
+                    continue;
+                if (cur[cc].pos < best) {
+                    best = cur[cc].pos;
+                    pick = cc;
+                }
+            }
+            if (pick < 0)
+                break;
+            WarmCursor &wc = cur[pick];
+            if (!srcs[pick]->reader().next(rec)) {
+                wc.stopRec = wc.recIdx; // Defensive: short trace.
+                continue;
+            }
+            Addr line = linePow2
+                            ? rec.addr >> lineShift
+                            : rec.addr / static_cast<Addr>(lineBytes);
+            Addr victim = kNoAddr;
+            bool hit = llc.warmAccess(line, rec.isWrite, &victim);
+            if (!warmCc.empty()) {
+                // An LLC miss activates (and later precharges) the
+                // row, inserting it into the HCRAC; so does the
+                // writeback of a displaced dirty victim.
+                if (!hit) {
+                    dram::DramAddr da = mapper.decode(line);
+                    warmCc[da.channel]->warmInsert(pick, da, da.row);
+                }
+                if (victim != kNoAddr) {
+                    dram::DramAddr da = mapper.decode(victim);
+                    warmCc[da.channel]->warmInsert(-1, da, da.row);
+                }
+            }
+            wc.pos += rec.nonMemInsts + 1;
+            ++wc.recIdx;
+            ++job.functionalInsts;
+        }
+        // A replay cut short leaves its reader before the lead-in;
+        // seek there as the plain fast-forward would have.
+        for (int cc = 0; cc < n; ++cc)
+            if (srcs[cc]->reader().position() !=
+                iv.cores[cc].warmStartRecord)
+                srcs[cc]->reader().seekRecord(
+                    iv.cores[cc].warmStartRecord);
+        if (!warmCc.empty()) {
+            std::vector<const chargecache::ChargeCacheProvider *> views;
+            for (const auto &p : warmCc)
+                views.push_back(p.get());
+            sys.injectWarmState(views);
+        }
+    }
+
+    obs::HostSpan span("sampling: detailed slice", "sampling");
+    job.slice.result = sys.run();
+}
+
 SampledResult
 SampledSimulation::run()
 {
@@ -384,21 +523,12 @@ SampledSimulation::run()
     }
     const auto &ivs = out.intervals;
 
-    // Functional warming needs the physical address stream; with the
-    // VM subsystem enabled the cores translate first, so warming is
-    // skipped and the detailed lead-in carries the full burden.
-    const bool funcWarm =
-        sampling_.functionalWarmInsts > 0 && !config_.vm.enable;
-    const dram::DramSpec spec = config_.buildSpec();
-    const dram::AddressMapper mapper(spec.org, config_.mapping);
-    const bool warmHcrac = config_.scheme == sim::Scheme::ChargeCache ||
-                           config_.scheme == sim::Scheme::ChargeCacheNuat;
-
     // Representative per cluster: the member closest to the recomputed
     // centroid (Lloyd's loop no longer holds it). Zero-record members
     // contribute neither to the centroid nor as candidates — their
     // signatures are synthetic zeros.
     const std::size_t dim = ivs[0].signature.size();
+    std::vector<SliceJob> jobs;
     for (int c = 0; c < out.clusters; ++c) {
         std::vector<double> centroid(dim, 0.0);
         std::uint64_t members = 0, clusterInsts = 0;
@@ -433,7 +563,9 @@ SampledSimulation::run()
         }
 
         const IntervalInfo &iv = ivs[rep];
-        sim::SimConfig cfg = config_;
+        SliceJob &job = jobs.emplace_back();
+        sim::SimConfig &cfg = job.config;
+        cfg = config_;
         cfg.warmupInsts = 0;
         cfg.targetInsts = std::numeric_limits<std::uint64_t>::max();
         for (int cc = 0; cc < n; ++cc) {
@@ -447,122 +579,7 @@ SampledSimulation::run()
             std::numeric_limits<std::uint64_t>::max())
             cfg.targetInsts = sampling_.intervalInsts;
 
-        // Fast-forward each core: seek-skip whole blocks to the warm
-        // lead-in (no decoding).
-        std::vector<std::unique_ptr<TraceReplaySource>> srcs;
-        std::vector<cpu::TraceSource *> traces;
-        for (int cc = 0; cc < n; ++cc) {
-            srcs.push_back(
-                std::make_unique<TraceReplaySource>(paths_[cc]));
-            srcs.back()->reader().skipRecords(
-                iv.cores[cc].warmStartRecord);
-            traces.push_back(srcs.back().get());
-        }
-        sim::System sys(cfg, traces);
-
-        if (funcWarm) {
-            // SMARTS-style functional warming: replay the stretch
-            // before the detailed lead-in into LLC tag/LRU/dirty state
-            // and HCRAC entries, with no timing. The window start
-            // snaps to the latest profiled interval boundary at least
-            // functionalWarmInsts before the lead-in, because record
-            // indices are only known at boundaries.
-            obs::HostSpan span("sampling: functional warm", "sampling");
-            mem::Llc warmLlc(cfg.llc, mapper, {}, nullptr);
-            std::vector<std::unique_ptr<
-                chargecache::ChargeCacheProvider>> warmCc;
-            if (warmHcrac)
-                for (int ch = 0; ch < cfg.channels; ++ch)
-                    warmCc.push_back(
-                        std::make_unique<
-                            chargecache::ChargeCacheProvider>(
-                            spec.timing, cfg.cc, n));
-
-            struct WarmCursor {
-                std::unique_ptr<TraceReader> rd;
-                std::uint64_t recIdx = 0;
-                std::uint64_t stopRec = 0;
-                std::uint64_t pos = 0; ///< Absolute instruction index.
-            };
-            std::vector<WarmCursor> cur(n);
-            for (int cc = 0; cc < n; ++cc) {
-                std::size_t j = rep;
-                while (j > 0) {
-                    const std::uint64_t s = ivs[j].cores[cc].startInst;
-                    if (s <= iv.cores[cc].warmStartInst &&
-                        iv.cores[cc].warmStartInst - s >=
-                            sampling_.functionalWarmInsts)
-                        break;
-                    --j;
-                }
-                cur[cc].rd = std::make_unique<TraceReader>(paths_[cc]);
-                cur[cc].recIdx = ivs[j].cores[cc].startRecord;
-                cur[cc].pos = ivs[j].cores[cc].startInst;
-                cur[cc].stopRec = iv.cores[cc].warmStartRecord;
-                cur[cc].rd->skipRecords(cur[cc].recIdx);
-            }
-            // Merge the per-core streams by absolute instruction
-            // position (ties to the lowest core id) — a deterministic
-            // stand-in for the detailed interleave.
-            const int lineBytes = cfg.llc.lineBytes;
-            const bool linePow2 = (lineBytes & (lineBytes - 1)) == 0;
-            const int lineShift =
-                linePow2 ? log2Exact(
-                               static_cast<std::uint64_t>(lineBytes))
-                         : 0;
-            cpu::TraceRecord rec;
-            while (true) {
-                int pick = -1;
-                std::uint64_t best =
-                    std::numeric_limits<std::uint64_t>::max();
-                for (int cc = 0; cc < n; ++cc) {
-                    if (cur[cc].recIdx >= cur[cc].stopRec)
-                        continue;
-                    if (cur[cc].pos < best) {
-                        best = cur[cc].pos;
-                        pick = cc;
-                    }
-                }
-                if (pick < 0)
-                    break;
-                WarmCursor &wc = cur[pick];
-                if (!wc.rd->next(rec)) {
-                    wc.stopRec = wc.recIdx; // Defensive: short trace.
-                    continue;
-                }
-                Addr line = linePow2
-                                ? rec.addr >> lineShift
-                                : rec.addr / static_cast<Addr>(
-                                                 lineBytes);
-                Addr victim = kNoAddr;
-                bool hit =
-                    warmLlc.warmAccess(line, rec.isWrite, &victim);
-                if (!warmCc.empty()) {
-                    // An LLC miss activates (and later precharges) the
-                    // row, inserting it into the HCRAC; so does the
-                    // writeback of a displaced dirty victim.
-                    if (!hit) {
-                        dram::DramAddr da = mapper.decode(line);
-                        warmCc[da.channel]->warmInsert(pick, da,
-                                                       da.row);
-                    }
-                    if (victim != kNoAddr) {
-                        dram::DramAddr da = mapper.decode(victim);
-                        warmCc[da.channel]->warmInsert(-1, da, da.row);
-                    }
-                }
-                wc.pos += rec.nonMemInsts + 1;
-                ++wc.recIdx;
-                ++out.functionalInsts;
-            }
-            std::vector<const chargecache::ChargeCacheProvider *>
-                views;
-            for (const auto &p : warmCc)
-                views.push_back(p.get());
-            sys.injectWarmState(warmLlc, views);
-        }
-
-        SampledSlice slice;
+        SampledSlice &slice = job.slice;
         slice.interval = rep;
         slice.weight = static_cast<double>(clusterInsts) /
                        static_cast<double>(out.totalInsts);
@@ -574,13 +591,51 @@ SampledSimulation::run()
                     static_cast<double>(perCoreInsts[cc]);
         slice.measuredInsts =
             static_cast<std::uint64_t>(n) * cfg.targetInsts;
-        {
-            obs::HostSpan span("sampling: detailed slice", "sampling");
-            slice.result = sys.run();
+    }
+
+    // The slices are independent by construction (each opens its own
+    // readers and builds its own System), so they run on a pool and
+    // fold back in cluster order: every field is the same at any
+    // thread count. Telemetry that writes host spans or files keeps
+    // them serial: the host-span sink is process-global, and every
+    // slice writes the same output paths.
+    const obs::ObsConfig &obsCfg = config_.obs;
+    const bool sharedSinks =
+        obsCfg.enable && (obsCfg.hostTrace ||
+                          !obsCfg.timeSeriesPath.empty() ||
+                          !obsCfg.traceEventPath.empty());
+    const int threads =
+        sharedSinks ? 1
+                    : std::min<int>(static_cast<int>(jobs.size()),
+                                    sim::ParallelRunner::defaultThreads());
+    auto runJob = [&](std::size_t i) {
+        try {
+            simulateSlice(ivs, jobs[i]);
+        } catch (...) {
+            jobs[i].error = std::current_exception();
         }
-        out.detailedInsts += static_cast<std::uint64_t>(n) *
-                             (cfg.warmupInsts + cfg.targetInsts);
-        out.slices.push_back(std::move(slice));
+    };
+    if (threads <= 1) {
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            runJob(i);
+            if (jobs[i].error)
+                break;
+        }
+    } else {
+        sim::ParallelRunner pool(threads);
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+            pool.enqueue([&runJob, i] { runJob(i); });
+        pool.waitAll();
+    }
+    // When several slices fail, the lowest cluster's error wins.
+    for (SliceJob &job : jobs) {
+        if (job.error)
+            std::rethrow_exception(job.error);
+        out.functionalInsts += job.functionalInsts;
+        out.detailedInsts +=
+            static_cast<std::uint64_t>(n) *
+            (job.config.warmupInsts + job.config.targetInsts);
+        out.slices.push_back(std::move(job.slice));
     }
 
     // Aggregate headline metrics. Per-core IPC combines as a harmonic

@@ -28,12 +28,19 @@
  *     the recomputed centroid) runs detailed. Fast-forward is a
  *     whole-block seek-skip (TraceReader::skipRecords, no decode);
  *     the last `functionalWarmInsts` before the detailed lead-in are
- *     replayed *functionally* — records update LLC tags/LRU/dirty and
- *     HCRAC entries with no timing — and the warm state is injected
- *     into the slice System, so the detailed lead-in only re-warms
- *     in-flight machine state and `warmupInsts` can drop from the
- *     ~1.5M-instruction LLC horizon to ~100k. Slices run serially so
- *     reported speedups are honest wall-clock.
+ *     replayed *functionally* through the same readers the slice then
+ *     runs on — records update the slice System's own LLC
+ *     tags/LRU/dirty in place and HCRAC twins with no timing, and the
+ *     twins' tables are injected — so the detailed lead-in only
+ *     re-warms in-flight machine state and `warmupInsts` can drop
+ *     from the ~1.5M-instruction LLC horizon to ~100k. Slices are
+ *     independent by construction and run as jobs on a
+ *     sim::ParallelRunner of min(slices, defaultThreads()) workers
+ *     (CCSIM_THREADS; inline at 1), folded back in cluster order, so
+ *     every result field is the same at any thread count and the
+ *     lowest cluster's error wins. Telemetry that writes host spans
+ *     or files keeps the slices serial (process-global span sink,
+ *     shared output paths).
  *  4. Aggregate: per-core IPC combines as an instruction-weighted
  *     harmonic mean over each core's own instruction shares; shared
  *     LLC/HCRAC hit rates weight by each slice's activation rate —
@@ -49,6 +56,7 @@
 #define CCSIM_TRACE_SAMPLING_HH
 
 #include <cstdint>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -152,6 +160,21 @@ class SampledSimulation
     SampledResult run();
 
   private:
+    /** One representative's slice: planned serially, run as one job. */
+    struct SliceJob {
+        sim::SimConfig config; ///< With the slice's warm-up and target.
+        SampledSlice slice;    ///< Planned fields; the job adds result.
+        std::uint64_t functionalInsts = 0;
+        std::exception_ptr error; ///< What the job threw, if anything.
+    };
+
+    /**
+     * Open the traces, fast-forward, functionally warm and run the
+     * detailed System of `job`. Reads only `ivs` and members; writes
+     * only `job`, so slices may run concurrently.
+     */
+    void simulateSlice(const std::vector<IntervalInfo> &ivs,
+                       SliceJob &job) const;
     /** @param per_core_insts out: each core's total instructions. */
     std::vector<IntervalInfo>
     profileTrace(std::vector<std::uint64_t> &per_core_insts);

@@ -107,7 +107,7 @@ RamulatorTraceReader::saveState(resilience::SnapshotWriter &w) const
     std::int64_t pos = eof ? -1 : static_cast<std::int64_t>(in.tellg());
     w.put(pos);
     w.put(pendingWrite_.has_value());
-    w.put(pendingWrite_ ? *pendingWrite_ : cpu::TraceRecord());
+    cpu::saveRecord(w, pendingWrite_ ? *pendingWrite_ : cpu::TraceRecord());
     w.put(linesParsed_);
 }
 
@@ -116,7 +116,8 @@ RamulatorTraceReader::loadState(resilience::SnapshotReader &r)
 {
     std::int64_t pos = r.get<std::int64_t>();
     bool has_pending = r.get<bool>();
-    cpu::TraceRecord pending = r.get<cpu::TraceRecord>();
+    cpu::TraceRecord pending;
+    cpu::loadRecord(r, pending);
     r.get(linesParsed_);
     in_.clear();
     if (pos < 0)

@@ -1,14 +1,18 @@
 /**
  * @file
  * Shared test scaffolding: a minimal single-channel controller harness
- * with pluggable latency provider, plus an oracle listener that records
- * and verifies every command the harness issues.
+ * with pluggable latency provider, an oracle listener that records
+ * and verifies every command the harness issues, and a scoped
+ * environment-variable override.
  */
 
 #ifndef CCSIM_TESTS_HELPERS_HH
 #define CCSIM_TESTS_HELPERS_HH
 
+#include <cstdlib>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "chargecache/providers.hh"
@@ -127,6 +131,40 @@ struct CtrlHarness {
     {
         return probe->oracle.verify();
     }
+};
+
+/**
+ * Set an environment variable (nullptr: unset it) for one scope, then
+ * restore what was there, so a suite run in one process (and CI jobs
+ * that set CCSIM_THREADS) sees no leftover.
+ */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const char *value) : name_(name)
+    {
+        if (const char *old = std::getenv(name))
+            old_ = old;
+        if (value)
+            setenv(name, value, 1);
+        else
+            unsetenv(name);
+    }
+
+    ~ScopedEnv()
+    {
+        if (old_)
+            setenv(name_.c_str(), old_->c_str(), 1);
+        else
+            unsetenv(name_.c_str());
+    }
+
+    ScopedEnv(const ScopedEnv &) = delete;
+    ScopedEnv &operator=(const ScopedEnv &) = delete;
+
+  private:
+    std::string name_;
+    std::optional<std::string> old_;
 };
 
 } // namespace ccsim::test

@@ -21,17 +21,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <new>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "chargecache/hcrac.hh"
 #include "dram/addr.hh"
 #include "dram/rank.hh"
 #include "helpers.hh"
@@ -703,6 +707,176 @@ TEST(Resilience, EnvScalarValidationThrows)
     setenv("CCSIM_TEST_SCALAR", "12", 1);
     EXPECT_EQ(envU64("CCSIM_TEST_SCALAR", 0), 12u);
     unsetenv("CCSIM_TEST_SCALAR");
+}
+
+TEST(Resilience, ThreadCountEnvIsCapped)
+{
+    // The parsed value used to be cast to int: 2^32 made a pool of no
+    // workers (runSweep then waited forever), 2^32 + 1 silently meant
+    // one, and 99999999999 asked for ~1.2 billion threads. Past the
+    // cap it is a structured error naming the variable.
+    const std::string overCap =
+        std::to_string(ParallelRunner::kMaxThreads + 1);
+    for (const char *v :
+         {"4294967296", "4294967297", "99999999999", overCap.c_str()}) {
+        test::ScopedEnv env("CCSIM_THREADS", v);
+        try {
+            ParallelRunner::defaultThreads();
+            FAIL() << "CCSIM_THREADS=" << v << " should be rejected";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), ErrorKind::InvalidConfig);
+            EXPECT_NE(std::string(e.what()).find("CCSIM_THREADS"),
+                      std::string::npos)
+                << e.what();
+        }
+        // A sweep reports it instead of waiting on an empty pool.
+        EXPECT_THROW(runSweep(1, [](std::size_t) { return SystemResult{}; }),
+                     SimError);
+    }
+    {
+        const std::string cap = std::to_string(ParallelRunner::kMaxThreads);
+        test::ScopedEnv env("CCSIM_THREADS", cap.c_str());
+        EXPECT_EQ(ParallelRunner::defaultThreads(),
+                  ParallelRunner::kMaxThreads);
+    }
+    // Unset or 0: the hardware thread count.
+    const int hw = static_cast<int>(
+        std::min<unsigned>(std::max(1u, std::thread::hardware_concurrency()),
+                           ParallelRunner::kMaxThreads));
+    for (const char *v : {static_cast<const char *>(nullptr), "0"}) {
+        test::ScopedEnv env("CCSIM_THREADS", v);
+        EXPECT_EQ(ParallelRunner::defaultThreads(), hw);
+    }
+    try {
+        ParallelRunner pool(ParallelRunner::kMaxThreads + 1);
+        FAIL() << "an oversized pool should be rejected";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.kind(), ErrorKind::InvalidConfig);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Byte-deterministic snapshots: no struct padding reaches the bytes.
+
+namespace {
+
+struct FixedTrace : cpu::TraceSource {
+    bool
+    next(cpu::TraceRecord &record) override
+    {
+        record = cpu::TraceRecord{3, 0x1000, false};
+        return true;
+    }
+};
+
+/** Bytes [17, 24) of every 24-byte table slot after a u64 count. */
+std::vector<std::uint8_t>
+slotPadding(const std::vector<std::uint8_t> &bytes)
+{
+    std::uint64_t n = 0;
+    std::memcpy(&n, bytes.data(), 8);
+    std::vector<std::uint8_t> pad;
+    for (std::uint64_t i = 0; i < n; ++i)
+        for (std::size_t b = 17; b < 24; ++b)
+            pad.push_back(bytes.at(8 + i * 24 + b));
+    return pad;
+}
+
+/** Overwrite that padding, as a raw struct dump may have left it. */
+void
+dirtySlotPadding(std::vector<std::uint8_t> &bytes)
+{
+    std::uint64_t n = 0;
+    std::memcpy(&n, bytes.data(), 8);
+    for (std::uint64_t i = 0; i < n; ++i)
+        for (std::size_t b = 17; b < 24; ++b)
+            bytes.at(8 + i * 24 + b) = 0xcd;
+}
+
+} // namespace
+
+TEST(Resilience, SnapshotBytesCarryNoPadding)
+{
+    // The core's current trace record has 11 padding bytes. Build the
+    // same core in storage pre-filled with two different patterns:
+    // its snapshot bytes must not differ.
+    SimConfig cfg = SimConfig::singleCore();
+    dram::DramSpec spec = cfg.buildSpec();
+    dram::AddressMapper mapper(spec.org, cfg.mapping);
+    mem::Llc llc(cfg.llc, mapper, {}, nullptr);
+    FixedTrace src;
+    auto coreBytes = [&](unsigned char fill) {
+        alignas(cpu::Core) unsigned char buf[sizeof(cpu::Core)];
+        std::memset(buf, fill, sizeof buf);
+        auto *core = new (buf) cpu::Core(0, cfg.core, src, llc, nullptr);
+        resilience::SnapshotWriter w;
+        core->saveState(w);
+        core->~Core();
+        return w.take();
+    };
+    EXPECT_EQ(coreBytes(0x00), coreBytes(0xa5));
+
+    // HCRAC and unlimited-table slots keep the 24-byte snapshot layout
+    // with zero padding.
+    chargecache::Hcrac::Params hp;
+    hp.entries = 8;
+    chargecache::Hcrac hcrac(hp);
+    chargecache::UnlimitedHcrac unlimited(1000);
+    for (std::uint64_t k = 1; k <= 6; ++k) {
+        hcrac.insert(k * 0x10001);
+        unlimited.insert(k * 0x10001, k * 10);
+    }
+    resilience::SnapshotWriter hw, uw;
+    hcrac.saveState(hw);
+    unlimited.saveState(uw);
+    for (const auto *bytes : {&hw.bytes(), &uw.bytes()})
+        for (std::uint8_t b : slotPadding(*bytes))
+            ASSERT_EQ(b, 0);
+}
+
+TEST(Resilience, TableSlotsLoadFromRawDumps)
+{
+    // Snapshots written before the field-wise slot layout dumped the
+    // structs raw, padding included. They must still load.
+    chargecache::Hcrac::Params hp;
+    hp.entries = 8;
+    chargecache::Hcrac hcrac(hp);
+    chargecache::UnlimitedHcrac unlimited(1000);
+    for (std::uint64_t k = 1; k <= 6; ++k) {
+        hcrac.insert(k * 0x10001);
+        unlimited.insert(k * 0x10001, 100);
+    }
+    resilience::SnapshotWriter hw, uw;
+    hcrac.saveState(hw);
+    unlimited.saveState(uw);
+
+    std::vector<std::uint8_t> hRaw = hw.bytes(), uRaw = uw.bytes();
+    dirtySlotPadding(hRaw);
+    dirtySlotPadding(uRaw);
+    chargecache::Hcrac hLoaded(hp);
+    chargecache::UnlimitedHcrac uLoaded(1000);
+    resilience::SnapshotReader hr(hRaw), ur(uRaw);
+    hLoaded.loadState(hr);
+    uLoaded.loadState(ur);
+    EXPECT_TRUE(hr.atEnd());
+    EXPECT_TRUE(ur.atEnd());
+
+    // Same contents: re-saving gives the clean bytes back.
+    resilience::SnapshotWriter hw2, uw2;
+    hLoaded.saveState(hw2);
+    uLoaded.saveState(uw2);
+    EXPECT_EQ(hw2.bytes(), hw.bytes());
+    EXPECT_EQ(uw2.bytes(), uw.bytes());
+    EXPECT_EQ(uLoaded.size(), 6u);
+    EXPECT_TRUE(uLoaded.lookup(3 * 0x10001, 150));
+    EXPECT_FALSE(uLoaded.lookup(7 * 0x10001, 150));
+
+    // A slot count the table cannot hold is refused.
+    std::vector<std::uint8_t> bad = hw.bytes();
+    bad[0] ^= 1;
+    chargecache::Hcrac hBad(hp);
+    resilience::SnapshotReader br(bad);
+    EXPECT_THROW(hBad.loadState(br), SimError);
 }
 
 // ---------------------------------------------------------------------

@@ -4,8 +4,10 @@
  * interval accounting, clustering determinism (across runs AND across
  * the three kernels — functional warming must be a pure function of
  * the record streams), config validation, warm-state injection
- * surfaces, multi-core co-phase sampling, and sampled-vs-full accuracy
- * on phase-rich analytics traces. The tight 3% acceptance gate at
+ * surfaces, the slice pool (same results at one worker and four,
+ * errors surfaced, telemetry files kept serial), multi-core co-phase
+ * sampling, and sampled-vs-full accuracy on phase-rich analytics
+ * traces. The tight 3% acceptance gate at
  * >= 100M instructions lives in bench/abl_sampling.cpp
  * (CCSIM_SAMPLING_GATE); this suite pins the mechanisms at test scale
  * with loose tolerances.
@@ -16,19 +18,25 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chargecache/providers.hh"
 #include "dram/addr.hh"
+#include "helpers.hh"
 #include "mem/llc.hh"
 #include "resilience/error.hh"
+#include "resilience/fault.hh"
 #include "sim/config.hh"
 #include "sim/system.hh"
 #include "trace/convert.hh"
 #include "trace/datacenter.hh"
 #include "trace/replay.hh"
 #include "trace/sampling.hh"
+#include "system_compare.hh"
 
 namespace ccsim::sim {
 namespace {
@@ -293,47 +301,159 @@ TEST(Sampling, DeterministicAcrossKernelsAndRuns)
     std::remove(path.c_str());
 }
 
+/** Every field of two sampled results, slice by slice. */
+void
+expectIdenticalSampled(const trace::SampledResult &a,
+                       const trace::SampledResult &b)
+{
+    ASSERT_EQ(a.slices.size(), b.slices.size());
+    for (std::size_t i = 0; i < a.slices.size(); ++i) {
+        const trace::SampledSlice &sa = a.slices[i], &sb = b.slices[i];
+        EXPECT_EQ(sa.interval, sb.interval);
+        EXPECT_EQ(sa.weight, sb.weight);
+        EXPECT_EQ(sa.coreWeight, sb.coreWeight);
+        EXPECT_EQ(sa.measuredInsts, sb.measuredInsts);
+        const std::string label = "slice " + std::to_string(i);
+        test::expectIdenticalResults(sa.result, sb.result, label.c_str());
+    }
+    test::expectIdenticalResults(a.aggregate, b.aggregate, "aggregate");
+    EXPECT_EQ(a.functionalInsts, b.functionalInsts);
+    EXPECT_EQ(a.detailedInsts, b.detailedInsts);
+    EXPECT_EQ(a.totalInsts, b.totalInsts);
+    EXPECT_EQ(a.clusters, b.clusters);
+}
+
+trace::SampledResult
+runWithThreads(const char *threads, const SimConfig &cfg,
+               const std::vector<std::string> &paths,
+               const trace::SamplingConfig &sc)
+{
+    test::ScopedEnv env("CCSIM_THREADS", threads);
+    return trace::SampledSimulation(cfg, paths, sc).run();
+}
+
+TEST(Sampling, SlicePoolMatchesInlineRun)
+{
+    // Slices run on a pool and fold back in cluster order, so one
+    // worker and four give the same result, field for field.
+    const std::string p0 = writeAnalyticsTrace(160000, 42, 0, "pool0");
+    const std::string p1 =
+        writeAnalyticsTrace(160000, 91, 1 << 21, "pool1");
+    trace::SamplingConfig sc;
+    sc.intervalInsts = 40000;
+    sc.warmupInsts = 8000;
+    sc.functionalWarmInsts = 40000;
+    sc.maxClusters = 4;
+
+    SimConfig single = sampleConfig();
+    SimConfig multi = sampleConfig();
+    multi.nCores = 2;
+    const std::vector<std::string> one{p0}, two{p0, p1};
+    for (const auto &[cfg, paths] :
+         {std::pair{single, one}, std::pair{multi, two}}) {
+        SCOPED_TRACE(std::to_string(cfg.nCores) + " core(s)");
+        const trace::SampledResult inl =
+            runWithThreads("1", cfg, paths, sc);
+        const trace::SampledResult pooled =
+            runWithThreads("4", cfg, paths, sc);
+        ASSERT_GE(inl.slices.size(), 2u) << "the pool needs slices";
+        EXPECT_GT(inl.functionalInsts, 0u);
+        expectIdenticalSampled(inl, pooled);
+    }
+    std::remove(p0.c_str());
+    std::remove(p1.c_str());
+}
+
+TEST(Sampling, SlicePoolSurfacesSliceErrors)
+{
+    // Every slice's System build fails; the pool must hand back the
+    // structured error, not hang or terminate.
+    const std::string path = writeAnalyticsTrace(120000);
+    trace::SamplingConfig sc;
+    sc.intervalInsts = 40000;
+    sc.warmupInsts = 8000;
+    sc.maxClusters = 4;
+    SimConfig cfg = sampleConfig();
+    cfg.faults.seed = 7;
+    cfg.faults.kind = resilience::FaultKind::AllocFail;
+    test::ScopedEnv env("CCSIM_THREADS", "4");
+    try {
+        trace::SampledSimulation(cfg, path, sc).run();
+        FAIL() << "expected ResourceExhausted";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.kind(), ErrorKind::ResourceExhausted);
+    }
+    std::remove(path.c_str());
+}
+
+#if CCSIM_OBS
+TEST(Sampling, SlicePoolKeepsTelemetryFilesSerial)
+{
+    // Every slice writes the configured time-series path, so such runs
+    // stay serial: the file is the same at one thread and at four.
+    const std::string path = writeAnalyticsTrace(120000);
+    const std::string series = tmpPath("series") + ".jsonl";
+    trace::SamplingConfig sc;
+    sc.intervalInsts = 40000;
+    sc.warmupInsts = 8000;
+    sc.maxClusters = 4;
+    SimConfig cfg = sampleConfig();
+    cfg.obs.enable = true;
+    cfg.obs.sampleInterval = 5000;
+    cfg.obs.timeSeriesPath = series;
+    auto fileBytes = [&](const char *threads) {
+        std::remove(series.c_str());
+        const trace::SampledResult r =
+            runWithThreads(threads, cfg, {path}, sc);
+        EXPECT_GE(r.slices.size(), 2u);
+        std::ifstream in(series, std::ios::binary);
+        return std::string(std::istreambuf_iterator<char>(in), {});
+    };
+    const std::string inl = fileBytes("1");
+    EXPECT_FALSE(inl.empty());
+    EXPECT_EQ(inl, fileBytes("4"));
+    std::remove(series.c_str());
+    std::remove(path.c_str());
+}
+#endif
+
 TEST(Sampling, WarmInjectLlcTagState)
 {
+    // Functional warming touches a slice System's own fresh LLC in
+    // place: no second cache, no copy.
     SimConfig cfg = sampleConfig();
-    dram::DramSpec spec = cfg.buildSpec();
-    dram::AddressMapper mapper(spec.org, cfg.mapping);
-    mem::Llc warm(cfg.llc, mapper, {}, nullptr);
-    const Addr sets = static_cast<Addr>(warm.numSets());
+    System sys(cfg, std::vector<std::string>{"mcf"});
+    mem::Llc &llc = sys.llc();
+    const Addr sets = static_cast<Addr>(llc.numSets());
     const int ways = cfg.llc.ways;
 
     // Cold miss installs; the second touch hits and can dirty it.
-    EXPECT_FALSE(warm.warmAccess(5, false));
-    EXPECT_TRUE(warm.warmAccess(5, true));
+    EXPECT_FALSE(llc.warmAccess(5, false));
+    EXPECT_TRUE(llc.warmAccess(5, true));
 
     // Fill the rest of set 5; no evictions while invalid ways remain.
     for (int w = 1; w < ways; ++w) {
         Addr victim = 123;
         EXPECT_FALSE(
-            warm.warmAccess(5 + static_cast<Addr>(w) * sets, false,
-                            &victim));
+            llc.warmAccess(5 + static_cast<Addr>(w) * sets, false,
+                           &victim));
         EXPECT_EQ(victim, kNoAddr);
     }
     // One more line in the set evicts the LRU line (5, dirty).
     Addr victim = kNoAddr;
-    EXPECT_FALSE(warm.warmAccess(5 + static_cast<Addr>(ways) * sets,
-                                 false, &victim));
+    EXPECT_FALSE(llc.warmAccess(5 + static_cast<Addr>(ways) * sets,
+                                false, &victim));
     EXPECT_EQ(victim, static_cast<Addr>(5));
 
-    // Injection: a detailed-path access on the receiving LLC hits for
-    // a warmed line without any memory traffic.
-    mem::Llc cold(cfg.llc, mapper, {}, nullptr);
-    cold.warmCopyTagsFrom(warm);
-    EXPECT_EQ(cold.access(0, 5 + sets, false, 0),
-              mem::Llc::Result::Hit);
-    EXPECT_TRUE(cold.warmAccess(5 + static_cast<Addr>(ways) * sets,
-                                false));
+    // Warming leaves no statistics and no in-flight state behind.
+    EXPECT_EQ(llc.stats().accesses, 0u);
+    EXPECT_TRUE(llc.quiesced());
 
-    // Geometry mismatches are structured errors, not corruption.
-    mem::LlcConfig small_cfg = cfg.llc;
-    small_cfg.sizeBytes = 1 << 20;
-    mem::Llc small(small_cfg, mapper, {}, nullptr);
-    EXPECT_THROW(small.warmCopyTagsFrom(warm), SimError);
+    // The detailed path hits a warmed line without memory traffic.
+    EXPECT_EQ(llc.access(0, 5 + sets, false, 0), mem::Llc::Result::Hit);
+    EXPECT_EQ(llc.stats().hits, 1u);
+    EXPECT_TRUE(llc.quiesced());
+    EXPECT_EQ(sys.controller(0).queuedRequests(), 0u);
 }
 
 TEST(Sampling, WarmInjectHcracAndProvider)
