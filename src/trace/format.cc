@@ -69,7 +69,8 @@ readVarint(const std::uint8_t *p, std::size_t n, std::size_t &pos,
         if (pos >= n)
             return "record varint runs past block payload";
         const std::uint8_t b = p[pos++];
-        if (shift >= 63 && (b & 0x7e))
+        // Bit 63 is the last payload bit that fits.
+        if ((shift == 63 && (b & 0x7e)) || (shift > 63 && (b & 0x7f)))
             return "record varint overflows 64 bits";
         if (shift < 64)
             v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
@@ -106,6 +107,37 @@ decodeRecord(const std::uint8_t *p, std::size_t n, bool first,
                                          unzigzag(a));
     prev = rec.addr;
     return nullptr;
+}
+
+/**
+ * Check that p[0..n) holds exactly `count` records that decode,
+ * without decoding them. Returns nullptr, or decodeRecord's reason.
+ * Most records are stepped over with one load: when the lead byte
+ * announces no gap varint and the address varint's last byte (top bit
+ * clear) is among the next eight, that varint holds at most 56 bits
+ * and is well formed. Every other record goes through decodeRecord.
+ */
+const char *
+checkRecords(const std::uint8_t *p, std::size_t n, std::uint32_t count)
+{
+    std::size_t pos = 0;
+    Addr prev = 0;
+    cpu::TraceRecord rec;
+    for (std::uint32_t i = 0; i < count; ++i) {
+        if (pos >= n)
+            return "block payload shorter than its record count";
+        if ((p[pos] & 0x7f) != 127 && n - pos > 8) {
+            std::uint64_t w;
+            std::memcpy(&w, p + pos + 1, 8);
+            if (const std::uint64_t ends = ~w & 0x8080808080808080ull) {
+                pos += 2 + static_cast<std::size_t>(ctz64(ends) >> 3);
+                continue;
+            }
+        }
+        if (const char *err = decodeRecord(p, n, i == 0, pos, prev, rec))
+            return err;
+    }
+    return pos == n ? nullptr : "trailing bytes in block payload";
 }
 
 } // namespace
@@ -282,29 +314,19 @@ TraceReader::readHeader()
 void
 TraceReader::loadBlock(std::uint32_t record_count)
 {
-    std::size_t pos = 0;
-    Addr prev = 0;
-    cpu::TraceRecord rec;
-    for (std::uint32_t i = 0; i < record_count; ++i) {
-        if (pos >= payload_.size())
-            throwMalformed("block payload shorter than its record count");
-        if (const char *err = decodeRecord(payload_.data(),
-                                           payload_.size(), i == 0, pos,
-                                           prev, rec))
-            throwMalformed(err);
-    }
-    if (pos != payload_.size())
-        throwMalformed("trailing bytes in block payload");
+    if (const char *err =
+            checkRecords(payload_.data(), payload_.size(), record_count))
+        throwMalformed(err);
     payloadPos_ = 0;
-    blockSize_ = blockLeft_ = record_count;
+    blockLeft_ = record_count;
     prevAddr_ = 0;
 }
 
 void
 TraceReader::decodeNext(cpu::TraceRecord &record)
 {
-    decodeRecord(payload_.data(), payload_.size(),
-                 blockLeft_ == blockSize_, payloadPos_, prevAddr_, record);
+    decodeRecord(payload_.data(), payload_.size(), payloadPos_ == 0,
+                 payloadPos_, prevAddr_, record);
     --blockLeft_;
 }
 

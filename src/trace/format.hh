@@ -220,8 +220,7 @@ class TraceReader
 
     std::vector<std::uint8_t> payload_; ///< Resident block payload.
     std::size_t payloadPos_ = 0;  ///< Next record's offset in payload_.
-    std::uint32_t blockSize_ = 0; ///< Records in the resident block.
-    std::uint32_t blockLeft_ = 0; ///< Of those, not yet handed out.
+    std::uint32_t blockLeft_ = 0; ///< Resident records not handed out.
     Addr prevAddr_ = 0;           ///< Delta base: last decoded address.
     std::uint64_t position_ = 0;
     bool atEnd_ = false;

@@ -606,25 +606,18 @@ SampledSimulation::run()
                           !obsCfg.traceEventPath.empty());
     const int threads =
         sharedSinks ? 1
-                    : std::min<int>(static_cast<int>(jobs.size()),
-                                    sim::ParallelRunner::defaultThreads());
-    auto runJob = [&](std::size_t i) {
-        try {
-            simulateSlice(ivs, jobs[i]);
-        } catch (...) {
-            jobs[i].error = std::current_exception();
-        }
-    };
-    if (threads <= 1) {
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            runJob(i);
-            if (jobs[i].error)
-                break;
-        }
-    } else {
+                    : std::clamp<int>(static_cast<int>(jobs.size()), 1,
+                                      sim::ParallelRunner::defaultThreads());
+    {
         sim::ParallelRunner pool(threads);
-        for (std::size_t i = 0; i < jobs.size(); ++i)
-            pool.enqueue([&runJob, i] { runJob(i); });
+        for (SliceJob &job : jobs)
+            pool.enqueue([this, &ivs, &job] {
+                try {
+                    simulateSlice(ivs, job);
+                } catch (...) {
+                    job.error = std::current_exception();
+                }
+            });
         pool.waitAll();
     }
     // When several slices fail, the lowest cluster's error wins.

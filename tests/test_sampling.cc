@@ -332,7 +332,7 @@ runWithThreads(const char *threads, const SimConfig &cfg,
     return trace::SampledSimulation(cfg, paths, sc).run();
 }
 
-TEST(Sampling, SlicePoolMatchesInlineRun)
+TEST(Sampling, SlicePoolMatchesOneWorkerRun)
 {
     // Slices run on a pool and fold back in cluster order, so one
     // worker and four give the same result, field for field.

@@ -309,6 +309,108 @@ TEST(TraceFormat, CorruptionReportsMalformedTrace)
     std::remove(path.c_str());
 }
 
+TEST(TraceFormat, UndecodableRecordsUnderAValidCrcAreMalformed)
+{
+    // Hand-built files whose block CRCs match: only record decoding can
+    // catch these, and it must do so at the call that loads the block.
+    const std::string path = tmpPath("records");
+    auto put32 = [](std::vector<std::uint8_t> &b, std::uint32_t v) {
+        for (int i = 0; i < 4; ++i)
+            b.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    };
+    auto putBlock = [&](std::vector<std::uint8_t> &b, std::uint8_t kind,
+                        std::uint32_t count,
+                        const std::vector<std::uint8_t> &payload) {
+        const std::size_t start = b.size();
+        b.push_back(kind);
+        put32(b, count);
+        put32(b, static_cast<std::uint32_t>(payload.size()));
+        b.insert(b.end(), payload.begin(), payload.end());
+        put32(b, resilience::crc32(b.data() + start, b.size() - start));
+    };
+    auto writeTrace = [&](std::uint32_t count,
+                          const std::vector<std::uint8_t> &payload) {
+        std::vector<std::uint8_t> b;
+        put32(b, trace::kTraceMagic);
+        put32(b, trace::kTraceVersion);
+        put32(b, 0);
+        put32(b, resilience::crc32(b.data(), 12));
+        putBlock(b, trace::kBlockRecords, count, payload);
+        std::vector<std::uint8_t> end(16, 0);
+        end[0] = static_cast<std::uint8_t>(count); // totalRecords.
+        putBlock(b, trace::kBlockEnd, 0, end);
+        resilience::atomicWriteFile(path, b);
+    };
+
+    // The hand-built layout itself reads back: a write after a
+    // 200-instruction gap (a varint) at 42, then reads 2 bytes apart.
+    writeTrace(4, {0xff, 0xc8, 0x01, 0x2a, 0x00, 0x04, 0x00, 0x04, 0x00,
+                   0x04});
+    {
+        trace::TraceReader rd(path);
+        cpu::TraceRecord r;
+        ASSERT_TRUE(rd.next(r));
+        EXPECT_TRUE(r.isWrite);
+        EXPECT_EQ(r.nonMemInsts, 200u);
+        EXPECT_EQ(r.addr, 42u);
+        for (Addr a = 44; a <= 48; a += 2) {
+            ASSERT_TRUE(rd.next(r));
+            EXPECT_FALSE(r.isWrite);
+            EXPECT_EQ(r.nonMemInsts, 0u);
+            EXPECT_EQ(r.addr, a);
+        }
+        EXPECT_FALSE(rd.next(r));
+    }
+
+    auto expectMalformed = [&](std::uint32_t count,
+                               const std::vector<std::uint8_t> &payload,
+                               const std::string &why) {
+        SCOPED_TRACE(why);
+        writeTrace(count, payload);
+        trace::TraceReader rd(path);
+        cpu::TraceRecord r;
+        try {
+            rd.next(r);
+            FAIL() << "expected MalformedTrace from the first next()";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), ErrorKind::MalformedTrace);
+            EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+                << e.what();
+        }
+    };
+    // `head`, then a read with no compute gap whose address varint
+    // opens with nine zero groups and goes on with `tail`.
+    auto addrVarint = [](std::vector<std::uint8_t> head,
+                         std::initializer_list<std::uint8_t> tail) {
+        head.push_back(0x00);
+        for (int i = 0; i < 9; ++i)
+            head.push_back(0x80);
+        for (std::uint8_t b : tail)
+            head.push_back(b);
+        return head;
+    };
+    // Bit 64 set in the tenth byte.
+    expectMalformed(1, addrVarint({}, {0x02}), "overflows 64 bits");
+    // A payload bit past the tenth byte, behind a zero bit 63.
+    expectMalformed(1, addrVarint({}, {0x80, 0x01}), "overflows 64 bits");
+    expectMalformed(1, addrVarint({}, {0x81, 0x80, 0x40}),
+                    "overflows 64 bits");
+    // A 2^35 - 1 compute gap, then two good records.
+    expectMalformed(3,
+                    {0x7f, 0xff, 0xff, 0xff, 0xff, 0x7f, 0x00, 0x00, 0x02,
+                     0x00, 0x02},
+                    "gap overflows 32 bits");
+    expectMalformed(1, {0x00, 0x80}, "runs past block payload");
+    // The second record is bad; the first must not be handed out.
+    expectMalformed(2, addrVarint({0x00, 0x2a}, {0x02}),
+                    "overflows 64 bits");
+    expectMalformed(2, {0x00, 0x2a, 0x00, 0xff}, "runs past block payload");
+    expectMalformed(2, {0x00, 0x2a}, "shorter than its record count");
+    expectMalformed(1, {0x00, 0x2a, 0x00}, "trailing bytes");
+
+    std::remove(path.c_str());
+}
+
 TEST(TraceFormat, GarbageFuzzCorpusNeverCrashesOrSucceeds)
 {
     // Seeded random bytes behind a valid header: every sample must be
