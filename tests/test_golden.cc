@@ -10,21 +10,33 @@
  * (tests/system_compare.hh) with constants recorded from a known-good
  * build.
  *
+ * A second test does the same for sampled simulation: a single-core and
+ * a two-core SampledSimulation over small generated CCTR traces, written
+ * with small blocks so each profile pass crosses many blocks, one run
+ * coarsened by a small maxIntervals. Its digest covers every profiled
+ * interval field (signature doubles bit for bit), the cluster count,
+ * the instruction totals, every slice and the aggregate.
+ *
  * A refactor that is meant to keep results must pass this unedited. A
  * deliberate model change re-records the constants the failure message
  * prints, and says so in its commit.
  */
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "sim/config.hh"
 #include "sim/system.hh"
 #include "system_compare.hh"
+#include "trace/convert.hh"
+#include "trace/datacenter.hh"
+#include "trace/sampling.hh"
 
 namespace ccsim::sim {
 namespace {
@@ -206,6 +218,135 @@ TEST(GoldenResults, CalendarMatchesPinnedDigests)
                       << firstMovedField(fields, c.print)
                       << "\nnew digest and field print: "
                       << recordLine(fields, digest);
+    }
+}
+
+/**
+ * Every SampledResult field in a fixed order. Slices and the aggregate
+ * enter as their SystemResult digests.
+ */
+std::vector<test::ResultField>
+sampledFields(const trace::SampledResult &s)
+{
+    std::vector<test::ResultField> out;
+    auto u64 = [&out](std::string name, std::uint64_t v) {
+        out.push_back({std::move(name), v, std::to_string(v)});
+    };
+    auto f64 = [&u64](std::string name, double v) {
+        std::uint64_t bits;
+        std::memcpy(&bits, &v, sizeof v);
+        u64(std::move(name), bits);
+    };
+    auto digestOf = [](const SystemResult &r) {
+        return test::resultDigest(test::resultFields(r));
+    };
+
+    u64("intervals.size", s.intervals.size());
+    for (std::size_t i = 0; i < s.intervals.size(); ++i) {
+        const trace::IntervalInfo &iv = s.intervals[i];
+        const std::string at = "intervals[" + std::to_string(i) + "].";
+        u64(at + "cores.size", iv.cores.size());
+        for (const trace::IntervalInfo::PerCore &pc : iv.cores) {
+            u64(at + "startRecord", pc.startRecord);
+            u64(at + "startInst", pc.startInst);
+            u64(at + "warmStartRecord", pc.warmStartRecord);
+            u64(at + "warmStartInst", pc.warmStartInst);
+            u64(at + "cores.insts", pc.insts);
+            u64(at + "cores.records", pc.records);
+        }
+        u64(at + "insts", iv.insts);
+        u64(at + "records", iv.records);
+        u64(at + "signature.size", iv.signature.size());
+        for (double v : iv.signature)
+            f64(at + "signature", v);
+        u64(at + "cluster", static_cast<std::uint64_t>(iv.cluster));
+    }
+    u64("clusters", static_cast<std::uint64_t>(s.clusters));
+    u64("totalInsts", s.totalInsts);
+    u64("detailedInsts", s.detailedInsts);
+    u64("functionalInsts", s.functionalInsts);
+    u64("slices.size", s.slices.size());
+    for (std::size_t i = 0; i < s.slices.size(); ++i) {
+        const trace::SampledSlice &sl = s.slices[i];
+        const std::string at = "slices[" + std::to_string(i) + "].";
+        u64(at + "interval", sl.interval);
+        f64(at + "weight", sl.weight);
+        u64(at + "coreWeight.size", sl.coreWeight.size());
+        for (double w : sl.coreWeight)
+            f64(at + "coreWeight", w);
+        u64(at + "measuredInsts", sl.measuredInsts);
+        u64(at + "result", digestOf(sl.result));
+    }
+    u64("aggregate", digestOf(s.aggregate));
+    return out;
+}
+
+struct PinnedSampledCase {
+    const char *name;
+    /** Datacenter generator per core (trace::makeDatacenterSource). */
+    std::vector<const char *> generators;
+    std::uint64_t records;       ///< Per trace.
+    std::uint32_t recordsPerBlock;
+    trace::SamplingConfig sampling;
+    std::uint64_t digest;
+};
+
+trace::SamplingConfig
+pinnedSampling(std::uint64_t interval, std::uint64_t warmup,
+               std::uint64_t func_warm, std::uint32_t max_intervals)
+{
+    trace::SamplingConfig sc;
+    sc.intervalInsts = interval;
+    sc.warmupInsts = warmup;
+    sc.functionalWarmInsts = func_warm;
+    sc.maxClusters = 3;
+    sc.maxIntervals = max_intervals;
+    return sc;
+}
+
+TEST(GoldenResults, SampledMatchesPinnedDigests)
+{
+    const PinnedSampledCase cases[] = {
+        {"1c/kv-zipf", {"kv-zipf"}, 40000, 64,
+         pinnedSampling(20000, 4000, 30000, 4096), 0x4a9fccdd595abdc1ull},
+        {"2c/analytics+web/coarsened", {"analytics-scan", "web-fanout"},
+         30000, 100, pinnedSampling(10000, 2000, 20000, 6),
+         0x4bb14241d3bdd6cbull},
+    };
+    for (const PinnedSampledCase &c : cases) {
+        SCOPED_TRACE(c.name);
+        const int n = static_cast<int>(c.generators.size());
+        std::vector<std::string> paths;
+        for (int i = 0; i < n; ++i) {
+            paths.push_back(::testing::TempDir() + "ccsim_golden_" +
+                            std::to_string(i) + "_" +
+                            std::to_string(::getpid()) + ".cctr");
+            auto gen = trace::makeDatacenterSource(
+                c.generators[i], 11 + i, static_cast<Addr>(i) << 21,
+                1 << 22);
+            trace::writeTrace(*gen, paths.back(), c.records,
+                              c.recordsPerBlock);
+        }
+        SimConfig cfg = SimConfig::singleCore();
+        cfg.nCores = n;
+        cfg.scheme = Scheme::ChargeCache;
+        cfg.cc.trackUnlimited = true;
+        cfg.finalizeChargeCache();
+        test::applyEnvParanoia(cfg);
+        const trace::SampledResult res =
+            trace::SampledSimulation(cfg, paths, c.sampling).run();
+        for (const std::string &p : paths)
+            std::remove(p.c_str());
+
+        EXPECT_GE(res.slices.size(), 2u);
+        EXPECT_GT(res.functionalInsts, 0u);
+        if (c.sampling.maxIntervals < 16) // The profile must coarsen.
+            EXPECT_GE(res.intervals.at(0).cores.at(0).insts,
+                      2 * c.sampling.intervalInsts);
+        const std::uint64_t digest = test::resultDigest(sampledFields(res));
+        char hex[24];
+        std::snprintf(hex, sizeof hex, "0x%016" PRIx64 "ull", digest);
+        EXPECT_EQ(digest, c.digest) << "sampled digest moved; new: " << hex;
     }
 }
 
