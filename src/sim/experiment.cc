@@ -1,5 +1,7 @@
 #include "sim/experiment.hh"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -140,9 +142,16 @@ ParallelRunner::defaultThreads()
                 " threads");
     if (env > 0)
         return static_cast<int>(env);
-    unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? static_cast<int>(std::min<unsigned>(hw, kMaxThreads))
-                  : 1;
+    // The CPUs this thread may run on (taskset, cpusets), not all of the
+    // host's: a worker per host CPU on one allowed CPU only time-slices.
+    unsigned cpus = 0;
+    cpu_set_t mask{};
+    if (sched_getaffinity(0, sizeof mask, &mask) == 0)
+        cpus = static_cast<unsigned>(CPU_COUNT(&mask));
+    if (cpus == 0)
+        cpus = std::thread::hardware_concurrency();
+    return cpus > 0 ? static_cast<int>(std::min<unsigned>(cpus, kMaxThreads))
+                    : 1;
 }
 
 ParallelRunner::ParallelRunner(int threads)

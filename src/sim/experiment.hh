@@ -110,8 +110,10 @@ class ParallelRunner
     int threads() const { return static_cast<int>(workers_.size()); }
 
     /**
-     * CCSIM_THREADS when set and non-zero, else
-     * std::thread::hardware_concurrency.
+     * CCSIM_THREADS when set and non-zero, else the number of CPUs in
+     * the calling thread's affinity mask (std::thread::
+     * hardware_concurrency when that cannot be read), at most
+     * kMaxThreads.
      * @throws resilience::SimError{InvalidConfig} naming the variable
      *         when it does not parse or exceeds kMaxThreads.
      */

@@ -20,6 +20,7 @@
  */
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <atomic>
@@ -739,13 +740,14 @@ TEST(Resilience, ThreadCountEnvIsCapped)
         EXPECT_EQ(ParallelRunner::defaultThreads(),
                   ParallelRunner::kMaxThreads);
     }
-    // Unset or 0: the hardware thread count.
-    const int hw = static_cast<int>(
-        std::min<unsigned>(std::max(1u, std::thread::hardware_concurrency()),
-                           ParallelRunner::kMaxThreads));
+    // Unset or 0: the CPUs this thread may run on.
+    cpu_set_t mask{};
+    ASSERT_EQ(sched_getaffinity(0, sizeof mask, &mask), 0);
+    const int cpus =
+        std::min(CPU_COUNT(&mask), ParallelRunner::kMaxThreads);
     for (const char *v : {static_cast<const char *>(nullptr), "0"}) {
         test::ScopedEnv env("CCSIM_THREADS", v);
-        EXPECT_EQ(ParallelRunner::defaultThreads(), hw);
+        EXPECT_EQ(ParallelRunner::defaultThreads(), cpus);
     }
     try {
         ParallelRunner pool(ParallelRunner::kMaxThreads + 1);
@@ -753,6 +755,34 @@ TEST(Resilience, ThreadCountEnvIsCapped)
     } catch (const SimError &e) {
         EXPECT_EQ(e.kind(), ErrorKind::InvalidConfig);
     }
+}
+
+TEST(Resilience, DefaultThreadsFollowsTheAffinityMask)
+{
+    // Under `taskset -c 0` every default pool used to start a worker per
+    // host CPU, all time-slicing the one CPU they may use.
+    cpu_set_t all{};
+    ASSERT_EQ(sched_getaffinity(0, sizeof all, &all), 0);
+    if (CPU_COUNT(&all) < 2)
+        GTEST_SKIP() << "needs two CPUs to pin to one";
+    int cpu = 0;
+    while (!CPU_ISSET(cpu, &all))
+        ++cpu;
+    cpu_set_t one{};
+    CPU_SET(cpu, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+    int pinned = 0, overridden = 0;
+    {
+        test::ScopedEnv env("CCSIM_THREADS", nullptr);
+        pinned = ParallelRunner::defaultThreads();
+    }
+    {
+        test::ScopedEnv env("CCSIM_THREADS", "3");
+        overridden = ParallelRunner::defaultThreads();
+    }
+    ASSERT_EQ(sched_setaffinity(0, sizeof all, &all), 0);
+    EXPECT_EQ(pinned, 1);
+    EXPECT_EQ(overridden, 3); // The variable still wins.
 }
 
 // ---------------------------------------------------------------------
