@@ -56,6 +56,36 @@ unpackHdr(const std::uint8_t in[kBlockHdrBytes])
     return h;
 }
 
+/** What the block header at the stream position says. */
+enum class Peek {
+    Records,   ///< A records block within the payload cap.
+    End,       ///< The end block.
+    Short,     ///< EOF inside the header.
+    ReadError, ///< The read failed for another reason.
+    BadKind,
+    Oversized,
+    Empty,     ///< A records block claiming no records.
+};
+
+/** Read the next block header into `raw` and `h` and classify it. */
+Peek
+peekHeader(std::istream &in, std::uint8_t raw[kBlockHdrBytes], BlockHdr &h)
+{
+    in.read(reinterpret_cast<char *>(raw), kBlockHdrBytes);
+    if (in.gcount() != static_cast<std::streamsize>(kBlockHdrBytes))
+        return in.eof() ? Peek::Short : Peek::ReadError;
+    h = unpackHdr(raw);
+    if (h.kind == kBlockEnd)
+        return Peek::End;
+    if (h.kind != kBlockRecords)
+        return Peek::BadKind;
+    if (h.payloadBytes > kMaxBlockPayload)
+        return Peek::Oversized;
+    if (h.recordCount == 0)
+        return Peek::Empty;
+    return Peek::Records;
+}
+
 /**
  * One varint from p[pos..n), advancing pos. Returns nullptr, or why
  * the bytes do not decode.
@@ -424,15 +454,43 @@ TraceReader::next(cpu::TraceRecord &record)
 void
 TraceReader::rewind()
 {
+    seekBlock({16, 0, 0}); // The first block follows the file header.
+}
+
+void
+TraceReader::seekBlock(const BlockSpan &span)
+{
     in_.clear();
-    in_.seekg(16); // Past the file header.
+    in_.seekg(static_cast<std::streamoff>(span.offset));
     if (!in_)
         throw SimError(ErrorKind::IoError,
-                       "cannot rewind trace file '" + path_ + "'");
+                       "cannot seek in trace file '" + path_ + "'");
     payload_.clear();
     blockLeft_ = 0;
-    position_ = 0;
+    position_ = span.firstRecord;
     atEnd_ = false;
+}
+
+bool
+TraceReader::walkBlock(BlockSpan &span)
+{
+    if (fileBytes_ == 0) {
+        const std::streampos at = in_.tellg();
+        in_.seekg(0, std::ios::end);
+        fileBytes_ = static_cast<std::uint64_t>(in_.tellg());
+        in_.seekg(at);
+    }
+    span = {static_cast<std::uint64_t>(in_.tellg()), position_, 0};
+    std::uint8_t hdr[kBlockHdrBytes];
+    BlockHdr h;
+    if (peekHeader(in_, hdr, h) != Peek::Records ||
+        span.offset + kBlockHdrBytes + h.payloadBytes + 4 > fileBytes_)
+        return false;
+    in_.seekg(static_cast<std::streamoff>(h.payloadBytes) + 4,
+              std::ios::cur);
+    span.records = h.recordCount;
+    position_ += h.recordCount;
+    return true;
 }
 
 void
@@ -459,25 +517,26 @@ TraceReader::skipRecords(std::uint64_t n)
                                "' vanished between readahead refills "
                                "(injected)");
         std::uint8_t hdr[kBlockHdrBytes];
-        in_.read(reinterpret_cast<char *>(hdr), kBlockHdrBytes);
-        if (in_.gcount() !=
-            static_cast<std::streamsize>(kBlockHdrBytes)) {
-            if (in_.eof())
-                throwTruncated("short block header");
+        BlockHdr h;
+        switch (peekHeader(in_, hdr, h)) {
+          case Peek::Records:
+            break;
+          case Peek::Short:
+            throwTruncated("short block header");
+          case Peek::ReadError:
             throw SimError(ErrorKind::IoError,
                            "read error in trace file '" + path_ + "'");
-        }
-        BlockHdr h = unpackHdr(hdr);
-        if (h.kind == kBlockEnd)
+          case Peek::End:
             throwTruncated("skip past end of trace");
-        if (h.kind != kBlockRecords)
+          case Peek::BadKind:
             throwMalformed("unknown block kind " +
                            std::to_string(h.kind));
-        if (h.payloadBytes > kMaxBlockPayload)
+          case Peek::Oversized:
             throwMalformed("block payload claims " +
                            std::to_string(h.payloadBytes) + " bytes");
-        if (h.recordCount == 0)
+          case Peek::Empty:
             throwMalformed("empty records block");
+        }
         if (h.recordCount <= n) {
             in_.seekg(static_cast<std::streamoff>(h.payloadBytes) + 4,
                       std::ios::cur);

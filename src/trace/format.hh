@@ -180,6 +180,33 @@ class TraceReader
      */
     void seekRecord(std::uint64_t pos);
 
+    /** A records block found by walkBlock(). */
+    struct BlockSpan {
+        std::uint64_t offset = 0;      ///< File offset of its header.
+        std::uint64_t firstRecord = 0; ///< Index of its first record.
+        std::uint32_t records = 0;     ///< Record count in its header.
+    };
+
+    /**
+     * Step over the next block by its header alone (the header peek
+     * skipRecords uses; the payload is neither read nor CRC-checked)
+     * and describe it in `span`. Returns false at anything the header
+     * cannot vouch for: EOF or a read error inside it, a block that
+     * runs past the end of the file, an unknown kind, an oversized or
+     * empty block, or the end block. `span` then marks that point with
+     * no records, and the walk is over. A reader started there with
+     * seekBlock() reads on with the ordinary checks, so it reports
+     * what a sequential read would.
+     */
+    bool walkBlock(BlockSpan &span);
+
+    /**
+     * Continue from a block boundary that walkBlock() found, on this or
+     * another reader of the same file: the next record handed out is
+     * record `span.firstRecord`.
+     */
+    void seekBlock(const BlockSpan &span);
+
     /**
      * Fault injection (the trace tests): report SimError{TraceIo}
      * truncation once `records` records have been produced (0
@@ -224,6 +251,7 @@ class TraceReader
     Addr prevAddr_ = 0;           ///< Delta base: last decoded address.
     std::uint64_t position_ = 0;
     bool atEnd_ = false;
+    std::uint64_t fileBytes_ = 0; ///< Read by the first walkBlock().
 
     TraceMeta meta_;
     bool metaValid_ = false;

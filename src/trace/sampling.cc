@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <condition_variable>
+#include <deque>
+#include <functional>
 #include <limits>
 #include <memory>
+#include <mutex>
 
 #include "common/random.hh"
 #include "obs/trace_event.hh"
@@ -29,11 +33,266 @@ dist2(const std::vector<double> &a, const std::vector<double> &b)
     return d;
 }
 
-/** Per-core streaming profile cursor. */
-struct CoreScan {
-    explicit CoreScan(const std::string &path) : rd(path) {}
+/**
+ * Profile-pass decode jobs cover kJobBlocks whole blocks of one core's
+ * trace. At most kWindowChunks jobs, over all cores together, are
+ * queued, decoding or decoded ahead of the fold.
+ */
+constexpr std::uint32_t kJobBlocks = 2;
+constexpr int kWindowChunks = 8;
 
-    TraceReader rd;
+/**
+ * Signature bucket of a record address: a hash of its 8 KB row, the
+ * ChargeCache locality unit. This runs once per record over the whole
+ * trace; a hardware divide there costs more than the rest of the
+ * decode, so the power-of-two default takes a mask instead (same value
+ * as % n).
+ */
+struct Buckets {
+    explicit Buckets(int buckets)
+        : n(static_cast<std::uint64_t>(buckets)), mask(n - 1),
+          pow2((n & mask) == 0)
+    {
+    }
+
+    std::uint32_t
+    of(Addr addr) const
+    {
+        const std::uint64_t h = mix64(addr >> 13);
+        return static_cast<std::uint32_t>(pow2 ? (h & mask) : (h % n));
+    }
+
+    std::uint64_t n, mask;
+    bool pow2;
+};
+
+/** A decoded record, as the fold needs it. */
+struct ProfRec {
+    std::uint32_t insts;  ///< nonMemInsts + 1.
+    std::uint32_t bucket; ///< Signature bucket; kWriteBit marks a write.
+};
+constexpr std::uint32_t kWriteBit = 1u << 31; ///< Buckets are ints.
+
+/** Totals of one decoded block, so that it can fold in one step. */
+struct BlockSum {
+    std::uint32_t first = 0; ///< Index of its first record in recs.
+    std::uint32_t records = 0;
+    std::uint64_t insts = 0;
+    std::uint64_t lastStart = 0; ///< Instructions before its last record.
+    std::uint64_t writes = 0;
+};
+
+/**
+ * One decode job: walked blocks in, decoded records out. The buffers
+ * keep their capacity from job to job.
+ */
+struct Chunk {
+    std::vector<TraceReader::BlockSpan> spans;
+    TraceReader::BlockSpan start; ///< Where the job's reader starts.
+    bool toEnd = false; ///< Read on to the end of the trace after spans.
+
+    std::vector<ProfRec> recs;
+    std::vector<BlockSum> blocks;
+    std::vector<std::uint32_t> hist; ///< Per block, Buckets::n wide.
+    std::exception_ptr error; ///< What stopped the job after recs.
+    bool end = false;         ///< The trace ended cleanly after recs.
+    bool ready = false; ///< Decoded, not yet taken; under the window mutex.
+};
+
+/**
+ * Decode `ch` from its own reader of `path`: the walked blocks with
+ * per-block totals, then, for the job that covers the point where the
+ * walk stopped, the rest of the trace. Whatever stops it is kept in
+ * ch.error, after the records decoded before it.
+ */
+void
+decodeChunk(const std::string &path, const Buckets &bk, Chunk &ch)
+{
+    ch.recs.clear();
+    ch.blocks.clear();
+    ch.hist.assign(ch.spans.size() * bk.n, 0);
+    ch.error = nullptr;
+    ch.end = false;
+    try {
+        TraceReader rd(path);
+        rd.seekBlock(ch.start);
+        cpu::TraceRecord rec;
+        auto changed = [&] {
+            return SimError(ErrorKind::IoError,
+                            "trace file '" + path +
+                                "' changed while it was profiled");
+        };
+        for (const TraceReader::BlockSpan &span : ch.spans) {
+            BlockSum &b = ch.blocks.emplace_back();
+            b.first = static_cast<std::uint32_t>(ch.recs.size());
+            std::uint32_t *hist =
+                ch.hist.data() + (ch.blocks.size() - 1) * bk.n;
+            for (std::uint32_t i = 0; i < span.records; ++i) {
+                if (!rd.next(rec))
+                    throw changed();
+                const std::uint32_t insts = rec.nonMemInsts + 1;
+                const std::uint32_t bucket = bk.of(rec.addr);
+                ++hist[bucket];
+                b.lastStart = b.insts;
+                b.insts += insts;
+                ++b.records;
+                b.writes += rec.isWrite ? 1 : 0;
+                ch.recs.push_back(
+                    {insts, bucket | (rec.isWrite ? kWriteBit : 0)});
+            }
+        }
+        // The walk stopped at the end block or at something a reader
+        // rejects, so no record can follow.
+        if (ch.toEnd) {
+            if (rd.next(rec))
+                throw changed();
+            ch.end = true;
+        }
+    } catch (...) {
+        ch.error = std::current_exception();
+    }
+}
+
+/**
+ * The decode side of the profile pass. A walker per core steps over
+ * block headers (TraceReader::walkBlock) only as far as the window
+ * reaches, and each kJobBlocks walked blocks become a decode job on a
+ * sim::ParallelRunner; the job covering the point where a walk stopped
+ * reads on to the end with the ordinary checks. Speculative jobs go to
+ * the core whose next chunk `rank` puts first and leave one window
+ * slot free, so the core the fold waits on can always get a job.
+ * Besides the window, the fold holds the chunk it is reading for each
+ * core.
+ */
+class DecodeWindow
+{
+  public:
+    /** Fold order of core c's chunk that starts at record `rec`. */
+    using Rank = std::function<std::uint64_t(int c, std::uint64_t rec)>;
+
+    DecodeWindow(const std::vector<std::string> &paths, Buckets bk,
+                 Rank rank)
+        : paths_(paths), bk_(bk), rank_(std::move(rank)),
+          lanes_(openLanes(paths)),
+          pool_(std::min(sim::ParallelRunner::defaultThreads(),
+                         kWindowChunks))
+    {
+    }
+
+    DecodeWindow(const DecodeWindow &) = delete; // Jobs hold `this`.
+    DecodeWindow &operator=(const DecodeWindow &) = delete;
+
+    /** Core c's next chunk in stream order, once it is decoded. */
+    const Chunk &
+    take(int c)
+    {
+        Lane &lane = *lanes_[c];
+        if (lane.queued.empty())
+            launch(c); // Into the slot speculative jobs leave free.
+        lane.held = lane.queued.front();
+        lane.queued.pop_front();
+        --inWindow_;
+        topUp();
+        std::unique_lock<std::mutex> lock(mutex_);
+        decoded_.wait(lock, [&lane] { return lane.held->ready; });
+        lane.held->ready = false; // Until its next job has run.
+        return *lane.held;
+    }
+
+    /** Hand back the chunk take(c) returned, for reuse. */
+    void
+    release(int c)
+    {
+        free_.push_back(lanes_[c]->held);
+        lanes_[c]->held = nullptr;
+    }
+
+  private:
+    struct Lane {
+        explicit Lane(const std::string &path) : walker(path) {}
+        TraceReader walker;
+        std::deque<Chunk *> queued; ///< Launched, not yet taken.
+        Chunk *held = nullptr;      ///< Taken by the fold.
+        bool walked = false;        ///< The walk stopped; no more jobs.
+    };
+
+    /** One walker per core, opened in core order like a plain read. */
+    static std::vector<std::unique_ptr<Lane>>
+    openLanes(const std::vector<std::string> &paths)
+    {
+        std::vector<std::unique_ptr<Lane>> lanes;
+        for (const std::string &p : paths)
+            lanes.push_back(std::make_unique<Lane>(p));
+        return lanes;
+    }
+
+    void
+    launch(int c)
+    {
+        Lane &lane = *lanes_[c];
+        CCSIM_ASSERT(!lane.walked, "decode job past the end of a trace");
+        if (free_.empty()) {
+            chunks_.push_back(std::make_unique<Chunk>());
+            free_.push_back(chunks_.back().get());
+        }
+        Chunk *ch = free_.back();
+        free_.pop_back();
+        ch->spans.clear();
+        TraceReader::BlockSpan span;
+        while (ch->spans.size() < kJobBlocks && lane.walker.walkBlock(span))
+            ch->spans.push_back(span);
+        ch->toEnd = lane.walked = ch->spans.size() < kJobBlocks;
+        ch->start = ch->spans.empty() ? span : ch->spans.front();
+        lane.queued.push_back(ch);
+        ++inWindow_;
+        pool_.enqueue([this, ch, &path = paths_[c]] {
+            decodeChunk(path, bk_, *ch);
+            {
+                std::lock_guard<std::mutex> lock(mutex_);
+                ch->ready = true;
+            }
+            decoded_.notify_one();
+        });
+    }
+
+    void
+    topUp()
+    {
+        while (inWindow_ < kWindowChunks - 1) {
+            int best = -1;
+            std::uint64_t bestRank = 0;
+            for (int c = 0; c < static_cast<int>(lanes_.size()); ++c) {
+                if (lanes_[c]->walked)
+                    continue;
+                const std::uint64_t r =
+                    rank_(c, lanes_[c]->walker.position());
+                if (best < 0 || r < bestRank) {
+                    best = c;
+                    bestRank = r;
+                }
+            }
+            if (best < 0)
+                return;
+            launch(best);
+        }
+    }
+
+    const std::vector<std::string> &paths_;
+    const Buckets bk_;
+    const Rank rank_;
+    std::vector<std::unique_ptr<Lane>> lanes_;
+    std::vector<std::unique_ptr<Chunk>> chunks_;
+    std::vector<Chunk *> free_;
+    int inWindow_ = 0; ///< Launched chunks not yet taken.
+    std::mutex mutex_;
+    std::condition_variable decoded_;
+    /** Last member: its destructor finishes the queued jobs, which
+        write the chunks above, before they go. */
+    sim::ParallelRunner pool_;
+};
+
+/** Per-core fold state of the profile pass. */
+struct CoreScan {
     std::uint64_t cum = 0;    ///< Instructions consumed.
     std::uint64_t recIdx = 0; ///< Records consumed.
     // Warm lead-in start for the NEXT interval: the first record at or
@@ -41,6 +300,8 @@ struct CoreScan {
     std::uint64_t pendWarmRec = 0, pendWarmInst = 0;
     bool pendValid = false;
     bool eof = false;
+    const Chunk *chunk = nullptr; ///< From DecodeWindow::take, if any.
+    std::size_t block = 0, rec = 0; ///< Fold cursor in chunk.
 };
 
 /**
@@ -99,27 +360,30 @@ SampledSimulation::profileTrace(std::vector<std::uint64_t> &per_core_insts)
 {
     std::uint64_t L = sampling_.intervalInsts;
     const std::uint64_t W = sampling_.warmupInsts;
-    const auto B =
-        static_cast<std::uint64_t>(sampling_.signatureBuckets);
-    // The bucket reduction runs once per record over the whole trace;
-    // a hardware divide there costs more than the rest of the loop
-    // body, so the power-of-two default takes a mask instead (same
-    // value as % B).
-    const bool bPow2 = (B & (B - 1)) == 0;
-    const std::uint64_t bMask = B - 1;
+    const Buckets bk(sampling_.signatureBuckets);
+    const std::uint64_t B = bk.n;
     const int n = config_.nCores;
 
-    std::vector<std::unique_ptr<CoreScan>> cores;
-    cores.reserve(n);
-    for (const auto &p : paths_)
-        cores.push_back(std::make_unique<CoreScan>(p));
-
+    std::vector<CoreScan> cores(n);
     std::vector<RawInterval> raws;
     std::uint64_t boundary = 0;
 
+    // Decode jobs go out in the order this fold needs their records:
+    // interval by interval, and core by core within an interval. A
+    // chunk's first instruction is estimated from its core's
+    // instructions per record so far.
+    DecodeWindow window(paths_, bk, [&](int c, std::uint64_t rec) {
+        const CoreScan &cs = cores[c];
+        const std::uint64_t perRec = cs.recIdx ? cs.cum / cs.recIdx : 1;
+        const std::uint64_t at = cs.cum + (rec - cs.recIdx) * perRec;
+        const std::uint64_t ahead =
+            at < boundary ? 0 : 1 + (at - boundary) / L;
+        return ahead * n + c;
+    });
+
     auto all_eof = [&] {
         for (const auto &c : cores)
-            if (!c->eof)
+            if (!c.eof)
                 return false;
         return true;
     };
@@ -131,34 +395,71 @@ SampledSimulation::profileTrace(std::vector<std::uint64_t> &per_core_insts)
         raw.hist.assign(static_cast<std::size_t>(n) * B, 0);
         raw.writes.assign(n, 0);
         for (int c = 0; c < n; ++c) {
-            CoreScan &cs = *cores[c];
+            CoreScan &cs = cores[c];
             IntervalInfo::PerCore &pc = raw.cores[c];
             pc.startRecord = cs.recIdx;
             pc.startInst = cs.cum;
             pc.warmStartRecord = cs.pendValid ? cs.pendWarmRec : cs.recIdx;
             pc.warmStartInst = cs.pendValid ? cs.pendWarmInst : cs.cum;
             cs.pendValid = false;
-            cpu::TraceRecord rec;
+            std::uint64_t *hist = raw.hist.data() +
+                                  static_cast<std::size_t>(c) * B;
             // A core whose previous record overshot past `boundary`
             // contributes zero records here — a compute-only interval.
             while (cs.cum < boundary && !cs.eof) {
-                if (!cs.rd.next(rec)) {
-                    cs.eof = true;
-                    break;
+                if (!cs.chunk) {
+                    cs.chunk = &window.take(c);
+                    cs.block = cs.rec = 0;
                 }
-                if (!cs.pendValid && cs.cum >= boundary - W) {
-                    cs.pendWarmRec = cs.recIdx;
-                    cs.pendWarmInst = cs.cum;
-                    cs.pendValid = true;
+                const Chunk &ch = *cs.chunk;
+                if (cs.rec == ch.recs.size()) {
+                    // A failure surfaces where a sequential read would
+                    // raise it: after the records decoded before it.
+                    if (ch.error)
+                        std::rethrow_exception(ch.error);
+                    if (ch.end) {
+                        cs.eof = true;
+                        break;
+                    }
+                    window.release(c);
+                    cs.chunk = nullptr;
+                    continue;
                 }
-                // 8 KB row granularity: the ChargeCache locality unit.
-                const std::uint64_t h = mix64(rec.addr >> 13);
-                ++raw.hist[static_cast<std::size_t>(c) * B +
-                           (bPow2 ? (h & bMask) : (h % B))];
-                raw.writes[c] += rec.isWrite ? 1 : 0;
-                cs.cum += rec.nonMemInsts + 1;
-                ++cs.recIdx;
-                ++pc.records;
+                // The next cut is the warm lead-in capture while that is
+                // pending, else the boundary. A block whose records all
+                // start before it would be taken whole by the walk
+                // below without a capture, so its totals fold at once.
+                const BlockSum &b = ch.blocks[cs.block];
+                const std::uint64_t cut =
+                    cs.pendValid ? boundary : boundary - W;
+                if (cs.rec == b.first && cs.cum + b.lastStart < cut) {
+                    const std::uint32_t *bh = ch.hist.data() + cs.block * B;
+                    for (std::uint64_t k = 0; k < B; ++k)
+                        hist[k] += bh[k];
+                    raw.writes[c] += b.writes;
+                    cs.cum += b.insts;
+                    cs.recIdx += b.records;
+                    pc.records += b.records;
+                    cs.rec += b.records;
+                    ++cs.block;
+                    continue;
+                }
+                const std::size_t stop = b.first + b.records;
+                while (cs.rec < stop && cs.cum < boundary) {
+                    const ProfRec r = ch.recs[cs.rec++];
+                    if (!cs.pendValid && cs.cum >= boundary - W) {
+                        cs.pendWarmRec = cs.recIdx;
+                        cs.pendWarmInst = cs.cum;
+                        cs.pendValid = true;
+                    }
+                    ++hist[r.bucket & ~kWriteBit];
+                    raw.writes[c] += (r.bucket & kWriteBit) ? 1 : 0;
+                    cs.cum += r.insts;
+                    ++cs.recIdx;
+                    ++pc.records;
+                }
+                if (cs.rec == stop)
+                    ++cs.block;
             }
             pc.insts = cs.cum - pc.startInst;
         }
@@ -199,8 +500,8 @@ SampledSimulation::profileTrace(std::vector<std::uint64_t> &per_core_insts)
 
     per_core_insts.assign(n, 0);
     for (int c = 0; c < n; ++c) {
-        per_core_insts[c] = cores[c]->cum;
-        if (cores[c]->cum == 0)
+        per_core_insts[c] = cores[c].cum;
+        if (cores[c].cum == 0)
             throw SimError(ErrorKind::MalformedTrace,
                            "trace '" + paths_[c] +
                                "' holds no instructions");

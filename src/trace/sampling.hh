@@ -14,10 +14,18 @@
  *     normalized row-address histogram plus memory intensity and
  *     write fraction. Clustering that concatenated vector is co-phase
  *     clustering: a representative interval fixes every core's phase
- *     simultaneously. RAM is bounded: when the interval count would
- *     exceed `maxIntervals`, adjacent intervals merge (raw counts add)
- *     and the effective interval length doubles, so arbitrarily long
- *     traces profile in one bounded-RAM pass.
+ *     simultaneously. Decoding runs in parallel: each core's block
+ *     headers are walked (TraceReader::walkBlock) and jobs of two whole
+ *     blocks decode on a sim::ParallelRunner of min(defaultThreads(),
+ *     8) workers, while the calling thread folds the records into
+ *     intervals in stream order. A block with no interval cut or warm
+ *     lead-in capture inside it folds in one step from its totals. So
+ *     every field, and the first error in fold order, is the same as a
+ *     sequential read's at any thread count. RAM is bounded: at most 8
+ *     decode jobs over all cores run ahead of the fold, and when the
+ *     interval count would exceed `maxIntervals`, adjacent intervals
+ *     merge (raw counts add) and the effective interval length
+ *     doubles, so arbitrarily long traces profile in bounded RAM.
  *  2. Cluster: deterministic k-means++ (common/random.hh Rng) groups
  *     intervals by signature distance. Zero-record intervals (a long
  *     compute-only gap spanning a whole interval) are excluded from

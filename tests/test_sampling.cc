@@ -4,11 +4,13 @@
  * interval accounting, clustering determinism (across runs AND across
  * the three kernels — functional warming must be a pure function of
  * the record streams), config validation, warm-state injection
- * surfaces, the slice pool (same results at one worker and four,
- * errors surfaced, telemetry files kept serial), multi-core co-phase
- * sampling, and sampled-vs-full accuracy on phase-rich analytics
- * traces. The tight 3% acceptance gate at
- * >= 100M instructions lives in bench/abl_sampling.cpp
+ * surfaces, the profile pass's decode pool (same intervals at one
+ * worker and four, the same errors as a sequential read), the slice
+ * pool (same results at one worker and four, errors surfaced,
+ * telemetry files kept serial), multi-core co-phase sampling, and
+ * sampled-vs-full accuracy on phase-rich analytics traces. The tight
+ * 3% acceptance gate at >= 100M instructions lives in
+ * bench/abl_sampling.cpp
  * (CCSIM_SAMPLING_GATE); this suite pins the mechanisms at test scale
  * with loose tolerances.
  */
@@ -18,18 +20,23 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "chargecache/providers.hh"
+#include "common/random.hh"
 #include "dram/addr.hh"
 #include "helpers.hh"
 #include "mem/llc.hh"
 #include "resilience/error.hh"
 #include "resilience/fault.hh"
+#include "resilience/io.hh"
+#include "resilience/serial.hh"
 #include "sim/config.hh"
 #include "sim/system.hh"
 #include "trace/convert.hh"
@@ -75,7 +82,8 @@ sampleConfig()
  */
 std::string
 writeAnalyticsTrace(std::uint64_t records, std::uint64_t seed = 42,
-                    Addr base = 0, const std::string &tag = "an")
+                    Addr base = 0, const std::string &tag = "an",
+                    std::uint32_t records_per_block = 16384)
 {
     trace::AnalyticsScanConfig an;
     an.tableLines = 1 << 17;
@@ -85,7 +93,7 @@ writeAnalyticsTrace(std::uint64_t records, std::uint64_t seed = 42,
     an.scanLinesPerPhase = 1 << 14;
     const std::string path = tmpPath(tag);
     trace::AnalyticsScanTrace gen(an, seed, base, 1 << 22);
-    trace::writeTrace(gen, path, records);
+    trace::writeTrace(gen, path, records, records_per_block);
     return path;
 }
 
@@ -301,11 +309,31 @@ TEST(Sampling, DeterministicAcrossKernelsAndRuns)
     std::remove(path.c_str());
 }
 
-/** Every field of two sampled results, slice by slice. */
+/** Every field of two sampled results: interval by interval, then
+    slice by slice. */
 void
 expectIdenticalSampled(const trace::SampledResult &a,
                        const trace::SampledResult &b)
 {
+    ASSERT_EQ(a.intervals.size(), b.intervals.size());
+    for (std::size_t i = 0; i < a.intervals.size(); ++i) {
+        SCOPED_TRACE("interval " + std::to_string(i));
+        const trace::IntervalInfo &ia = a.intervals[i], &ib = b.intervals[i];
+        ASSERT_EQ(ia.cores.size(), ib.cores.size());
+        for (std::size_t c = 0; c < ia.cores.size(); ++c) {
+            const auto &ca = ia.cores[c], &cb = ib.cores[c];
+            EXPECT_EQ(ca.startRecord, cb.startRecord) << "core " << c;
+            EXPECT_EQ(ca.startInst, cb.startInst) << "core " << c;
+            EXPECT_EQ(ca.warmStartRecord, cb.warmStartRecord) << "core " << c;
+            EXPECT_EQ(ca.warmStartInst, cb.warmStartInst) << "core " << c;
+            EXPECT_EQ(ca.insts, cb.insts) << "core " << c;
+            EXPECT_EQ(ca.records, cb.records) << "core " << c;
+        }
+        EXPECT_EQ(ia.insts, ib.insts);
+        EXPECT_EQ(ia.records, ib.records);
+        EXPECT_EQ(ia.signature, ib.signature);
+        EXPECT_EQ(ia.cluster, ib.cluster);
+    }
     ASSERT_EQ(a.slices.size(), b.slices.size());
     for (std::size_t i = 0; i < a.slices.size(); ++i) {
         const trace::SampledSlice &sa = a.slices[i], &sb = b.slices[i];
@@ -334,11 +362,18 @@ runWithThreads(const char *threads, const SimConfig &cfg,
 
 TEST(Sampling, SlicePoolMatchesOneWorkerRun)
 {
-    // Slices run on a pool and fold back in cluster order, so one
-    // worker and four give the same result, field for field.
+    // The profile pass decodes on a pool and folds in stream order, and
+    // slices run on a pool and fold back in cluster order, so one
+    // worker and four give the same result, field for field. The
+    // 64-record-block leg gives the profile window thousands of jobs,
+    // so its buffers are reused many times over.
     const std::string p0 = writeAnalyticsTrace(160000, 42, 0, "pool0");
     const std::string p1 =
         writeAnalyticsTrace(160000, 91, 1 << 21, "pool1");
+    const std::string s0 =
+        writeAnalyticsTrace(160000, 42, 0, "small0", 64);
+    const std::string s1 =
+        writeAnalyticsTrace(160000, 91, 1 << 21, "small1", 64);
     trace::SamplingConfig sc;
     sc.intervalInsts = 40000;
     sc.warmupInsts = 8000;
@@ -348,10 +383,12 @@ TEST(Sampling, SlicePoolMatchesOneWorkerRun)
     SimConfig single = sampleConfig();
     SimConfig multi = sampleConfig();
     multi.nCores = 2;
-    const std::vector<std::string> one{p0}, two{p0, p1};
+    const std::vector<std::string> one{p0}, two{p0, p1}, small{s0, s1};
     for (const auto &[cfg, paths] :
-         {std::pair{single, one}, std::pair{multi, two}}) {
-        SCOPED_TRACE(std::to_string(cfg.nCores) + " core(s)");
+         {std::pair{single, one}, std::pair{multi, two},
+          std::pair{multi, small}}) {
+        SCOPED_TRACE(std::to_string(cfg.nCores) + " core(s), " +
+                     paths[0]);
         const trace::SampledResult inl =
             runWithThreads("1", cfg, paths, sc);
         const trace::SampledResult pooled =
@@ -360,8 +397,166 @@ TEST(Sampling, SlicePoolMatchesOneWorkerRun)
         EXPECT_GT(inl.functionalInsts, 0u);
         expectIdenticalSampled(inl, pooled);
     }
+    // Block size does not change the stream, so it changes no result.
+    expectIdenticalSampled(runWithThreads("4", multi, two, sc),
+                           runWithThreads("4", multi, small, sc));
+    for (const std::string &p : {p0, p1, s0, s1})
+        std::remove(p.c_str());
+}
+
+/** Kind and message of the SimError `run` throws. */
+std::pair<ErrorKind, std::string>
+errorOf(const std::function<void()> &run)
+{
+    try {
+        run();
+    } catch (const SimError &e) {
+        return {e.kind(), e.what()};
+    }
+    ADD_FAILURE() << "expected a SimError";
+    return {ErrorKind::InvalidConfig, ""};
+}
+
+/** The error a sequential read of `path` to its end raises. */
+std::pair<ErrorKind, std::string>
+drainError(const std::string &path)
+{
+    return errorOf([&] {
+        trace::TraceReader rd(path);
+        cpu::TraceRecord r;
+        while (rd.next(r)) {
+        }
+    });
+}
+
+/** The error a sampled run over `paths` raises at `threads` workers. */
+std::pair<ErrorKind, std::string>
+sampledError(const std::vector<std::string> &paths, const char *threads)
+{
+    SimConfig cfg = sampleConfig();
+    cfg.nCores = static_cast<int>(paths.size());
+    trace::SamplingConfig sc;
+    sc.intervalInsts = 2000;
+    sc.warmupInsts = 400;
+    sc.maxClusters = 2;
+    return errorOf([&] { runWithThreads(threads, cfg, paths, sc); });
+}
+
+/** File offset of block `block`'s payload in CCTR `bytes`. */
+std::size_t
+payloadAt(const std::vector<std::uint8_t> &bytes, int block)
+{
+    std::size_t at = 16; // File header.
+    for (int b = 0; b < block; ++b) {
+        std::uint32_t payload;
+        std::memcpy(&payload, bytes.data() + at + 5, 4);
+        at += 9 + payload + 4; // Header, payload, CRC.
+    }
+    return at + 9;
+}
+
+TEST(Sampling, ProfileErrorsMatchASequentialRead)
+{
+    // The profile pass decodes blocks ahead on a pool, but a damaged
+    // trace must fail it with the kind and message a sequential read
+    // raises at the first bad block, at any worker count. Ten blocks:
+    // the decode window reaches the end of the file before the fold
+    // reaches block 3.
+    const std::string path = writeAnalyticsTrace(640, 42, 0, "dmg", 64);
+    const std::vector<std::uint8_t> good = resilience::readFileBytes(path);
+    auto flipBlock3 = [](std::vector<std::uint8_t> &b) {
+        b[payloadAt(b, 3) + 5] ^= 0x10;
+    };
+    const std::pair<const char *,
+                    std::function<void(std::vector<std::uint8_t> &)>>
+        damages[] = {
+            {"payload bit flip in block 3", flipBlock3},
+            {"cut mid-block",
+             [](auto &b) { b.resize(payloadAt(b, 6) + 7); }},
+            {"end block dropped",
+             [](auto &b) { b.resize(b.size() - 29); }},
+            {"bytes after the end block",
+             [](auto &b) { b.insert(b.end(), {0xab, 0xcd}); }},
+            {"undecodable record under a valid CRC",
+             [](auto &b) {
+                 const std::size_t at = payloadAt(b, 3);
+                 std::uint32_t payload;
+                 std::memcpy(&payload, b.data() + at - 4, 4);
+                 b[at + payload - 1] |= 0x80; // The varint runs on.
+                 const std::uint32_t crc =
+                     resilience::crc32(b.data() + at - 9, 9 + payload);
+                 std::memcpy(b.data() + at + payload, &crc, 4);
+             }},
+            {"bit flip in block 3, then a cut near the end",
+             [&](auto &b) {
+                 flipBlock3(b);
+                 b.resize(b.size() - 40);
+             }},
+        };
+    for (const auto &[name, damage] : damages) {
+        SCOPED_TRACE(name);
+        std::vector<std::uint8_t> bytes = good;
+        damage(bytes);
+        resilience::atomicWriteFile(path, bytes);
+        const auto expected = drainError(path);
+        for (const char *threads : {"1", "4"}) {
+            const auto got = sampledError({path}, threads);
+            EXPECT_EQ(got.first, expected.first) << threads << " workers";
+            EXPECT_EQ(got.second, expected.second) << threads << " workers";
+        }
+    }
+    // A truncated tail never pre-empts the corrupt block before it.
+    EXPECT_EQ(drainError(path).first, ErrorKind::MalformedTrace);
+    std::remove(path.c_str());
+}
+
+TEST(Sampling, ProfileRaisesTheErrorTheLockstepFoldReachesFirst)
+{
+    // Core 0's trace is corrupt late and core 1's early. The lockstep
+    // fold reaches core 1's bad block first, so that is the error, even
+    // though core 0's comes first in core order.
+    const std::string p0 = writeAnalyticsTrace(3000, 42, 0, "late", 64);
+    const std::string p1 =
+        writeAnalyticsTrace(3000, 91, 1 << 21, "early", 64);
+    for (const auto &[path, block] : {std::pair{p0, 40}, std::pair{p1, 3}}) {
+        std::vector<std::uint8_t> bytes = resilience::readFileBytes(path);
+        bytes[payloadAt(bytes, block) + 5] ^= 0x10;
+        resilience::atomicWriteFile(path, bytes);
+    }
+    const auto expected = drainError(p1);
+    for (const char *threads : {"1", "4"}) {
+        const auto got = sampledError({p0, p1}, threads);
+        EXPECT_EQ(got.first, ErrorKind::MalformedTrace) << threads;
+        EXPECT_EQ(got.second, expected.second) << threads;
+    }
     std::remove(p0.c_str());
     std::remove(p1.c_str());
+}
+
+TEST(Sampling, GarbageFuzzCorpusFailsTheProfilePass)
+{
+    // The trace-format fuzz corpus (random bytes behind a valid header)
+    // through a whole sampled run: every sample is rejected with a
+    // structured trace error, never simulated.
+    const std::string path = tmpPath("fuzz");
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        std::vector<std::uint8_t> bytes(16);
+        const std::uint32_t head[3] = {trace::kTraceMagic,
+                                       trace::kTraceVersion, 0};
+        std::memcpy(bytes.data(), head, 12);
+        const std::uint32_t crc = resilience::crc32(bytes.data(), 12);
+        std::memcpy(bytes.data() + 12, &crc, 4);
+        Rng rng(seed);
+        const std::size_t n = 1 + rng.below(400);
+        for (std::size_t i = 0; i < n; ++i)
+            bytes.push_back(static_cast<std::uint8_t>(rng.next64()));
+        resilience::atomicWriteFile(path, bytes);
+        const ErrorKind kind = sampledError({path}, "4").first;
+        EXPECT_TRUE(kind == ErrorKind::MalformedTrace ||
+                    kind == ErrorKind::TraceIo)
+            << "seed " << seed;
+    }
+    std::remove(path.c_str());
 }
 
 TEST(Sampling, SlicePoolSurfacesSliceErrors)
