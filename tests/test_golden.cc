@@ -340,9 +340,10 @@ TEST(GoldenResults, SampledMatchesPinnedDigests)
 
         EXPECT_GE(res.slices.size(), 2u);
         EXPECT_GT(res.functionalInsts, 0u);
-        if (c.sampling.maxIntervals < 16) // The profile must coarsen.
+        if (c.sampling.maxIntervals < 16) { // The profile must coarsen.
             EXPECT_GE(res.intervals.at(0).cores.at(0).insts,
                       2 * c.sampling.intervalInsts);
+        }
         const std::uint64_t digest = test::resultDigest(sampledFields(res));
         char hex[24];
         std::snprintf(hex, sizeof hex, "0x%016" PRIx64 "ull", digest);
