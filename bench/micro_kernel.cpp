@@ -1,21 +1,21 @@
 /**
  * @file
  * Simulation-kernel microbenchmark: a 4-core Figure-7-style scheme
- * sweep (all five schemes over several workload mixes) run four ways —
+ * sweep (all five schemes over several workload mixes) run three ways —
  *
  *   1. seed configuration: per-cycle kernel, serial;
- *   2. event-skipping kernel, serial;
- *   3. calendar-queue kernel, serial (the default kernel);
- *   4. calendar-queue kernel through the ParallelRunner (full win).
+ *   2. calendar-queue kernel, serial (the default kernel);
+ *   3. calendar-queue kernel through the ParallelRunner (full win).
  *
  * Prints simulated CPU cycles per wall-second for each, emits
  * BENCH_kernel.json, and appends one compact record to the perf
  * trajectory (JSON-lines) when CCSIM_BENCH_TRAJECTORY names a file.
  *
- * With CCSIM_KERNEL_GATE=1 the binary exits non-zero when the calendar
- * kernel is slower than event-skip on this 4-core sweep (tolerance via
- * CCSIM_KERNEL_GATE_RATIO, default 1.0) — the CI perf-trajectory job's
- * regression gate.
+ * With CCSIM_KERNEL_GATE=1 the binary exits non-zero when the serial
+ * calendar kernel is less than kMinKernelSpeedup times as fast as the
+ * per-cycle seed loop on this sweep, or simulates fewer than
+ * kMinCalendarCyclesPerSec — the CI perf-trajectory job's regression
+ * gate.
  *
  * Scale via CCSIM_KERNEL_INSTS (default 40000 insts/core) and
  * CCSIM_THREADS.
@@ -51,8 +51,15 @@ struct Timed {
     }
 };
 
-using sim::envF64;
 using sim::envU64;
+
+// Gate floors. Every recorded reading of this sweep sits well above
+// them: the BENCH_kernel.json rows and CI-scale runs on a 4-vCPU host
+// read kernel_speedup 2.06-3.14x and 6.5-12.2M serial-calendar
+// cycles/s. A reading below them is a real regression of the calendar
+// kernel, not host noise.
+constexpr double kMinKernelSpeedup = 1.5;
+constexpr double kMinCalendarCyclesPerSec = 3.0e6;
 
 sim::SimConfig
 pointConfig(const Point &p, sim::KernelMode kernel, std::uint64_t insts)
@@ -116,30 +123,24 @@ serialSweep(const std::vector<Point> &points, sim::KernelMode kernel,
 
 void
 writeRecord(std::FILE *f, std::size_t points, std::uint64_t insts,
-            const Timed &percycle, const Timed &eventskip,
-            const Timed &calendar, const Timed &parallel)
+            const Timed &percycle, const Timed &calendar,
+            const Timed &parallel)
 {
     std::fprintf(
         f,
         "{\"bench\": \"kernel\", \"points\": %zu, "
         "\"insts_per_core\": %llu, \"threads\": %d, "
         "\"serial_percycle\": {\"wall_s\": %.4f, \"cycles_per_s\": %.0f}, "
-        "\"serial_eventskip\": {\"wall_s\": %.4f, \"cycles_per_s\": %.0f}, "
         "\"serial_calendar\": {\"wall_s\": %.4f, \"cycles_per_s\": %.0f}, "
         "\"parallel_calendar\": {\"wall_s\": %.4f, \"cycles_per_s\": %.0f}, "
         "\"sim_cycles\": %llu, "
-        "\"calendar_vs_eventskip\": %.3f, "
         "\"kernel_speedup\": %.3f, \"total_speedup\": %.3f}\n",
         points, (unsigned long long)insts,
         sim::ParallelRunner::defaultThreads(), percycle.wallSeconds,
-        percycle.cyclesPerSecond(), eventskip.wallSeconds,
-        eventskip.cyclesPerSecond(), calendar.wallSeconds,
+        percycle.cyclesPerSecond(), calendar.wallSeconds,
         calendar.cyclesPerSecond(), parallel.wallSeconds,
         parallel.cyclesPerSecond(),
         (unsigned long long)calendar.simCycles,
-        eventskip.cyclesPerSecond() > 0
-            ? calendar.cyclesPerSecond() / eventskip.cyclesPerSecond()
-            : 0.0,
         percycle.wallSeconds > 0 && calendar.wallSeconds > 0
             ? percycle.wallSeconds / calendar.wallSeconds
             : 0.0,
@@ -154,8 +155,8 @@ int
 main()
 {
     bench::printHeader("micro_kernel",
-                       "kernel throughput (calendar + event-skip + "
-                       "parallel vs seed per-cycle serial)");
+                       "kernel throughput (calendar + parallel vs "
+                       "seed per-cycle serial)");
 
     const std::uint64_t insts = envU64("CCSIM_KERNEL_INSTS", 40000);
     const sim::Scheme schemes[] = {
@@ -175,9 +176,6 @@ main()
     Timed serial_percycle =
         serialSweep(points, sim::KernelMode::PerCycle, insts,
                     "serial per-cycle");
-    Timed serial_event =
-        serialSweep(points, sim::KernelMode::EventSkip, insts,
-                    "serial event-skip");
     Timed serial_cal = serialSweep(points, sim::KernelMode::Calendar,
                                    insts, "serial calendar");
 
@@ -193,12 +191,7 @@ main()
         serial_cal.wallSeconds > 0
             ? serial_percycle.wallSeconds / serial_cal.wallSeconds
             : 0.0;
-    double cal_vs_event =
-        serial_event.cyclesPerSecond() > 0
-            ? serial_cal.cyclesPerSecond() / serial_event.cyclesPerSecond()
-            : 0.0;
     std::printf("\ncalendar vs per-cycle:     %.2fx\n", kernel_speedup);
-    std::printf("calendar vs event-skip:    %.2fx\n", cal_vs_event);
     if (sim::ParallelRunner::defaultThreads() <= 1)
         std::printf("note: single hardware thread — the parallel runner "
                     "cannot contribute here; on an N-thread host the "
@@ -208,8 +201,7 @@ main()
 
     // Identical sim_cycles across all modes double as an equivalence
     // check of the kernels on this exact sweep.
-    if (serial_percycle.simCycles != serial_event.simCycles ||
-        serial_event.simCycles != serial_cal.simCycles ||
+    if (serial_percycle.simCycles != serial_cal.simCycles ||
         serial_cal.simCycles != parallel_cal.simCycles) {
         std::fprintf(stderr,
                      "ERROR: kernels disagree on simulated cycles\n");
@@ -217,8 +209,8 @@ main()
     }
 
     const std::string record = bench::captureRecord([&](std::FILE *f) {
-        writeRecord(f, points.size(), insts, serial_percycle, serial_event,
-                    serial_cal, parallel_cal);
+        writeRecord(f, points.size(), insts, serial_percycle, serial_cal,
+                    parallel_cal);
     });
     if (!resilience::tryAtomicWriteFile("BENCH_kernel.json", record)) {
         std::fprintf(stderr, "cannot write BENCH_kernel.json\n");
@@ -235,20 +227,24 @@ main()
         std::printf("appended perf record to %s\n", traj);
     }
 
-    // CI regression gate: the calendar kernel must not be slower than
-    // event-skip on this sweep.
+    // CI regression gate: the calendar kernel must keep a clear lead
+    // over the per-cycle seed loop and an absolute throughput floor.
     if (envU64("CCSIM_KERNEL_GATE", 0)) {
-        double tol = envF64("CCSIM_KERNEL_GATE_RATIO", 1.0);
-        if (cal_vs_event < tol) {
+        const double cal_cps = serial_cal.cyclesPerSecond();
+        if (kernel_speedup < kMinKernelSpeedup ||
+            cal_cps < kMinCalendarCyclesPerSec) {
             std::fprintf(stderr,
-                         "GATE FAILED: calendar kernel is %.3fx of "
-                         "event-skip (< %.3f) on the 4-core sweep\n",
-                         cal_vs_event, tol);
+                         "GATE FAILED: serial calendar is %.3fx the "
+                         "per-cycle loop (floor %.2fx) at %.0f cycles/s "
+                         "(floor %.0f) on the 4-core sweep\n",
+                         kernel_speedup, kMinKernelSpeedup, cal_cps,
+                         kMinCalendarCyclesPerSec);
             return 2;
         }
-        std::printf("gate passed: calendar is %.2fx of event-skip "
-                    "(threshold %.2f)\n",
-                    cal_vs_event, tol);
+        std::printf("gate passed: calendar is %.2fx the per-cycle loop "
+                    "(floor %.2fx) at %.0f cycles/s (floor %.0f)\n",
+                    kernel_speedup, kMinKernelSpeedup, cal_cps,
+                    kMinCalendarCyclesPerSec);
     }
     return 0;
 }

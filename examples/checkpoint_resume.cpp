@@ -13,7 +13,7 @@
  *   CCSIM_RESULT         result JSON path (default RESUME_result.json)
  *   CCSIM_CKPT_INTERVAL  autosave period, CPU cycles (default 200000)
  *   CCSIM_RESUME         1 = restore CCSIM_SNAPSHOT before running
- *   CCSIM_RESUME_KERNEL  percycle | eventskip | calendar (default)
+ *   CCSIM_RESUME_KERNEL  percycle | calendar (default)
  *   CCSIM_INSTS          instructions/core after warm-up (default 60000)
  *   CCSIM_SLOWDOWN_US    optional per-autosave sleep, microseconds —
  *                        stretches wall-clock so a CI kill lands
@@ -53,8 +53,6 @@ parseKernel(const std::string &name)
 {
     if (name == "percycle")
         return sim::KernelMode::PerCycle;
-    if (name == "eventskip")
-        return sim::KernelMode::EventSkip;
     if (name == "calendar")
         return sim::KernelMode::Calendar;
     throw resilience::SimError(resilience::ErrorKind::InvalidConfig,

@@ -239,8 +239,8 @@ Core::tick(CpuCycle now)
 {
     // TLB-shootdown IPI: the pipeline is frozen while the TLB
     // invalidates — no delivery, no retire, no issue. Exactly one
-    // stall statistic per cycle, so the event kernels park through the
-    // window (nextEventAt returns the deadline) and the bulk
+    // stall statistic per cycle, so the calendar kernel parks through
+    // the window (nextEventAt returns the deadline) and the bulk
     // accounting settles identically to these early-out ticks.
     if (shootdownUntil_ != 0) {
         if (now < shootdownUntil_) {

@@ -18,7 +18,7 @@
  * latency; a full miss walks the radix page table, with each PTE
  * fetched as a real read through the LLC — the walk stalls issue until
  * its last PTE returns, via the same hit-queue / miss-callback wake
- * paths data uses, so all three simulation kernels stay bit-identical.
+ * paths data uses, so both simulation kernels stay bit-identical.
  */
 
 #ifndef CCSIM_CPU_CORE_HH
@@ -59,7 +59,7 @@ class Core
     /**
      * Why the most recent tick made no progress. A stalled core ticks
      * to exactly one stall-statistic increment per cycle, which is
-     * what lets the event kernels park it and account the skipped
+     * what lets the calendar kernel park it and account the skipped
      * region in bulk — and what makes a spurious early wake harmless
      * (the extra no-progress tick increments the same statistic the
      * parked accounting would have). See docs/performance.md.

@@ -38,11 +38,7 @@ MemoryController::MemoryController(const dram::DramSpec &spec,
     for (int rank = 0; rank < spec_.org.ranksPerChannel; ++rank)
         for (int bank = 0; bank < spec_.org.banksPerRank; ++bank)
             bankPtr_.push_back(&channel_.rank(rank).bank(bank));
-    CCSIM_ASSERT(config_.useBankLists == config_.useServeHorizon,
-                 "the serve-horizon scheduler is the bank-list scan: "
-                 "both event kernels use it, the per-cycle reference "
-                 "uses neither");
-    if (config_.useBankLists) {
+    if (config_.useServeHorizon) {
         CCSIM_ASSERT(spec_.org.ranksPerChannel <= kMaxScanRanks &&
                          bankPtr_.size() <= 64,
                      "DRAM geometry exceeds the bank-list scan's fixed "
@@ -216,7 +212,7 @@ MemoryController::enqueue(Request req)
             return;
         }
         nextServeTry_ = 0; // New candidate: the scheduler must rescan.
-        if (config_.useBankLists) {
+        if (config_.useServeHorizon) {
             enqueueListed(std::move(req), false);
             return;
         }
@@ -228,7 +224,7 @@ MemoryController::enqueue(Request req)
         ++stats_.writes;
         horizonDirty_ = true;
         nextServeTry_ = 0; // New candidate: the scheduler must rescan.
-        if (config_.useBankLists) {
+        if (config_.useServeHorizon) {
             enqueueListed(std::move(req), true);
             return;
         }
@@ -250,7 +246,7 @@ MemoryController::issue(const dram::Command &cmd,
 {
     nextServeTry_ = 0; // Bank/bus state changed: rescan.
     channel_.issue(cmd, now_, eff);
-    if (config_.useBankLists)
+    if (config_.useServeHorizon)
         noteRowChange(cmd);
     notify(cmd, eff);
 }
@@ -345,7 +341,7 @@ bool
 MemoryController::anotherHitQueued(const dram::DramAddr &addr,
                                    std::uint64_t skip_token) const
 {
-    if (config_.useBankLists) {
+    if (config_.useServeHorizon) {
         // `addr` hits its bank's open row, so the open-row hit count is
         // this row's count. It includes the candidate itself: "another
         // hit" means two queued requests across both queues.
@@ -769,7 +765,7 @@ MemoryController::saveState(resilience::SnapshotWriter &w) const
     // pool stores them unordered, so collect and sort by arrival seq.
     auto put_queue = [&](bool is_write) {
         std::vector<const QueuedReq *> reqs;
-        if (config_.useBankLists) {
+        if (config_.useServeHorizon) {
             std::vector<bool> free_slot(slots_.size(), false);
             for (int s : freeSlots_)
                 free_slot[static_cast<std::size_t>(s)] = true;
@@ -850,7 +846,7 @@ MemoryController::loadState(resilience::SnapshotReader &r,
     writeLines_.clear();
     slots_.clear();
     freeSlots_.clear();
-    if (config_.useBankLists) {
+    if (config_.useServeHorizon) {
         readLists_.reset(bankPtr_.size());
         writeLists_.reset(bankPtr_.size());
     }
@@ -864,7 +860,7 @@ MemoryController::loadState(resilience::SnapshotReader &r,
             bool serviced = r.get<bool>();
             if (is_write)
                 writeLines_.insert(req.lineAddr);
-            if (config_.useBankLists) {
+            if (config_.useServeHorizon) {
                 const std::size_t bi = bankIndexOf(req.addr);
                 enqueueListed(std::move(req), is_write);
                 int s = lists(is_write).tail[bi];

@@ -57,11 +57,15 @@ struct CtrlConfig {
     std::vector<double> rltlWindowsMs = {0.125, 0.25, 0.5, 1.0, 8.0, 32.0};
     double rltlRefreshWindowMs = 8.0;
     /**
-     * Cache a scheduler horizon after fruitless FR-FCFS scans and skip
-     * scans inside it (part of the event-skipping machinery). Disabled
-     * by the PerCycle reference kernel, which scans every tick exactly
-     * like the seed loop — so the kernel-equivalence tests also verify
-     * the horizon against exhaustive scanning.
+     * The Calendar kernel's scheduler: keep queued requests on per-bank
+     * arrival-ordered lists with per-bank open-row hit counts, so an
+     * issuing scan selects the FR-FCFS winner in O(banks touched)
+     * instead of walking the queue in arrival order, and cache a
+     * scheduler horizon after fruitless scans to skip scans inside it.
+     * Disabled by the PerCycle reference kernel, which keeps the seed
+     * loop's exhaustive arrival-order scan every tick — so the
+     * kernel-equivalence tests verify both the list-based selection
+     * and the horizon against it.
      */
     bool useServeHorizon = true;
     /**
@@ -70,16 +74,6 @@ struct CtrlConfig {
      * scan-skipping decision (set by SimConfig::kernelParanoid).
      */
     bool paranoidSchedule = false;
-    /**
-     * Event kernels: keep queued requests on per-bank arrival-ordered
-     * lists with per-bank open-row hit counts, so an issuing scan
-     * selects the FR-FCFS winner in O(banks touched) instead of
-     * walking the queue in arrival order. Must equal useServeHorizon
-     * (asserted in the constructor) — the PerCycle reference keeps its
-     * exhaustive arrival-order scan, so the kernel-equivalence tests
-     * verify the list-based selection against it.
-     */
-    bool useBankLists = true;
 };
 
 /** Aggregate controller statistics. */
@@ -195,33 +189,20 @@ class MemoryController
         return dirty;
     }
 
-    /**
-     * One controller cycle for the event kernel: run tick() if it could
-     * do work this cycle, else elide it as a pure clock advance.
-     */
-    bool
-    tickOrSkip()
-    {
-        if (nextEventAt() <= now_)
-            return tick();
-        ++now_; // Provably idle: equivalent to tick() with no work.
-        return false;
-    }
-
     Cycle now() const { return now_; }
 
-    /** Queued reads (deque or slot-pool storage, per useBankLists). */
+    /** Queued reads (deque or slot-pool storage, per useServeHorizon). */
     std::size_t
     readCount() const
     {
-        return config_.useBankLists ? readLists_.size : readQ_.size();
+        return config_.useServeHorizon ? readLists_.size : readQ_.size();
     }
 
     /** Queued writes. */
     std::size_t
     writeCount() const
     {
-        return config_.useBankLists ? writeLists_.size : writeQ_.size();
+        return config_.useServeHorizon ? writeLists_.size : writeQ_.size();
     }
 
     /** Outstanding queued requests (reads + writes). */
@@ -233,12 +214,12 @@ class MemoryController
     /**
      * Queued requests, reads plus writes, that hit the open row of
      * `addr`'s bank (0 while the bank is idle). Bank-list mode only:
-     * the event kernels keep this count exact incrementally.
+     * the calendar kernel keeps this count exact incrementally.
      */
     int
     openRowHits(const dram::DramAddr &addr) const
     {
-        CCSIM_ASSERT(config_.useBankLists,
+        CCSIM_ASSERT(config_.useServeHorizon,
                      "open-row hit counts are kept in bank-list mode");
         const std::size_t bi = bankIndexOf(addr);
         return readLists_.hits[bi] + writeLists_.hits[bi];
@@ -314,7 +295,7 @@ class MemoryController
     static constexpr int kMaxScanRanks = 8;
 
     /**
-     * Slot-pool request storage (useBankLists): requests live in a
+     * Slot-pool request storage (useServeHorizon): requests live in a
      * free-listed pool, threaded onto their bank's arrival-ordered
      * (seq) list. The FR pass takes each hit-ready bank's oldest
      * open-row hit by walking that list; the FCFS pass takes each
@@ -356,10 +337,10 @@ class MemoryController
         and (for the rest) the earliest cycle that could change. */
     void scanBanks(bool is_write, std::uint64_t &hit_ready,
                    std::uint64_t &drive_ready, Cycle &bound);
-    /** Event-kernel FR-FCFS scan (EventSkip and Calendar): selects the
-        winner directly from the per-bank arrival-ordered lists —
-        O(banks touched), no arrival-order walk. Equivalence-tested
-        against serveQueueReference. */
+    /** Calendar-kernel FR-FCFS scan: selects the winner directly from
+        the per-bank arrival-ordered lists — O(banks touched), no
+        arrival-order walk. Equivalence-tested against
+        serveQueueReference. */
     bool serveQueueBankLists(bool is_write);
     /** The seed's two-pass FR-FCFS scan, preserved verbatim as the
         PerCycle reference — the oracle the kernel-equivalence tests
@@ -369,7 +350,7 @@ class MemoryController
                           std::uint64_t skip_token) const;
     void classify(QueuedReq &qr);
 
-    // ---- slot-pool storage (useBankLists) ---------------------------
+    // ---- slot-pool storage (useServeHorizon) ------------------------
     int allocSlot();
     void enqueueListed(Request req, bool is_write);
     void unlinkSlot(int slot, bool is_write);

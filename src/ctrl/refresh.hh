@@ -45,7 +45,7 @@ class RefreshScheduler : public chargecache::RefreshInfo
 
     /**
      * Earliest cycle at which any rank next owes a REF — the refresh
-     * horizon for the event kernels. Always finite: refresh is the
+     * horizon for the calendar kernel. Always finite: refresh is the
      * periodic heartbeat that bounds every skip. Cached (reposted on
      * every REF issue) so the controller's horizon query is O(1)
      * instead of a per-rank scan.

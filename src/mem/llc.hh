@@ -102,7 +102,7 @@ class Llc
         return mshrs_.empty() && writebackQ_.empty();
     }
 
-    // ---- event-kernel support (EventSkip and Calendar) --------------
+    // ---- calendar-kernel support -------------------------------------
 
     /** True when either drain queue is non-empty (tick() is otherwise a
         no-op, so callers may elide the call entirely). */

@@ -29,8 +29,6 @@ kernelModeName(KernelMode mode)
     switch (mode) {
       case KernelMode::Calendar:
         return "calendar";
-      case KernelMode::EventSkip:
-        return "event-skip";
       case KernelMode::PerCycle:
         return "per-cycle";
     }

@@ -39,11 +39,11 @@ enum class Scheme {
 const char *schemeName(Scheme scheme);
 
 /**
- * Simulation kernel driving System::run(). All kernels produce
+ * Simulation kernel driving System::run(). Both kernels produce
  * bit-identical SystemResult statistics (enforced by
- * tests/test_system.cc); Calendar and EventSkip are strictly
- * wall-clock optimisations. See docs/performance.md for the
- * invariants.
+ * tests/test_system.cc): Calendar is the production kernel and
+ * strictly a wall-clock optimisation, PerCycle the oracle it is
+ * tested against. See docs/performance.md for the invariants.
  */
 enum class KernelMode {
     /**
@@ -55,13 +55,6 @@ enum class KernelMode {
      * with awake-core cycles.
      */
     Calendar,
-    /**
-     * Advance time directly to the next component event horizon
-     * (nextEventAt()), parking stalled cores and idle controllers
-     * instead of ticking them. Kept as a second optimised reference
-     * the calendar kernel is regression-gated against.
-     */
-    EventSkip,
     /** Reference loop: tick every component every cycle (seed loop). */
     PerCycle,
 };
@@ -105,12 +98,13 @@ struct SimConfig {
 
     KernelMode kernel = KernelMode::Calendar;
     /**
-     * Calendar/EventSkip only: execute would-be-skipped ticks anyway
-     * and assert each one is quiescent — a per-cycle-speed equivalence
-     * check of every skip decision (tests/debugging). For Calendar the
-     * kernel additionally shadow-runs the timing wheel and asserts it
-     * would have delivered every self-wake and controller event at
-     * exactly the cycle the per-cycle schedule needs it.
+     * Calendar only: run the per-cycle schedule with the calendar
+     * kernel shadowed — execute every tick it would skip and assert
+     * each one is quiescent, and shadow-run its timing wheel and cached
+     * controller horizons, asserting they would have delivered every
+     * self-wake and controller event at exactly the cycle the
+     * per-cycle schedule needs it. A per-cycle-speed equivalence check
+     * of every skip decision (tests/debugging).
      */
     bool kernelParanoid = false;
 

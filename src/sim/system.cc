@@ -155,7 +155,6 @@ System::build(const std::vector<cpu::TraceSource *> &traces)
 
     ctrl::CtrlConfig ctrl_cfg = config_.ctrl;
     ctrl_cfg.useServeHorizon = config_.kernel != KernelMode::PerCycle;
-    ctrl_cfg.useBankLists = ctrl_cfg.useServeHorizon;
     ctrl_cfg.paranoidSchedule =
         ctrl_cfg.useServeHorizon && config_.kernelParanoid;
     for (int ch = 0; ch < config_.channels; ++ch) {
@@ -179,13 +178,11 @@ System::build(const std::vector<cpu::TraceSource *> &traces)
     llc_ = std::make_unique<mem::Llc>(
         config_.llc, *mapper_, std::move(channels),
         [this](int core, std::uint64_t token) {
-            wakeSignal_ = true;
             calNoteWake(core);
             cores_[core]->onMissComplete(token);
         });
     if (config_.kernel != KernelMode::PerCycle)
         llc_->setWakeCallback([this](int core) {
-            wakeSignal_ = true;
             calNoteWake(core);
             cores_[core]->externalWake();
         });
@@ -294,10 +291,9 @@ System::shootdownBroadcast(int initiator, std::uint32_t asid, Addr vpn,
             continue;
         mmus_[j]->invalidateTranslation(asid, vpn);
         cores_[j]->beginShootdown(until);
-        // Same wake surface an LLC completion uses: the event kernels
-        // re-tick the stalled core this cycle (ids past the initiator)
+        // Same wake surface an LLC completion uses: the calendar kernel
+        // re-ticks the stalled core this cycle (ids past the initiator)
         // or next (ids before it) — exactly the per-cycle schedule.
-        wakeSignal_ = true;
         calNoteWake(static_cast<int>(j));
     }
 }
@@ -431,91 +427,37 @@ System::run()
     StallWatchdog watchdog(*this);
 
     // ------------------------------------------------------------------
-    // Simulation kernel. The PerCycle reference ticks every component
-    // every cycle. EventSkip keeps the exact same per-cycle semantics
-    // (statistics are bit-identical; see docs/performance.md) but
-    //  - parks a core after a no-progress tick until its next
-    //    self-scheduled event (nextEventAt) or an external completion
-    //    (wakePending), settling the elided one-per-cycle stall
-    //    statistics in bulk on wake;
-    //  - replaces provably-idle controller ticks with skipTicks();
-    //  - when every core is parked, advances `now` directly to the
-    //    minimum event horizon over all components.
-    // The Calendar kernel (runCalendar) goes further and derives all of
-    // the above from posted events instead of polling; non-paranoid
-    // Calendar runs never reach this loop.
+    // The PerCycle reference: tick every component every cycle, exactly
+    // like the seed loop. It is the oracle the Calendar kernel must
+    // match bit for bit (docs/performance.md).
     //
-    // kernelParanoid executes every would-be-skipped tick anyway and
-    // asserts it was quiescent, validating each skip decision at
-    // per-cycle speed. For KernelMode::Calendar it additionally
-    // shadow-runs the timing wheel and the cached controller horizons
-    // and asserts they would have delivered every wake-up at exactly
-    // the cycle this per-cycle schedule needs it.
+    // A paranoid Calendar run (kernelParanoid) runs this same schedule
+    // with the calendar kernel shadowed: every tick the kernel would
+    // elide still executes and is asserted quiescent, and the timing
+    // wheel and the cached controller horizons are shadow-run and
+    // asserted to deliver every wake-up at exactly the cycle this
+    // schedule needs it.
     const CpuCycle ratio = static_cast<CpuCycle>(config_.cpuRatio);
-    const bool event = config_.kernel != KernelMode::PerCycle;
-    const bool paranoid = event && config_.kernelParanoid;
-    const bool cal_shadow =
-        paranoid && config_.kernel == KernelMode::Calendar;
+    const bool shadow = config_.kernel == KernelMode::Calendar;
 
     // Calendar shadow state: self-wake events posted at park time, the
-    // per-cycle due set they resolve to, and the cached (repost-driven)
-    // controller horizons the calendar kernel would steer by.
+    // per-cycle due set they resolve to, the cached (repost-driven)
+    // controller horizons the calendar kernel would steer by, and the
+    // cores it would have parked (whose ticks still execute here).
     TimingWheel shadow_wheel;
     std::vector<char> shadow_due(cores_.size(), 0);
     std::vector<int> shadow_due_list;
     std::vector<CpuCycle> shadow_ctrl_next(controllers_.size(), 0);
-
-    // Cycle since which each core's ticks have been elided (kNoCycle =
-    // ticking normally). In paranoid mode the parked state is tracked
-    // but ticks still execute, accruing their own stall statistics.
-    std::vector<CpuCycle> parkedSince(cores_.size(), kNoCycle);
-
-    // Account the stall statistics a parked core's elided ticks would
-    // have accrued over [parkedSince, upto) and re-base its park time.
-    auto settle_parked = [&](CpuCycle upto) {
-        if (paranoid)
-            return;
-        for (size_t i = 0; i < cores_.size(); ++i) {
-            if (parkedSince[i] == kNoCycle)
-                continue;
-            CCSIM_ASSERT(upto >= parkedSince[i],
-                         "core parked in the future");
-            settleCoreStalls(static_cast<int>(i), upto - parkedSince[i],
-                             upto);
-            parkedSince[i] = upto;
-        }
-    };
+    std::vector<char> parked(cores_.size(), 0);
 
     CpuCycle next_progress_check = 65536;
 
-    // Fast-path bookkeeping for EventSkip: the number of un-parked
-    // cores and the earliest self-scheduled wake-up among parked cores
-    // (a parked core's hit queue is frozen, so this is stable between
-    // park/wake transitions). wakeSignal_ is raised by the LLC
-    // callbacks whenever a completion or line-install touches any
-    // core; together these prove the entire core phase is a no-op
-    // without visiting each core every cycle.
-    int awake_cores = static_cast<int>(cores_.size());
-    CpuCycle min_self_wake = kNoCycle;
-    wakeSignal_ = false;
-    auto recompute_self_wake = [&]() {
-        min_self_wake = kNoCycle;
-        for (size_t i = 0; i < cores_.size(); ++i)
-            if (parkedSince[i] != kNoCycle)
-                min_self_wake =
-                    std::min(min_self_wake, cores_[i]->nextEventAt());
-    };
-    // Warm/done conditions depend only on retired counts, which change
-    // only when a core tick makes progress.
-    bool progress_since_check = true;
-
     if (resume_) {
         // Resuming from a snapshot: continue from the saved run point
-        // with every core awake. A restored core that was parked takes
-        // one real (non-progressing) tick at `now` and re-parks — the
-        // same statistics its settled bulk accounting would produce —
-        // so the schedule is bit-identical to the uninterrupted run
-        // (docs/resilience.md).
+        // with every core awake. Snapshots settle parked cores to
+        // `now`, so a core the calendar kernel had parked just takes
+        // its next (non-progressing) tick here, exactly as in the
+        // uninterrupted per-cycle run (docs/resilience.md).
         now = resume_->now;
         warm = resume_->warm;
         warm_end = resume_->warmEnd;
@@ -529,39 +471,31 @@ System::run()
         // taken now already carries this row (and the advanced
         // nextSampleAt), keeping resumed series gap- and
         // duplicate-free.
-        if (obsSampleDue(now)) {
-            settle_parked(now);
+        if (obsSampleDue(now))
             tele_->takeSample(now);
-        }
 #endif
-        if (checkpointDue(now)) {
-            settle_parked(now);
+        if (checkpointDue(now))
             fireCheckpoint(now, warm, warm_end);
-        }
 
-        if (!event || progress_since_check) {
-            progress_since_check = false;
-            if (!warm && all_retired_at_least(config_.warmupInsts)) {
-                warm = true;
-                warm_end = now;
-                settle_parked(now);
-                resetAllStats(now);
+        if (!warm && all_retired_at_least(config_.warmupInsts)) {
+            warm = true;
+            warm_end = now;
+            resetAllStats(now);
 #if CCSIM_OBS
-                if (tele_)
-                    tele_->rebase();
+            if (tele_)
+                tele_->rebase();
 #endif
-            }
-            if (warm) {
-                bool done = true;
-                for (const auto &core : cores_)
-                    if (!core->reachedTarget())
-                        done = false;
-                if (done)
-                    break;
-            }
+        }
+        if (warm) {
+            bool done = true;
+            for (const auto &core : cores_)
+                if (!core->reachedTarget())
+                    done = false;
+            if (done)
+                break;
         }
 
-        if (cal_shadow) {
+        if (shadow) {
             // Resolve the wheel's deliveries for this cycle so the
             // unpark sites below can assert the calendar kernel would
             // have woken each self-scheduled core exactly now.
@@ -576,15 +510,15 @@ System::run()
         }
 
         if (now % ratio == 0) {
-            if (!event) {
+            if (!shadow) {
                 for (auto &mc : controllers_)
                     mc->tick();
-            } else if (paranoid) {
+            } else {
                 for (size_t ch = 0; ch < controllers_.size(); ++ch) {
                     ctrl::MemoryController &mc = *controllers_[ch];
                     // Mirror the calendar kernel's lazy repost: consume
                     // the dirty flag at the boundary before deciding.
-                    if (cal_shadow && mc.consumeHorizonDirty())
+                    if (mc.consumeHorizonDirty())
                         shadow_ctrl_next[ch] =
                             static_cast<CpuCycle>(mc.nextEventAt()) *
                             ratio;
@@ -592,140 +526,59 @@ System::run()
                     bool cached_could = shadow_ctrl_next[ch] <= now;
                     bool active = mc.tick();
                     CCSIM_ASSERT(!active || could,
-                                 "event kernel would have skipped an "
-                                 "active controller tick");
-                    if (cal_shadow) {
-                        CCSIM_ASSERT(
-                            !active || cached_could,
-                            "calendar posted horizon would have "
-                            "skipped an active controller tick");
-                        mc.consumeHorizonDirty();
-                        shadow_ctrl_next[ch] =
-                            static_cast<CpuCycle>(mc.nextEventAt()) *
-                            ratio;
-                    }
+                                 "controller horizon would have skipped "
+                                 "an active controller tick");
+                    CCSIM_ASSERT(!active || cached_could,
+                                 "calendar posted horizon would have "
+                                 "skipped an active controller tick");
+                    mc.consumeHorizonDirty();
+                    shadow_ctrl_next[ch] =
+                        static_cast<CpuCycle>(mc.nextEventAt()) * ratio;
                 }
-            } else {
-                for (auto &mc : controllers_)
-                    mc->tickOrSkip();
             }
             if (llc_->needsAnyDrain())
                 llc_->tick();
         }
 
-        bool any_progress = false;
-        bool skip_core_phase = event && !paranoid && awake_cores == 0 &&
-                               !wakeSignal_ && min_self_wake > now;
-        if (!skip_core_phase) {
-            wakeSignal_ = false;
-            bool transitions = false;
-            for (size_t i = 0; i < cores_.size(); ++i) {
-                cpu::Core &core = *cores_[i];
-                if (event && parkedSince[i] != kNoCycle) {
-                    if (!core.wakePending() && core.nextEventAt() > now) {
-                        // Still parked: the tick would be a pure stall.
-                        if (paranoid) {
-                            bool prog = core.tick(now);
-                            CCSIM_ASSERT(!prog,
-                                         "event kernel would have "
-                                         "skipped a productive core "
-                                         "tick");
-                        }
-                        continue;
-                    }
-                    if (cal_shadow && !core.wakePending()) {
-                        // Purely self-scheduled wake-up: the calendar
-                        // wheel must have delivered this core's event
-                        // at exactly this cycle.
-                        CCSIM_ASSERT(core.nextEventAt() == now,
-                                     "self-wake fired late for core ",
-                                     i);
-                        CCSIM_ASSERT(shadow_due[i],
-                                     "calendar wheel missed the "
-                                     "self-wake of core ",
-                                     i, " at cycle ", now);
-                    }
-                    if (!paranoid)
-                        settleCoreStalls(static_cast<int>(i),
-                                         now - parkedSince[i], now);
-                    parkedSince[i] = kNoCycle;
-                    ++awake_cores;
-                    transitions = true;
+        for (size_t i = 0; i < cores_.size(); ++i) {
+            cpu::Core &core = *cores_[i];
+            if (parked[i]) {
+                if (!core.wakePending() && core.nextEventAt() > now) {
+                    // Still parked: the calendar kernel would elide
+                    // this tick, so it must be a pure stall.
+                    bool prog = core.tick(now);
+                    CCSIM_ASSERT(!prog,
+                                 "calendar kernel would have skipped a "
+                                 "productive core tick");
+                    continue;
                 }
-                if (core.tick(now)) {
-                    any_progress = true;
-                } else if (event) {
-                    parkedSince[i] = now + 1; // Elide from next cycle.
-                    --awake_cores;
-                    transitions = true;
-                    if (cal_shadow) {
-                        CpuCycle e = core.nextEventAt();
-                        if (e != kNoCycle)
-                            shadow_wheel.post(
-                                e, CalendarKernelState::coreEvent(
-                                       static_cast<int>(i)));
-                    }
+                if (!core.wakePending()) {
+                    // Purely self-scheduled wake-up: the calendar
+                    // wheel must have delivered this core's event at
+                    // exactly this cycle.
+                    CCSIM_ASSERT(core.nextEventAt() == now,
+                                 "self-wake fired late for core ", i);
+                    CCSIM_ASSERT(shadow_due[i],
+                                 "calendar wheel missed the self-wake "
+                                 "of core ",
+                                 i, " at cycle ", now);
                 }
+                parked[i] = 0;
             }
-            if (event && transitions)
-                recompute_self_wake();
-            if (any_progress)
-                progress_since_check = true;
-        }
-
-
-        CpuCycle next = now + 1;
-        if (event && !paranoid && !any_progress && !wakeSignal_) {
-            // Every core is parked and nothing external fired this
-            // cycle: jump straight to the earliest future event. The
-            // horizon is always finite -- refresh is periodic.
-            //
-            // The !wakeSignal_ guard covers wakes raised mid-core-phase
-            // by a tick that itself made no progress — a TLB-shootdown
-            // broadcast from an initiator whose follow-on data access
-            // was Blocked is the one such source. Cores with ids below
-            // the initiator were already visited this cycle, so only
-            // the next cycle's phase can unpark them; jumping past it
-            // would mis-settle their stall kinds. (All other wake
-            // sources imply progress somewhere, which suppresses the
-            // jump already; the calendar kernel's pendingWake-empty
-            // check is the same guard.)
-            CpuCycle horizon = min_self_wake;
-            Cycle ctrl_now = controllers_[0]->now();
-            for (const auto &mc : controllers_) {
-                Cycle ev = std::max(mc->nextEventAt(), ctrl_now);
-                horizon = std::min<CpuCycle>(horizon, ev * ratio);
-            }
-            if (llc_->needsTick())
-                horizon = std::min<CpuCycle>(horizon, ctrl_now * ratio);
-            CCSIM_ASSERT(horizon != kNoCycle, "no future event horizon");
-            next = std::max(now + 1, horizon);
-#if CCSIM_OBS
-            // Land exactly on the next sample cycle: stopping a jump
-            // early at an eventless cycle is statistically invisible
-            // (same argument as stale wheel entries), and it makes the
-            // sample grid — hence the whole time series — identical to
-            // the per-cycle reference.
-            if (tele_ && tele_->seriesOn())
-                next = std::max<CpuCycle>(
-                    now + 1, std::min(next, tele_->nextSampleAt()));
-#endif
-            if (next > now + 1) {
-                // Controller ticks inside (now, next) are provably
-                // idle; fast-forward their clocks in one step.
-                Cycle skipped_ticks = (next - 1) / ratio - now / ratio;
-                if (skipped_ticks)
-                    for (auto &mc : controllers_)
-                        mc->skipTicks(skipped_ticks);
+            if (!core.tick(now) && shadow) {
+                parked[i] = 1; // Elided from the next cycle on.
+                CpuCycle e = core.nextEventAt();
+                if (e != kNoCycle)
+                    shadow_wheel.post(e, CalendarKernelState::coreEvent(
+                                             static_cast<int>(i)));
             }
         }
-        now = next;
+        ++now;
 
         while (now >= next_progress_check) {
             watchdog.checkAt(now);
             next_progress_check += 65536;
             if (resilience::stopRequested()) {
-                settle_parked(now);
                 if (ckptHook_)
                     fireCheckpoint(now, warm, warm_end);
                 throw resilience::SimError(
@@ -740,7 +593,6 @@ System::run()
                         "; workload cannot make progress?");
     }
 
-    settle_parked(now);
     return collectResults(now, warm_end);
 }
 
@@ -868,7 +720,7 @@ System::calUnpark(int core, CpuCycle now)
     CCSIM_ASSERT(since != kNoCycle, "unparking an awake core");
     CCSIM_ASSERT(now >= since, "core parked in the future");
     // Settle the stall statistics the elided ticks would have accrued
-    // over [since, now) — identical to the EventSkip bulk accounting.
+    // over [since, now) — one per cycle, as the per-cycle loop ticks.
     settleCoreStalls(core, now - since, now);
     cal.parkedSince[core] = kNoCycle;
     cal.awake.insert(
@@ -901,10 +753,9 @@ System::runCalendar()
 {
     // ------------------------------------------------------------------
     // Calendar-queue event kernel. Semantics are identical to the
-    // PerCycle reference and the EventSkip kernel (bit-identical
-    // SystemResult; enforced by tests/test_system.cc) but every "when
-    // does anything next happen" question is answered by posted events
-    // instead of polling:
+    // PerCycle reference (bit-identical SystemResult; enforced by
+    // tests/test_system.cc) but every "when does anything next happen"
+    // question is answered by posted events instead of polling:
     //  - a parked core with a self-scheduled LLC-hit return posts one
     //    wake event at park time (its hit queue is frozen while
     //    parked, so the event never moves); a purely externally-driven
@@ -1138,7 +989,11 @@ System::runCalendar()
             CCSIM_ASSERT(horizon != kNoCycle, "no future event horizon");
             next = std::max(now + 1, horizon);
 #if CCSIM_OBS
-            // Land exactly on the next sample cycle (see run()).
+            // Land exactly on the next sample cycle: stopping a jump
+            // early at an eventless cycle is statistically invisible
+            // (same argument as stale wheel entries), and it makes the
+            // sample grid — hence the whole time series — identical to
+            // the per-cycle reference.
             if (tele_ && tele_->seriesOn())
                 next = std::max<CpuCycle>(
                     now + 1, std::min(next, tele_->nextSampleAt()));

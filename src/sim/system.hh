@@ -274,13 +274,6 @@ class System
     std::vector<std::unique_ptr<cpu::Core>> cores_;
 
     /**
-     * Raised by the LLC callbacks whenever a completion or line
-     * install touches any core; lets the event kernel skip the whole
-     * core phase of a cycle without polling each core's wake state.
-     */
-    bool wakeSignal_ = false;
-
-    /**
      * Calendar kernel state: allocated for the duration of
      * runCalendar() only. The LLC callbacks (bound once in build())
      * route wakes through it when present.

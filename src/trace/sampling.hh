@@ -56,8 +56,8 @@
  *     and knobs: docs/traces.md.
  *
  * Functional warming is a pure function of the record streams, so the
- * sampled result stays bit-identical across the PerCycle/EventSkip/
- * Calendar kernels and repeat invocations (tests/test_sampling.cc).
+ * sampled result stays bit-identical across the PerCycle and Calendar
+ * kernels and repeat invocations (tests/test_sampling.cc).
  */
 
 #ifndef CCSIM_TRACE_SAMPLING_HH

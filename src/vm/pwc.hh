@@ -14,8 +14,8 @@
  * fetched is filled back in.
  *
  * The PWC is core-local state consulted at deterministic points of the
- * core's issue stream, so it needs no cross-kernel machinery: all
- * three kernels see identical hit/miss sequences by construction.
+ * core's issue stream, so it needs no cross-kernel machinery: both
+ * kernels see identical hit/miss sequences by construction.
  */
 
 #ifndef CCSIM_VM_PWC_HH

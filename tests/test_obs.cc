@@ -6,7 +6,7 @@
  *    latency histograms and the trace-event exporters changes no
  *    SystemResult field, on every kernel;
  *  - time-series determinism: the sampled rows are bit-identical
- *    across {PerCycle, EventSkip, Calendar};
+ *    across {PerCycle, Calendar};
  *  - checkpoint/resume continuity: a run killed at a checkpoint and
  *    resumed in a fresh System (same or different kernel) reproduces
  *    the uninterrupted series with no gap and no duplicate;
@@ -115,8 +115,7 @@ TEST(ObsEquivalence, OnOffBitIdenticalAllKernels)
 {
     for (bool vm : {false, true}) {
         const auto w = obsWorkloads(4);
-        for (KernelMode k : {KernelMode::PerCycle, KernelMode::EventSkip,
-                             KernelMode::Calendar}) {
+        for (KernelMode k : {KernelMode::PerCycle, KernelMode::Calendar}) {
             SimConfig off = obsConfig(false, vm);
             off.kernel = k;
             applyEnvParanoia(off);
@@ -158,15 +157,12 @@ TEST(ObsSeries, IdenticalAcrossKernels)
     for (std::size_t r = 0; r < ref.cycles.size(); ++r)
         EXPECT_EQ(ref.cycles[r] % kSampleInterval, 0u) << "row " << r;
 
-    for (KernelMode k : {KernelMode::EventSkip, KernelMode::Calendar}) {
-        SimConfig cfg = obsConfig(true);
-        cfg.kernel = k;
-        applyEnvParanoia(cfg);
-        System sys(cfg, w);
-        sys.run();
-        SeriesDump got = dumpSeries(sys);
-        expectIdenticalSeries(ref, got, kernelModeName(k));
-    }
+    SimConfig cfg = obsConfig(true);
+    cfg.kernel = KernelMode::Calendar;
+    applyEnvParanoia(cfg);
+    System sys(cfg, w);
+    sys.run();
+    expectIdenticalSeries(ref, dumpSeries(sys), "calendar");
 }
 
 // ---------------------------------------------------------------------

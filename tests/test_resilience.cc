@@ -388,8 +388,7 @@ referenceRun(const SimConfig &cfg)
 TEST(Resilience, CheckpointMatrixAllKernels)
 {
     for (bool vm : {false, true}) {
-        for (KernelMode k : {KernelMode::PerCycle, KernelMode::EventSkip,
-                             KernelMode::Calendar}) {
+        for (KernelMode k : {KernelMode::PerCycle, KernelMode::Calendar}) {
             SimConfig cfg = ckptConfig(k, vm);
             SystemResult ref = referenceRun(cfg);
             // Mid-measurement checkpoint (warm-up ends ~5-6k cycles in).
@@ -412,7 +411,7 @@ TEST(Resilience, CheckpointDuringWarmup)
 TEST(Resilience, CheckpointCrossKernelResume)
 {
     // The config hash deliberately excludes the execution strategy: a
-    // snapshot taken under one kernel resumes under any other.
+    // snapshot taken under one kernel resumes under the other.
     SimConfig cal = ckptConfig(KernelMode::Calendar, true);
     SystemResult ref = referenceRun(cal);
     std::vector<std::uint8_t> snap = captureAt(cal, 20000);
@@ -420,9 +419,6 @@ TEST(Resilience, CheckpointCrossKernelResume)
     expectIdenticalResults(
         ref, resumeRun(ckptConfig(KernelMode::PerCycle, true), snap),
         "calendar snapshot -> percycle");
-    expectIdenticalResults(
-        ref, resumeRun(ckptConfig(KernelMode::EventSkip, true), snap),
-        "calendar snapshot -> eventskip");
 
     // And back: a per-cycle snapshot resumed on the calendar kernel.
     std::vector<std::uint8_t> ref_snap =
@@ -467,11 +463,15 @@ TEST(Resilience, SnapshotRejectsWrongConfigAndCorruption)
     }
 
     // Execution strategy is NOT part of the hash.
-    SimConfig ek = cfg;
-    ek.kernel = KernelMode::EventSkip;
-    ek.kernelParanoid = true;
-    EXPECT_EQ(System(cfg, ckptWorkloads(cfg.nCores)).configHash(),
-              System(ek, ckptWorkloads(ek.nCores)).configHash());
+    const std::uint64_t hash =
+        System(cfg, ckptWorkloads(cfg.nCores)).configHash();
+    SimConfig per_cycle = cfg;
+    per_cycle.kernel = KernelMode::PerCycle;
+    SimConfig paranoid = cfg;
+    paranoid.kernelParanoid = true;
+    for (const SimConfig &c : {per_cycle, paranoid})
+        EXPECT_EQ(hash, System(c, ckptWorkloads(c.nCores)).configHash())
+            << kernelModeName(c.kernel);
 
     // A flipped byte in some section payload fails its CRC.
     std::vector<std::uint8_t> bad = snap;

@@ -2,7 +2,7 @@
  * @file
  * SimPoint-style sampled simulation suite (`trace` ctest label):
  * interval accounting, clustering determinism (across runs AND across
- * the three kernels — functional warming must be a pure function of
+ * both kernels — functional warming must be a pure function of
  * the record streams), config validation, warm-state injection
  * surfaces, the profile pass's decode pool (same intervals at one
  * worker and four, the same errors as a sequential read), the slice
@@ -271,7 +271,7 @@ TEST(Sampling, ZeroRecordIntervalJoinsNearestRealCluster)
 TEST(Sampling, DeterministicAcrossKernelsAndRuns)
 {
     // Functional warming is a pure function of the record streams, so
-    // a sampled run must be bit-identical across the three kernels and
+    // a sampled run must be bit-identical across both kernels and
     // across repeat invocations.
     const std::string path = writeAnalyticsTrace(120000);
     trace::SamplingConfig sc;
@@ -280,8 +280,7 @@ TEST(Sampling, DeterministicAcrossKernelsAndRuns)
     sc.maxClusters = 4;
 
     std::vector<trace::SampledResult> rs;
-    for (KernelMode mode : {KernelMode::Calendar, KernelMode::EventSkip,
-                            KernelMode::PerCycle,
+    for (KernelMode mode : {KernelMode::Calendar, KernelMode::PerCycle,
                             KernelMode::Calendar}) {
         SimConfig cfg = sampleConfig();
         cfg.kernel = mode;

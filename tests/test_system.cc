@@ -308,10 +308,9 @@ TEST(System, TimingModelDurationOverride)
 }
 
 // ---------------------------------------------------------------------
-// Kernel equivalence: the event kernels (calendar queue and
-// event-skip) must be pure wall-clock optimisations — every statistic
-// a figure could consume has to come out bit-identical to the
-// per-cycle reference loop.
+// Kernel equivalence: the calendar-queue kernel must be a pure
+// wall-clock optimisation — every statistic a figure could consume has
+// to come out bit-identical to the per-cycle reference loop.
 
 SimConfig
 tinyTwoCore(Scheme scheme, KernelMode kernel)
@@ -329,20 +328,6 @@ tinyTwoCore(Scheme scheme, KernelMode kernel)
     cfg.finalizeChargeCache();
     applyEnvParanoia(cfg);
     return cfg;
-}
-
-TEST(KernelEquivalence, EventSkipMatchesPerCycleAllSchemes)
-{
-    const std::vector<std::string> workloads = {"tpch6", "mcf"};
-    for (Scheme s : {Scheme::Baseline, Scheme::ChargeCache, Scheme::Nuat,
-                     Scheme::ChargeCacheNuat, Scheme::LlDram}) {
-        System ref(tinyTwoCore(s, KernelMode::PerCycle), workloads);
-        System fast(tinyTwoCore(s, KernelMode::EventSkip), workloads);
-        SystemResult rr = ref.run();
-        SystemResult rf = fast.run();
-        expectIdenticalResults(rr, rf, schemeName(s));
-        expectIdenticalCoreStats(ref, fast, 2, schemeName(s));
-    }
 }
 
 TEST(KernelEquivalence, CalendarMatchesPerCycleAllSchemes)
@@ -366,55 +351,34 @@ TEST(KernelEquivalence, CalendarMatchesPerCycleAllSchemes)
 TEST(KernelEquivalence, OpenRowSingleCoreAllSchemes)
 {
     // The paper's single-core system is open-row: cover the optimized
-    // schedulers' open-row paths (no auto-precharge decisions) too.
-    for (KernelMode k : {KernelMode::EventSkip, KernelMode::Calendar}) {
-        for (Scheme s :
-             {Scheme::Baseline, Scheme::ChargeCache, Scheme::Nuat,
-              Scheme::ChargeCacheNuat, Scheme::LlDram}) {
-            SimConfig ref_cfg = tinySingle(s);
-            ref_cfg.ctrl.trackRltl = true;
-            ref_cfg.cc.trackUnlimited = true;
-            ref_cfg.kernel = KernelMode::PerCycle;
-            SimConfig fast_cfg = ref_cfg;
-            fast_cfg.kernel = k;
-            applyEnvParanoia(fast_cfg);
-            System ref(ref_cfg, {"apache20"});
-            System fast(fast_cfg, {"apache20"});
-            SystemResult rr = ref.run();
-            SystemResult rf = fast.run();
-            std::string label = std::string(kernelModeName(k)) + "/" +
-                                schemeName(s);
-            expectIdenticalResults(rr, rf, label.c_str());
-            expectIdenticalCoreStats(ref, fast, 1, label.c_str());
-        }
-    }
-}
-
-TEST(KernelEquivalence, ParanoidModeValidatesEverySkipDecision)
-{
-    // Paranoid mode executes every would-be-skipped tick and asserts it
-    // is quiescent — any unsound skip decision panics. It must also
-    // reproduce the reference results exactly (it *is* the per-cycle
-    // schedule, with the event kernel shadowing it).
-    const std::vector<std::string> workloads = {"apache20", "STREAMcopy"};
-    for (Scheme s : {Scheme::Baseline, Scheme::ChargeCache}) {
-        System ref(tinyTwoCore(s, KernelMode::PerCycle), workloads);
-        SimConfig cfg = tinyTwoCore(s, KernelMode::EventSkip);
-        cfg.kernelParanoid = true;
-        System paranoid(cfg, workloads);
+    // scheduler's open-row paths (no auto-precharge decisions) too.
+    for (Scheme s : {Scheme::Baseline, Scheme::ChargeCache, Scheme::Nuat,
+                     Scheme::ChargeCacheNuat, Scheme::LlDram}) {
+        SimConfig ref_cfg = tinySingle(s);
+        ref_cfg.ctrl.trackRltl = true;
+        ref_cfg.cc.trackUnlimited = true;
+        ref_cfg.kernel = KernelMode::PerCycle;
+        SimConfig fast_cfg = ref_cfg;
+        fast_cfg.kernel = KernelMode::Calendar;
+        applyEnvParanoia(fast_cfg);
+        System ref(ref_cfg, {"apache20"});
+        System fast(fast_cfg, {"apache20"});
         SystemResult rr = ref.run();
-        SystemResult rp = paranoid.run();
-        expectIdenticalResults(rr, rp, schemeName(s));
+        SystemResult rf = fast.run();
+        expectIdenticalResults(rr, rf, schemeName(s));
+        expectIdenticalCoreStats(ref, fast, 1, schemeName(s));
     }
 }
 
 TEST(KernelEquivalence, CalendarParanoidShadowValidates)
 {
-    // Calendar paranoia shadow-runs the timing wheel and the cached
-    // controller horizons under the per-cycle schedule: a missed or
-    // late wheel delivery, or a cached horizon that would have skipped
-    // an active controller tick, panics. Results must still be
-    // bit-identical to the reference.
+    // Calendar paranoia runs the per-cycle schedule, executes every
+    // tick the calendar kernel would skip and asserts it is quiescent,
+    // and shadow-runs the timing wheel and the cached controller
+    // horizons: an unsound skip, a missed or late wheel delivery, or a
+    // cached horizon that would have skipped an active controller
+    // tick, panics. Results must still be bit-identical to the
+    // reference (it *is* the per-cycle schedule).
     const std::vector<std::string> workloads = {"apache20", "STREAMcopy"};
     for (Scheme s : {Scheme::Baseline, Scheme::ChargeCache}) {
         System ref(tinyTwoCore(s, KernelMode::PerCycle), workloads);
@@ -430,24 +394,22 @@ TEST(KernelEquivalence, CalendarParanoidShadowValidates)
 TEST(KernelEquivalence, EightCoreTwoChannel)
 {
     // Multi-channel: controller clock fast-forwarding must stay in
-    // lockstep across channels — for both event kernels.
-    for (KernelMode k : {KernelMode::EventSkip, KernelMode::Calendar}) {
-        SimConfig ref_cfg = tinyEight(Scheme::ChargeCacheNuat);
-        ref_cfg.kernel = KernelMode::PerCycle;
-        SimConfig fast_cfg = tinyEight(Scheme::ChargeCacheNuat);
-        fast_cfg.kernel = k;
-        applyEnvParanoia(fast_cfg);
-        System ref(ref_cfg, workloads::mixWorkloads(2));
-        System fast(fast_cfg, workloads::mixWorkloads(2));
-        expectIdenticalResults(ref.run(), fast.run(), kernelModeName(k));
-    }
+    // lockstep across channels.
+    SimConfig ref_cfg = tinyEight(Scheme::ChargeCacheNuat);
+    ref_cfg.kernel = KernelMode::PerCycle;
+    SimConfig fast_cfg = tinyEight(Scheme::ChargeCacheNuat);
+    fast_cfg.kernel = KernelMode::Calendar;
+    applyEnvParanoia(fast_cfg);
+    System ref(ref_cfg, workloads::mixWorkloads(2));
+    System fast(fast_cfg, workloads::mixWorkloads(2));
+    expectIdenticalResults(ref.run(), fast.run(), "calendar");
 }
 
 // ---------------------------------------------------------------------
 // Trace-file workloads (ROADMAP open item): finite traces end mid-run
 // and wrap through TraceSource::reset(), so a parked core's wake
 // pattern crosses the wrap point. The calendar park/wake invariants
-// must hold and all kernels must still agree bit for bit.
+// must hold and both kernels must still agree bit for bit.
 
 class FiniteTraceFile : public ::testing::Test
 {
@@ -514,12 +476,9 @@ TEST_F(FiniteTraceFile, AllKernelsAgree)
 {
     SystemResult ref = runWith(config(KernelMode::PerCycle));
     EXPECT_GT(ref.activations, 0u);
-    for (KernelMode k : {KernelMode::EventSkip, KernelMode::Calendar}) {
-        SimConfig cfg = config(k);
-        applyEnvParanoia(cfg);
-        SystemResult r = runWith(cfg);
-        expectIdenticalResults(ref, r, kernelModeName(k));
-    }
+    SimConfig cfg = config(KernelMode::Calendar);
+    applyEnvParanoia(cfg);
+    expectIdenticalResults(ref, runWith(cfg), "calendar");
 }
 
 TEST_F(FiniteTraceFile, CalendarParanoidParkWakeInvariantsHold)

@@ -7,7 +7,7 @@
  *    -> IoError (never a silent empty stream), corruption ->
  *    MalformedTrace, plus a seeded garbage-byte fuzz corpus;
  *  - replay equivalence: traced replay of every synthetic workload is
- *    bit-identical to in-process generation, across all three kernels;
+ *    bit-identical to in-process generation, across both kernels;
  *  - checkpoint/resume through a replayed trace (PR-6 hooks);
  *  - datacenter generators: determinism, checkpointability, Zipfian
  *    skew sanity, and driving a System end to end.
@@ -499,7 +499,7 @@ TEST(TraceReplay, EveryWorkloadBitIdenticalToInProcess)
 TEST(TraceReplay, KernelMatrix)
 {
     // Two cores, four channels: traced replay must agree with the
-    // in-process reference across {PerCycle, EventSkip, Calendar}.
+    // in-process reference across {PerCycle, Calendar}.
     const SimConfig base = replayConfig(2, 4, KernelMode::PerCycle);
     const Addr capacity = capacityLinesOf(base);
     const std::vector<std::string> names = workloads::mixWorkloads(2, 2);
@@ -520,8 +520,7 @@ TEST(TraceReplay, KernelMatrix)
     System ref_sys(base, names);
     const SystemResult ref = ref_sys.run();
 
-    for (KernelMode k : {KernelMode::PerCycle, KernelMode::EventSkip,
-                         KernelMode::Calendar}) {
+    for (KernelMode k : {KernelMode::PerCycle, KernelMode::Calendar}) {
         SimConfig cfg = replayConfig(2, 4, k);
         applyEnvParanoia(cfg);
         expectIdenticalResults(ref, runReplay(cfg), kernelModeName(k));

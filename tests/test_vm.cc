@@ -3,7 +3,7 @@
  * Virtual-memory subsystem tests: TLB replacement, walker level-by-level
  * PTE addresses, allocator determinism, full-system translation flow,
  * and — most load-bearing — kernel equivalence with VM enabled: the
- * PTW-injected DRAM traffic and translation stalls must leave all three
+ * PTW-injected DRAM traffic and translation stalls must leave both
  * simulation kernels bit-identical (CCSIM_PARANOID=1 upgrades the
  * equivalence cases to shadow-validated paranoid configs, exactly like
  * tests/test_system.cc).
@@ -135,10 +135,11 @@ TEST(Tlb, PropertyLookupNeverReturnsAnotherSpacesTranslation)
             tlb.insert(vpn, expect_ppn(vpn, asid), asid);
         } else {
             Addr ppn = 0;
-            if (tlb.lookup(vpn, ppn, asid))
+            if (tlb.lookup(vpn, ppn, asid)) {
                 ASSERT_EQ(ppn, expect_ppn(vpn, asid))
                     << "vpn " << vpn << " asid " << asid << " step "
                     << step;
+            }
         }
         if (step % 1024 == 1023)
             tlb.flushAsid(static_cast<std::uint32_t>(rng.below(4)));
@@ -666,13 +667,6 @@ TEST(Mmu, PtPoolLinesAreDisjointFromDataLines)
 // ---------------------------------------------------------------------
 // Full-system behavior with VM enabled.
 
-bool
-envParanoid()
-{
-    const char *v = std::getenv("CCSIM_PARANOID");
-    return v && *v && *v != '0';
-}
-
 sim::SimConfig
 vmSingle(sim::Scheme scheme, vm::PageAlloc alloc,
          double frag_degree = 0.75)
@@ -782,9 +776,9 @@ TEST(VmSystem, DeterministicAcrossRuns)
 
 // ---------------------------------------------------------------------
 // Kernel equivalence with VM enabled: TLB-miss stalls, PTE fetches and
-// walk wake-ups ride the existing park/wake machinery, so PerCycle,
-// EventSkip and Calendar must still agree bit for bit — including the
-// new VM/PTW statistics. Named KernelEquivalence.* so the
+// walk wake-ups ride the existing park/wake machinery, so PerCycle and
+// Calendar must still agree bit for bit — including the new VM/PTW
+// statistics. Named KernelEquivalence.* so the
 // `kernel_equivalence_suite` ctest (labels kernel;equivalence) and the
 // CI paranoid job pick these up automatically.
 
@@ -807,8 +801,7 @@ vmTwoCore(sim::Scheme scheme, sim::KernelMode kernel, vm::PageAlloc alloc)
     cfg.vm.l2Entries = 64;
     cfg.vm.l2Ways = 4;
     cfg.finalizeChargeCache();
-    if (kernel != sim::KernelMode::PerCycle && envParanoid())
-        cfg.kernelParanoid = true;
+    test::applyEnvParanoia(cfg);
     return cfg;
 }
 
@@ -859,47 +852,39 @@ TEST(KernelEquivalence, VmEnabledAllKernelsAgree)
                         workloads);
         sim::SystemResult rr = ref.run();
         ASSERT_GT(rr.vm.walks, 0u) << vm::pageAllocName(alloc);
-        for (sim::KernelMode k :
-             {sim::KernelMode::EventSkip, sim::KernelMode::Calendar}) {
-            sim::System fast(vmTwoCore(sim::Scheme::ChargeCache, k,
-                                       alloc),
-                             workloads);
-            sim::SystemResult rf = fast.run();
-            std::string label = std::string(vm::pageAllocName(alloc)) +
-                                "/" + sim::kernelModeName(k);
-            expectVmResultsIdentical(rr, rf, label.c_str());
-        }
+        sim::System fast(vmTwoCore(sim::Scheme::ChargeCache,
+                                   sim::KernelMode::Calendar, alloc),
+                         workloads);
+        expectVmResultsIdentical(rr, fast.run(),
+                                 vm::pageAllocName(alloc));
     }
 }
 
 TEST(KernelEquivalence, VmParanoidShadowValidates)
 {
-    // Every skip/park/wake decision the event kernels take across
+    // Every skip/park/wake decision the calendar kernel takes across
     // translation stalls and PTE fetch returns is executed-and-asserted
-    // under the per-cycle schedule (the calendar variant additionally
-    // shadow-runs its wheel and cached horizons).
+    // under the per-cycle schedule, with its wheel and cached horizons
+    // shadow-run.
     const std::vector<std::string> workloads = {"apache20", "mcf"};
     sim::System ref(vmTwoCore(sim::Scheme::ChargeCache,
                               sim::KernelMode::PerCycle,
                               vm::PageAlloc::Fragmented),
                     workloads);
     sim::SystemResult rr = ref.run();
-    for (sim::KernelMode k :
-         {sim::KernelMode::EventSkip, sim::KernelMode::Calendar}) {
-        sim::SimConfig cfg = vmTwoCore(sim::Scheme::ChargeCache, k,
-                                       vm::PageAlloc::Fragmented);
-        cfg.kernelParanoid = true;
-        sim::System paranoid(cfg, workloads);
-        sim::SystemResult rp = paranoid.run();
-        expectVmResultsIdentical(rr, rp, sim::kernelModeName(k));
-    }
+    sim::SimConfig cfg = vmTwoCore(sim::Scheme::ChargeCache,
+                                   sim::KernelMode::Calendar,
+                                   vm::PageAlloc::Fragmented);
+    cfg.kernelParanoid = true;
+    sim::System paranoid(cfg, workloads);
+    expectVmResultsIdentical(rr, paranoid.run(), "paranoid calendar");
 }
 
 // ---------------------------------------------------------------------
 // Multi-process OS pressure at system level: address-space switches,
 // TLB shootdowns, the page-walk cache and allocator aging, live in a
 // full System run — and, most load-bearing, the OS-pressure
-// equivalence matrix holding all three kernels bit-identical through
+// equivalence matrix holding both kernels bit-identical through
 // Shootdown stalls, switch-induced TLB churn and remap storms.
 
 struct OsPressurePoint {
@@ -940,8 +925,7 @@ mpSystemConfig(const OsPressurePoint &p, sim::KernelMode kernel,
         cfg.vm.aging.rampCycles = 30000;
     }
     cfg.finalizeChargeCache();
-    if (kernel != sim::KernelMode::PerCycle)
-        test::applyEnvParanoia(cfg);
+    test::applyEnvParanoia(cfg);
     return cfg;
 }
 
@@ -1022,9 +1006,9 @@ TEST(MpSystem, AllocatorAgingDegradesHcracHitRate)
 TEST(KernelEquivalence, MultiProcessOsPressureMatrixAllKernelsAgree)
 {
     // The OS-pressure matrix: processes × switch quantum × shootdown
-    // cadence × {PWC, flush-on-switch, aging} against all three
-    // kernels. CCSIM_PARANOID upgrades the event kernels to their
-    // shadow-validated modes.
+    // cadence × {PWC, flush-on-switch, aging}, Calendar against the
+    // PerCycle oracle. CCSIM_PARANOID upgrades Calendar to its
+    // shadow-validated mode.
     const std::vector<OsPressurePoint> points = {
         {2, 1200, 0, false, false, false},  // switches only
         {2, 400, 16, false, false, false},  // + frequent shootdowns
@@ -1043,23 +1027,20 @@ TEST(KernelEquivalence, MultiProcessOsPressureMatrixAllKernelsAgree)
                         workloads);
         sim::SystemResult rr = ref.run();
         ASSERT_GT(rr.vm.contextSwitches, 0u);
-        if (p.remapPeriod)
+        if (p.remapPeriod) {
             ASSERT_GT(rr.vm.shootdownsSent, 0u);
-        for (sim::KernelMode k :
-             {sim::KernelMode::EventSkip, sim::KernelMode::Calendar}) {
-            sim::System fast(mpSystemConfig(p, k), workloads);
-            sim::SystemResult rf = fast.run();
-            test::expectIdenticalResults(rr, rf,
-                                         sim::kernelModeName(k));
         }
+        sim::System fast(mpSystemConfig(p, sim::KernelMode::Calendar),
+                         workloads);
+        test::expectIdenticalResults(rr, fast.run(), "calendar");
     }
 }
 
 // ---------------------------------------------------------------------
 // Seeded randomized multi-process stress: random OS-pressure
-// configurations, Calendar and EventSkip against the PerCycle
-// reference. CCSIM_PARANOID upgrades the fast kernels to
-// shadow-validated configs (the CI paranoid job path).
+// configurations, Calendar against the PerCycle reference.
+// CCSIM_PARANOID upgrades the Calendar configs to shadow validation
+// (the CI paranoid job path).
 
 TEST(VmStress, RandomizedMultiProcessEquivalence)
 {
@@ -1098,16 +1079,12 @@ TEST(VmStress, RandomizedMultiProcessEquivalence)
         ref_cfg.warmupInsts = 800;
         sim::System ref(ref_cfg, workloads);
         sim::SystemResult rr = ref.run();
-        for (sim::KernelMode k :
-             {sim::KernelMode::EventSkip, sim::KernelMode::Calendar}) {
-            sim::SimConfig cfg = mpSystemConfig(p, k, cores, channels);
-            cfg.targetInsts = 5000;
-            cfg.warmupInsts = 800;
-            sim::System fast(cfg, workloads);
-            sim::SystemResult rf = fast.run();
-            test::expectIdenticalResults(rr, rf,
-                                         sim::kernelModeName(k));
-        }
+        sim::SimConfig cfg = mpSystemConfig(p, sim::KernelMode::Calendar,
+                                            cores, channels);
+        cfg.targetInsts = 5000;
+        cfg.warmupInsts = 800;
+        sim::System fast(cfg, workloads);
+        test::expectIdenticalResults(rr, fast.run(), "calendar");
         if (::testing::Test::HasFailure()) {
             std::fprintf(stderr,
                          "VmStress failed; reproduce with %s\n",
@@ -1122,7 +1099,7 @@ TEST(VmStress, RandomizedMultiProcessEquivalence)
 // mid-run while context switches retag the TLBs and remap-driven
 // shootdowns stall parked and awake cores alike — StallKind::Shootdown
 // and XlatWait must interact with the park/wake machinery identically
-// in every kernel.
+// in both kernels.
 
 class MpFiniteTrace : public ::testing::Test
 {
@@ -1197,12 +1174,8 @@ TEST_F(MpFiniteTrace, AllKernelsAgreeThroughShootdownsAcrossWraps)
     EXPECT_GT(percycle.vm.shootdownsSent, 0u);
     EXPECT_GT(percycle.shootdownStallCycles, 0u);
     EXPECT_GT(percycle.xlatStallCycles, 0u);
-    for (sim::KernelMode k :
-         {sim::KernelMode::EventSkip, sim::KernelMode::Calendar}) {
-        sim::SystemResult r = runWith(config(k));
-        test::expectIdenticalResults(percycle, r,
-                                     sim::kernelModeName(k));
-    }
+    test::expectIdenticalResults(
+        percycle, runWith(config(sim::KernelMode::Calendar)), "calendar");
 }
 
 TEST_F(MpFiniteTrace, ParanoidShadowValidatesShootdownParkWake)
@@ -1212,13 +1185,9 @@ TEST_F(MpFiniteTrace, ParanoidShadowValidatesShootdownParkWake)
     // calendar shadow checks its wheel delivered each Shootdown-window
     // wake at exactly the right cycle.
     sim::SystemResult ref = runWith(config(sim::KernelMode::PerCycle));
-    for (sim::KernelMode k :
-         {sim::KernelMode::EventSkip, sim::KernelMode::Calendar}) {
-        sim::SimConfig cfg = config(k);
-        cfg.kernelParanoid = true;
-        sim::SystemResult r = runWith(cfg);
-        test::expectIdenticalResults(ref, r, sim::kernelModeName(k));
-    }
+    sim::SimConfig cfg = config(sim::KernelMode::Calendar);
+    cfg.kernelParanoid = true;
+    test::expectIdenticalResults(ref, runWith(cfg), "paranoid calendar");
 }
 
 } // namespace
