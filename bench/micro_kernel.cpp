@@ -82,43 +82,45 @@ runPoint(const Point &p, sim::KernelMode kernel, std::uint64_t insts)
     return system.run();
 }
 
+/**
+ * Time one leg of the sweep: best of CCSIM_KERNEL_REPEAT runs (default
+ * 1). The sweeps are deterministic, so the minimum wall time is the
+ * least-noisy estimate; the CI gate compares kernels on shared runners.
+ */
 template <typename Fn>
 Timed
-timeSweep(const std::vector<Point> &points, Fn &&run_all)
+timeSweep(const std::vector<Point> &points, const char *label,
+          Fn &&run_all)
 {
-    Timed t;
-    auto start = std::chrono::steady_clock::now();
-    std::vector<sim::SystemResult> results = run_all(points);
-    auto end = std::chrono::steady_clock::now();
-    t.wallSeconds = std::chrono::duration<double>(end - start).count();
-    for (const auto &r : results)
-        t.simCycles += r.cpuCycles;
-    return t;
-}
-
-Timed
-serialSweep(const std::vector<Point> &points, sim::KernelMode kernel,
-            std::uint64_t insts, const char *label)
-{
-    // Best of CCSIM_KERNEL_REPEAT runs (default 1): the sweeps are
-    // deterministic, so the minimum wall time is the least-noisy
-    // estimate — the CI gate compares kernels on shared runners.
     const std::uint64_t repeat =
         std::max<std::uint64_t>(1, envU64("CCSIM_KERNEL_REPEAT", 1));
     Timed best;
     for (std::uint64_t r = 0; r < repeat; ++r) {
-        Timed t = timeSweep(points, [&](const auto &ps) {
-            std::vector<sim::SystemResult> out;
-            for (const Point &p : ps)
-                out.push_back(runPoint(p, kernel, insts));
-            return out;
-        });
+        Timed t;
+        auto start = std::chrono::steady_clock::now();
+        std::vector<sim::SystemResult> results = run_all(points);
+        auto end = std::chrono::steady_clock::now();
+        t.wallSeconds = std::chrono::duration<double>(end - start).count();
+        for (const auto &res : results)
+            t.simCycles += res.cpuCycles;
         if (r == 0 || t.wallSeconds < best.wallSeconds)
             best = t;
     }
     std::printf("%-24s %8.2fs  %12.0f cycles/s\n", label,
                 best.wallSeconds, best.cyclesPerSecond());
     return best;
+}
+
+Timed
+serialSweep(const std::vector<Point> &points, sim::KernelMode kernel,
+            std::uint64_t insts, const char *label)
+{
+    return timeSweep(points, label, [&](const auto &ps) {
+        std::vector<sim::SystemResult> out;
+        for (const Point &p : ps)
+            out.push_back(runPoint(p, kernel, insts));
+        return out;
+    });
 }
 
 void
@@ -179,13 +181,12 @@ main()
     Timed serial_cal = serialSweep(points, sim::KernelMode::Calendar,
                                    insts, "serial calendar");
 
-    Timed parallel_cal = timeSweep(points, [&](const auto &ps) {
-        return sim::runSweep(ps.size(), [&](std::size_t i) {
-            return runPoint(ps[i], sim::KernelMode::Calendar, insts);
+    Timed parallel_cal =
+        timeSweep(points, "parallel calendar", [&](const auto &ps) {
+            return sim::runSweep(ps.size(), [&](std::size_t i) {
+                return runPoint(ps[i], sim::KernelMode::Calendar, insts);
+            });
         });
-    });
-    std::printf("%-24s %8.2fs  %12.0f cycles/s\n", "parallel calendar",
-                parallel_cal.wallSeconds, parallel_cal.cyclesPerSecond());
 
     double kernel_speedup =
         serial_cal.wallSeconds > 0

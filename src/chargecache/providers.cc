@@ -175,51 +175,6 @@ CombinedProvider::onPrecharge(int owner_core, const dram::DramAddr &addr,
     nuat_->onPrecharge(owner_core, addr, row, now);
 }
 
-MultiDurationProvider::MultiDurationProvider(
-    const dram::DramTiming &timing, const Hcrac::Params &table_params,
-    const std::vector<DurationLevel> &levels)
-    : timing_(timing), levels_(levels)
-{
-    CCSIM_ASSERT(!levels_.empty(), "need at least one duration level");
-    for (size_t i = 1; i < levels_.size(); ++i)
-        CCSIM_ASSERT(levels_[i].durationCycles > levels_[i - 1].durationCycles,
-                     "duration levels must increase");
-    for (size_t i = 0; i < levels_.size(); ++i) {
-        Hcrac::Params tp = table_params;
-        tp.seed = table_params.seed + i * 104729;
-        tables_.push_back(std::make_unique<Hcrac>(tp));
-        invalidators_.emplace_back(levels_[i].durationCycles, tp.entries);
-    }
-}
-
-dram::EffActTiming
-MultiDurationProvider::onActivate(int, const dram::DramAddr &addr, Cycle now)
-{
-    ++activations;
-    std::uint64_t key = rowKey(addr, addr.row);
-    for (size_t i = 0; i < tables_.size(); ++i) {
-        invalidators_[i].advanceTo(now, *tables_[i]);
-        if (tables_[i]->lookup(key)) {
-            ++reducedActivations;
-            return {std::min(levels_[i].trcd, timing_.tRCD),
-                    std::min(levels_[i].tras, timing_.tRAS), true};
-        }
-    }
-    return standard(timing_);
-}
-
-void
-MultiDurationProvider::onPrecharge(int, const dram::DramAddr &addr, int row,
-                                   Cycle now)
-{
-    std::uint64_t key = rowKey(addr, row);
-    for (size_t i = 0; i < tables_.size(); ++i) {
-        invalidators_[i].advanceTo(now, *tables_[i]);
-        tables_[i]->insert(key);
-    }
-}
-
-
 void
 LatencyProvider::saveState(resilience::SnapshotWriter &w) const
 {

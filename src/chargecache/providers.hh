@@ -11,9 +11,6 @@
  *  - CombinedProvider:     ChargeCache + NUAT (Section 6's CC+NUAT).
  *  - LowLatencyDramProvider: idealized LL-DRAM (every ACT reduced) —
  *                          the upper bound in Figure 7.
- *  - MultiDurationProvider: extension — NUAT-style multiple caching
- *                          durations for ChargeCache (Section 6
- *                          discussion / future work).
  */
 
 #ifndef CCSIM_CHARGECACHE_PROVIDERS_HH
@@ -305,40 +302,6 @@ class CombinedProvider final : public LatencyProvider
   private:
     std::unique_ptr<ChargeCacheProvider> cc_;
     std::unique_ptr<NuatProvider> nuat_;
-};
-
-/** One duration level of the multi-duration extension. */
-struct DurationLevel {
-    Cycle durationCycles = 0;
-    int trcd = 0;
-    int tras = 0;
-};
-
-/**
- * Extension: several HCRACs with increasing caching durations; a hit in
- * the shortest-duration table gives the most aggressive timing.
- */
-class MultiDurationProvider final : public LatencyProvider
-{
-  public:
-    MultiDurationProvider(const dram::DramTiming &timing,
-                          const Hcrac::Params &table_params,
-                          const std::vector<DurationLevel> &levels);
-
-    dram::EffActTiming onActivate(int, const dram::DramAddr &addr,
-                                  Cycle now) override;
-    void onPrecharge(int, const dram::DramAddr &addr, int row,
-                     Cycle now) override;
-
-    const char *name() const override { return "ChargeCache-MD"; }
-
-    const Hcrac &table(int level) const { return *tables_[level]; }
-
-  private:
-    const dram::DramTiming &timing_;
-    std::vector<DurationLevel> levels_;
-    std::vector<std::unique_ptr<Hcrac>> tables_;
-    std::vector<SweepInvalidator> invalidators_;
 };
 
 } // namespace ccsim::chargecache

@@ -1,30 +1,8 @@
 #include "common/stats.hh"
 
-#include <algorithm>
 #include <cmath>
-#include <ostream>
 
 namespace ccsim {
-
-void
-Distribution::sample(double v)
-{
-    if (count_ == 0) {
-        min_ = max_ = v;
-    } else {
-        min_ = std::min(min_, v);
-        max_ = std::max(max_, v);
-    }
-    ++count_;
-    sum_ += v;
-}
-
-void
-Distribution::reset()
-{
-    count_ = 0;
-    sum_ = min_ = max_ = 0.0;
-}
 
 void
 Histogram::reset()
@@ -70,96 +48,6 @@ Histogram::percentileUpperBound(double p) const
             return bucketHi(i);
     }
     return bucketHi(kBuckets - 1);
-}
-
-Counter &
-StatRegistry::counter(const std::string &name)
-{
-    return counters_[name];
-}
-
-Distribution &
-StatRegistry::distribution(const std::string &name)
-{
-    return distributions_[name];
-}
-
-Histogram &
-StatRegistry::histogram(const std::string &name)
-{
-    return histograms_[name];
-}
-
-const Counter *
-StatRegistry::findCounter(const std::string &name) const
-{
-    auto it = counters_.find(name);
-    return it == counters_.end() ? nullptr : &it->second;
-}
-
-const Distribution *
-StatRegistry::findDistribution(const std::string &name) const
-{
-    auto it = distributions_.find(name);
-    return it == distributions_.end() ? nullptr : &it->second;
-}
-
-const Histogram *
-StatRegistry::findHistogram(const std::string &name) const
-{
-    auto it = histograms_.find(name);
-    return it == histograms_.end() ? nullptr : &it->second;
-}
-
-std::vector<std::string>
-StatRegistry::histogramNames() const
-{
-    std::vector<std::string> names;
-    names.reserve(histograms_.size());
-    for (const auto &kv : histograms_)
-        names.push_back(kv.first);
-    return names;
-}
-
-std::vector<std::string>
-StatRegistry::counterNames() const
-{
-    std::vector<std::string> names;
-    names.reserve(counters_.size());
-    for (const auto &kv : counters_)
-        names.push_back(kv.first);
-    return names;
-}
-
-void
-StatRegistry::resetAll()
-{
-    for (auto &kv : counters_)
-        kv.second.reset();
-    for (auto &kv : distributions_)
-        kv.second.reset();
-    for (auto &kv : histograms_)
-        kv.second.reset();
-}
-
-void
-StatRegistry::dump(std::ostream &os) const
-{
-    for (const auto &kv : counters_)
-        os << kv.first << " " << kv.second.value() << "\n";
-    for (const auto &kv : distributions_) {
-        os << kv.first << ".count " << kv.second.count() << "\n";
-        os << kv.first << ".mean " << kv.second.mean() << "\n";
-        os << kv.first << ".min " << kv.second.minimum() << "\n";
-        os << kv.first << ".max " << kv.second.maximum() << "\n";
-    }
-    for (const auto &kv : histograms_) {
-        const Histogram &h = kv.second;
-        os << kv.first << ".count " << h.count() << "\n";
-        os << kv.first << ".mean " << h.mean() << "\n";
-        os << kv.first << ".p50 " << h.percentileUpperBound(0.5) << "\n";
-        os << kv.first << ".p99 " << h.percentileUpperBound(0.99) << "\n";
-    }
 }
 
 } // namespace ccsim

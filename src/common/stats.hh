@@ -1,10 +1,8 @@
 /**
  * @file
- * Lightweight named-statistics registry.
- *
- * Components register scalar counters and distributions under dotted
- * names ("ctrl0.rowHits"). The registry owns storage; components keep
- * references for zero-overhead increments on the hot path.
+ * Log2-bucketed histogram, the one statistics container shared by the
+ * telemetry layer (src/obs/) and perfbench. Components keep their
+ * counters in plain stat structs such as ctrl::CtrlStats.
  */
 
 #ifndef CCSIM_COMMON_STATS_HH
@@ -12,47 +10,8 @@
 
 #include <array>
 #include <cstdint>
-#include <iosfwd>
-#include <map>
-#include <string>
-#include <vector>
 
 namespace ccsim {
-
-/** A scalar statistic (count or accumulated value). */
-class Counter
-{
-  public:
-    void operator++() { ++value_; }
-    void operator++(int) { ++value_; }
-    void operator+=(std::uint64_t v) { value_ += v; }
-    void set(std::uint64_t v) { value_ = v; }
-    void reset() { value_ = 0; }
-    std::uint64_t value() const { return value_; }
-
-  private:
-    std::uint64_t value_ = 0;
-};
-
-/** Running mean/min/max over sampled values. */
-class Distribution
-{
-  public:
-    void sample(double v);
-    void reset();
-
-    std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    double minimum() const { return count_ ? min_ : 0.0; }
-    double maximum() const { return count_ ? max_ : 0.0; }
-
-  private:
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
 
 /**
  * Log2-bucketed latency histogram. Bucket i holds values in
@@ -135,47 +94,6 @@ class Histogram
     std::array<std::uint64_t, kBuckets> buckets_{};
     std::uint64_t count_ = 0;
     std::uint64_t sum_ = 0;
-};
-
-/**
- * Registry of named statistics. Names are unique; re-registering an
- * existing name returns the existing object (so components can be
- * re-instantiated against a shared registry in tests).
- */
-class StatRegistry
-{
-  public:
-    /** Get or create a scalar counter. */
-    Counter &counter(const std::string &name);
-
-    /** Get or create a distribution. */
-    Distribution &distribution(const std::string &name);
-
-    /** Get or create a log2-bucketed histogram. */
-    Histogram &histogram(const std::string &name);
-
-    /** Lookup; returns nullptr if absent. */
-    const Counter *findCounter(const std::string &name) const;
-    const Distribution *findDistribution(const std::string &name) const;
-    const Histogram *findHistogram(const std::string &name) const;
-
-    /** All counter names in sorted order. */
-    std::vector<std::string> counterNames() const;
-
-    /** All histogram names in sorted order. */
-    std::vector<std::string> histogramNames() const;
-
-    /** Zero every statistic (used at end of warm-up). */
-    void resetAll();
-
-    /** Human-readable dump, one stat per line, sorted by name. */
-    void dump(std::ostream &os) const;
-
-  private:
-    // node-based maps: references remain valid across inserts.
-    std::map<std::string, Counter> counters_;
-    std::map<std::string, Distribution> distributions_;
-    std::map<std::string, Histogram> histograms_;
 };
 
 } // namespace ccsim

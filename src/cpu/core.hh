@@ -144,7 +144,7 @@ class Core
      *    issue before the translation state machine can advance.
      * While the core is parked it issues and retires nothing, so every
      * input to this horizon is frozen: the calendar kernel posts it to
-     * the timing wheel once at park time and never needs a repost.
+     * its wake queue once at park time and never needs a repost.
      */
     CpuCycle
     nextEventAt() const

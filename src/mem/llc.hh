@@ -130,8 +130,9 @@ class Llc
      * the line such a core is waiting for gets installed, the callback
      * fires with the core id so the kernel can wake it. Together with
      * the miss callback this is the complete external-wake surface —
-     * the calendar kernel routes both into its wake queue, so a core
-     * with no self-scheduled event needs nothing on the wheel at all.
+     * the calendar kernel routes both through System::calNoteWake, so
+     * a core with no self-scheduled event posts nothing to the wake
+     * queue.
      */
     void setWakeCallback(WakeCallback wake) { onWake_ = std::move(wake); }
 

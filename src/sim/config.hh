@@ -47,12 +47,12 @@ const char *schemeName(Scheme scheme);
  */
 enum class KernelMode {
     /**
-     * Calendar-queue event kernel (default): components post/repost
-     * timestamped events on a bucketed timing wheel; parked cores stay
-     * off the per-cycle tick path entirely until an event or a memory
-     * return wakes them, and the FR-FCFS scheduler issues from
-     * per-bank request lists. Iteration cost scales with events, not
-     * with awake-core cycles.
+     * Calendar event kernel (default): parked cores post their
+     * self-wakes to a wake queue and controllers repost their horizons
+     * to per-channel slots; parked cores stay off the per-cycle tick
+     * path entirely until an event or a memory return wakes them, and
+     * the FR-FCFS scheduler issues from per-bank request lists.
+     * Iteration cost scales with events, not with awake-core cycles.
      */
     Calendar,
     /** Reference loop: tick every component every cycle (seed loop). */
@@ -100,7 +100,7 @@ struct SimConfig {
     /**
      * Calendar only: run the per-cycle schedule with the calendar
      * kernel shadowed — execute every tick it would skip and assert
-     * each one is quiescent, and shadow-run its timing wheel and cached
+     * each one is quiescent, and shadow-run its wake queue and cached
      * controller horizons, asserting they would have delivered every
      * self-wake and controller event at exactly the cycle the
      * per-cycle schedule needs it. A per-cycle-speed equivalence check

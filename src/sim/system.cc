@@ -433,8 +433,8 @@ System::run()
     //
     // A paranoid Calendar run (kernelParanoid) runs this same schedule
     // with the calendar kernel shadowed: every tick the kernel would
-    // elide still executes and is asserted quiescent, and the timing
-    // wheel and the cached controller horizons are shadow-run and
+    // elide still executes and is asserted quiescent, and the wake
+    // queue and the cached controller horizons are shadow-run and
     // asserted to deliver every wake-up at exactly the cycle this
     // schedule needs it.
     const CpuCycle ratio = static_cast<CpuCycle>(config_.cpuRatio);
@@ -444,7 +444,7 @@ System::run()
     // per-cycle due set they resolve to, the cached (repost-driven)
     // controller horizons the calendar kernel would steer by, and the
     // cores it would have parked (whose ticks still execute here).
-    TimingWheel shadow_wheel;
+    WakeQueue shadow_wakes;
     std::vector<char> shadow_due(cores_.size(), 0);
     std::vector<int> shadow_due_list;
     std::vector<CpuCycle> shadow_ctrl_next(controllers_.size(), 0);
@@ -496,14 +496,13 @@ System::run()
         }
 
         if (shadow) {
-            // Resolve the wheel's deliveries for this cycle so the
+            // Resolve the wake queue's deliveries for this cycle so the
             // unpark sites below can assert the calendar kernel would
             // have woken each self-scheduled core exactly now.
             for (int i : shadow_due_list)
                 shadow_due[i] = 0;
             shadow_due_list.clear();
-            shadow_wheel.drainUpTo(now, [&](TimingWheel::Payload p) {
-                int i = static_cast<int>(p);
+            shadow_wakes.drainUpTo(now, [&](int i) {
                 shadow_due[i] = 1;
                 shadow_due_list.push_back(i);
             });
@@ -553,13 +552,13 @@ System::run()
                     continue;
                 }
                 if (!core.wakePending()) {
-                    // Purely self-scheduled wake-up: the calendar
-                    // wheel must have delivered this core's event at
-                    // exactly this cycle.
+                    // Purely self-scheduled wake-up: the wake queue
+                    // must have delivered this core's event at exactly
+                    // this cycle.
                     CCSIM_ASSERT(core.nextEventAt() == now,
                                  "self-wake fired late for core ", i);
                     CCSIM_ASSERT(shadow_due[i],
-                                 "calendar wheel missed the self-wake "
+                                 "wake queue missed the self-wake "
                                  "of core ",
                                  i, " at cycle ", now);
                 }
@@ -569,8 +568,7 @@ System::run()
                 parked[i] = 1; // Elided from the next cycle on.
                 CpuCycle e = core.nextEventAt();
                 if (e != kNoCycle)
-                    shadow_wheel.post(e, CalendarKernelState::coreEvent(
-                                             static_cast<int>(i)));
+                    shadow_wakes.post(e, static_cast<int>(i));
             }
         }
         ++now;
@@ -768,13 +766,14 @@ System::runCalendar()
     //  - only awake cores are visited in the core phase (the sorted
     //    awake list preserves the reference's id-ordered tick order);
     //    parked cores are entirely off the per-cycle path;
-    //  - when everything is parked, `now` jumps to the wheel's next
-    //    event. Stale wheel entries (a source reposted a nearer event)
+    //  - when everything is parked, `now` jumps to the next posted
+    //    event. Stale wake entries (the core was woken another way)
     //    can only stop the jump early — at a cycle where nothing fires
     //    and nothing is due, which is statistically invisible — never
     //    skip past a real event, because posting only adds entries.
     // kernelParanoid runs the per-cycle schedule in run() instead, with
-    // this kernel's wheel and cached horizons shadowed and asserted.
+    // this kernel's wake queue and cached horizons shadowed and
+    // asserted.
     // ------------------------------------------------------------------
     CCSIM_ASSERT(!cal_, "runCalendar is not reentrant");
     cal_ = std::make_unique<CalendarKernelState>(cores_.size());
@@ -810,9 +809,9 @@ System::runCalendar()
     // from the core/LLC side dirty the slot (consumeHorizonDirty) and
     // the value is refreshed lazily at the next boundary or jump
     // decision. Channels are few and their horizons move every DRAM
-    // cycle while serving, so a dedicated slot array beats wheel
-    // entries (no stale-entry churn); the wheel carries the per-core
-    // wake events, whose timestamps are arbitrary and sparse.
+    // cycle while serving, so a dedicated slot array beats queue
+    // entries (no stale-entry churn); the wake queue carries the
+    // per-core wake events, whose timestamps are arbitrary and sparse.
     std::vector<CpuCycle> ctrl_next(controllers_.size(), 0);
     auto repost_ctrl = [&](std::size_t ch) {
         ctrl_next[ch] =
@@ -838,7 +837,7 @@ System::runCalendar()
     if (resume_) {
         // Resuming from a snapshot: continue from the saved run point
         // with every core awake (the CalendarKernelState starts with
-        // all cores on the awake list and an empty wheel). Restored
+        // all cores on the awake list and an empty wake queue). Restored
         // previously-parked cores take one real non-progressing tick
         // and re-park, reposting their self-wakes; the controller
         // slots start at 0 and force a first-boundary horizon refresh.
@@ -895,8 +894,7 @@ System::runCalendar()
         // Deliver core wake events due this cycle (one compare when
         // nothing is due). Entries revalidate against the core's own
         // horizon so stale posts from an earlier park are dropped.
-        cal.wheel.drainUpTo(now, [&](TimingWheel::Payload p) {
-            int i = static_cast<int>(p);
+        cal.wakes.drainUpTo(now, [&](int i) {
             if (cal.parkedSince[i] != kNoCycle &&
                 cores_[i]->nextEventAt() <= now && !cal.wakeQueued[i]) {
                 cal.wakeQueued[i] = 1;
@@ -960,8 +958,7 @@ System::runCalendar()
                 } else {
                     CpuCycle e = cores_[i]->nextEventAt();
                     if (e != kNoCycle)
-                        cal.wheel.post(
-                            e, CalendarKernelState::coreEvent(i));
+                        cal.wakes.post(e, i);
                 }
             }
             cal.awake.resize(w);
@@ -973,11 +970,11 @@ System::runCalendar()
         if (!any_progress && cal.awake.empty() &&
             cal.pendingWake.empty()) {
             // Everything is parked and nothing fired: jump to the
-            // earliest posted event — wheel (core wakes) and controller
+            // earliest posted event — wake queue and controller
             // slots, refreshed where an enqueue dirtied them. The
             // horizon is always finite: refresh keeps every controller
             // posting.
-            CpuCycle horizon = cal.wheel.nextEventAt();
+            CpuCycle horizon = cal.wakes.nextEventAt();
             for (std::size_t ch = 0; ch < controllers_.size(); ++ch) {
                 if (controllers_[ch]->consumeHorizonDirty())
                     repost_ctrl(ch);
@@ -991,7 +988,7 @@ System::runCalendar()
 #if CCSIM_OBS
             // Land exactly on the next sample cycle: stopping a jump
             // early at an eventless cycle is statistically invisible
-            // (same argument as stale wheel entries), and it makes the
+            // (same argument as stale wake entries), and it makes the
             // sample grid — hence the whole time series — identical to
             // the per-cycle reference.
             if (tele_ && tele_->seriesOn())

@@ -26,7 +26,7 @@ namespace ccsim::test {
  * CCSIM_PARANOID=1 (the dedicated CI job) upgrades every optimised
  * kernel under test to its shadow-validation mode: all skip decisions
  * are executed-and-asserted instead of taken on faith, and the
- * calendar kernel's wheel and cached horizons are cross-checked
+ * calendar kernel's wake queue and cached horizons are cross-checked
  * against the per-cycle schedule.
  */
 inline bool

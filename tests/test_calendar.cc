@@ -1,8 +1,7 @@
-/** @file Unit tests for the calendar-queue timing wheel. */
+/** @file Unit tests for the calendar kernel's wake queue. */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <random>
 #include <vector>
 
@@ -11,292 +10,149 @@
 namespace ccsim::sim {
 namespace {
 
-std::vector<std::uint32_t>
-drainAt(TimingWheel &wheel, CpuCycle now)
+std::vector<int>
+drainAt(WakeQueue &q, CpuCycle now)
 {
-    std::vector<std::uint32_t> out;
-    wheel.drainUpTo(now, [&](TimingWheel::Payload p) { out.push_back(p); });
+    std::vector<int> out;
+    q.drainUpTo(now, [&](int core) { out.push_back(core); });
     return out;
 }
 
-TEST(TimingWheel, DeliversAtExactCycle)
+TEST(WakeQueue, DeliversAtExactCycle)
 {
-    TimingWheel w;
-    w.post(100, 1);
-    w.post(103, 2);
-    EXPECT_EQ(w.nextEventAt(), 100u);
-    EXPECT_TRUE(drainAt(w, 99).empty());
-    EXPECT_EQ(drainAt(w, 100), std::vector<std::uint32_t>{1});
-    EXPECT_EQ(w.nextEventAt(), 103u);
-    EXPECT_EQ(drainAt(w, 103), std::vector<std::uint32_t>{2});
-    EXPECT_EQ(w.nextEventAt(), kNoCycle);
-    EXPECT_EQ(w.size(), 0u);
+    WakeQueue q;
+    q.post(100, 1);
+    q.post(103, 2);
+    EXPECT_EQ(q.nextEventAt(), 100u);
+    EXPECT_TRUE(drainAt(q, 99).empty());
+    EXPECT_EQ(drainAt(q, 100), std::vector<int>{1});
+    EXPECT_EQ(q.nextEventAt(), 103u);
+    EXPECT_EQ(drainAt(q, 103), std::vector<int>{2});
+    EXPECT_EQ(q.nextEventAt(), kNoCycle);
+    EXPECT_EQ(q.size(), 0u);
 }
 
-TEST(TimingWheel, SameBucketPartialRetention)
+TEST(WakeQueue, PartialDrainKeepsLaterEntries)
 {
-    // Default bucket width is 64 cycles: 5 and 60 share bucket 0. A
-    // drain at 5 must deliver only the due entry and keep the other.
-    TimingWheel w;
-    w.post(5, 10);
-    w.post(60, 11);
-    EXPECT_EQ(drainAt(w, 5), std::vector<std::uint32_t>{10});
-    EXPECT_EQ(w.nextEventAt(), 60u);
-    EXPECT_EQ(drainAt(w, 64), std::vector<std::uint32_t>{11});
+    WakeQueue q;
+    q.post(5, 10);
+    q.post(60, 11);
+    EXPECT_EQ(drainAt(q, 5), std::vector<int>{10});
+    EXPECT_EQ(q.nextEventAt(), 60u);
+    EXPECT_EQ(drainAt(q, 64), std::vector<int>{11});
 }
 
-TEST(TimingWheel, BulkDrainCoversSkippedBuckets)
+TEST(WakeQueue, BulkDrainDeliversEveryDueEntry)
 {
-    TimingWheel w;
-    w.post(10, 1);
-    w.post(1000, 2);
-    w.post(50000, 3);
-    auto got = drainAt(w, 60000);
-    EXPECT_EQ(got, (std::vector<std::uint32_t>{1, 2, 3}));
+    WakeQueue q;
+    q.post(10, 1);
+    q.post(1000, 2);
+    q.post(50000, 3);
+    EXPECT_EQ(drainAt(q, 60000), (std::vector<int>{1, 2, 3}));
 }
 
-TEST(TimingWheel, OverflowBeyondWindowIsDelivered)
+TEST(WakeQueue, DueEntriesArriveInCycleThenCoreOrder)
 {
-    // Default window is 65536 cycles; these land in the overflow heap
-    // and must spill back as the cursor advances.
-    TimingWheel w;
-    w.post(70000, 1);
-    w.post(1 << 20, 2);
-    w.post(40, 3);
-    EXPECT_EQ(w.size(), 3u);
-    EXPECT_EQ(w.nextEventAt(), 40u);
-    EXPECT_EQ(drainAt(w, 50), std::vector<std::uint32_t>{3});
-    EXPECT_EQ(w.nextEventAt(), 70000u);
-    EXPECT_EQ(drainAt(w, 70000), std::vector<std::uint32_t>{1});
-    EXPECT_EQ(w.nextEventAt(), CpuCycle(1 << 20));
-    EXPECT_EQ(drainAt(w, 2 << 20), std::vector<std::uint32_t>{2});
-    EXPECT_EQ(w.size(), 0u);
+    // Equal cycles posted in descending core order still come out by
+    // core id, and an earlier cycle precedes a smaller core id.
+    WakeQueue q;
+    q.post(20, 7);
+    q.post(20, 5);
+    q.post(20, 2);
+    q.post(12, 6);
+    q.post(12, 3);
+    q.post(30, 0); // Not due.
+    q.post(15, 9);
+    EXPECT_EQ(drainAt(q, 25), (std::vector<int>{3, 6, 9, 2, 5, 7}));
+    EXPECT_EQ(q.nextEventAt(), 30u);
+    EXPECT_EQ(q.size(), 1u);
 }
 
-TEST(TimingWheel, CursorLeapAfterLongIdleStretch)
+TEST(WakeQueue, DistantEntriesAreDelivered)
 {
-    // The lazy fast path lets the cursor fall arbitrarily far behind;
-    // a later post + drain far ahead must still deliver (via the
-    // empty-window cursor leap) without losing events.
-    TimingWheel w;
-    w.post(10, 1);
-    EXPECT_EQ(drainAt(w, 10), std::vector<std::uint32_t>{1});
-    // Quiet for 100M cycles (fast path only).
+    WakeQueue q;
+    q.post(70000, 1);
+    q.post(1 << 20, 2);
+    q.post(40, 3);
+    EXPECT_EQ(q.size(), 3u);
+    EXPECT_EQ(q.nextEventAt(), 40u);
+    EXPECT_EQ(drainAt(q, 50), std::vector<int>{3});
+    EXPECT_EQ(q.nextEventAt(), 70000u);
+    EXPECT_EQ(drainAt(q, 70000), std::vector<int>{1});
+    EXPECT_EQ(q.nextEventAt(), CpuCycle(1 << 20));
+    EXPECT_EQ(drainAt(q, 2 << 20), std::vector<int>{2});
+    EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(WakeQueue, DeliversAfterLongIdleStretch)
+{
+    WakeQueue q;
+    q.post(10, 1);
+    EXPECT_EQ(drainAt(q, 10), std::vector<int>{1});
+    // Quiet for 100M cycles.
     for (CpuCycle t = 11; t < 100000000; t += 9999999)
-        EXPECT_TRUE(drainAt(w, t).empty());
-    w.post(100000100, 7);
-    EXPECT_EQ(w.nextEventAt(), 100000100u);
-    EXPECT_TRUE(drainAt(w, 100000099).empty());
-    EXPECT_EQ(drainAt(w, 100000100), std::vector<std::uint32_t>{7});
+        EXPECT_TRUE(drainAt(q, t).empty());
+    q.post(100000100, 7);
+    EXPECT_EQ(q.nextEventAt(), 100000100u);
+    EXPECT_TRUE(drainAt(q, 100000099).empty());
+    EXPECT_EQ(drainAt(q, 100000100), std::vector<int>{7});
 }
 
-TEST(TimingWheel, ManyEventsArriveExactlyOnceInCycleOrder)
+TEST(WakeQueue, ManyEventsArriveExactlyOnceInCycleOrder)
 {
     // Randomized soak: every posted event is delivered exactly once,
-    // never before its cycle, and a per-cycle drain sees it exactly at
-    // its cycle.
+    // never before its cycle, and at the first drain at or after it.
     std::mt19937_64 rng(12345);
-    TimingWheel w(3, 5); // Tiny wheel: 8-cycle buckets, 32 buckets.
+    WakeQueue q;
     std::vector<CpuCycle> due(4000);
     CpuCycle base = 0;
     for (std::size_t i = 0; i < due.size(); ++i)
         due[i] = base + 1 + rng() % 3000;
     for (std::size_t i = 0; i < due.size(); ++i)
-        w.post(due[i], static_cast<std::uint32_t>(i));
+        q.post(due[i], static_cast<int>(i));
     std::vector<CpuCycle> seen(due.size(), kNoCycle);
     CpuCycle t = 0;
-    while (w.size() > 0) {
+    while (q.size() > 0) {
         t += 1 + rng() % 50;
-        w.drainUpTo(t, [&](TimingWheel::Payload p) {
-            ASSERT_EQ(seen[p], kNoCycle) << "double delivery";
-            seen[p] = t;
+        q.drainUpTo(t, [&](int i) {
+            ASSERT_EQ(seen[i], kNoCycle) << "double delivery";
+            seen[i] = t;
         });
     }
     for (std::size_t i = 0; i < due.size(); ++i) {
         ASSERT_NE(seen[i], kNoCycle) << "lost event " << i;
-        // Delivered at the first drain cycle >= due[i].
         EXPECT_GE(seen[i], due[i]);
         EXPECT_LT(seen[i] - due[i], 51u);
     }
 }
 
-// ---------------------------------------------------------------------
-// Adaptive resize (classic calendar-queue grow/shrink; the bucket
-// width never changes, only the count).
-
-TEST(TimingWheelResize, GrowsUnderDensityAndStaysExact)
+TEST(WakeQueue, PostIntoPastAsserts)
 {
-    // 8-cycle buckets, 8 buckets, caps [3, 10]: 600 live events is
-    // ~75x the bucket count, so the amortized density check (every 64
-    // posts) must grow the wheel — and a per-cycle drain must still
-    // see every event exactly once, exactly at its cycle.
-    TimingWheel w(3, 3, 3, 10);
-    EXPECT_EQ(w.bucketCount(), 8u);
-    std::mt19937_64 rng(99);
-    std::vector<CpuCycle> due(600);
-    std::vector<int> count(due.size(), 0);
-    for (std::size_t i = 0; i < due.size(); ++i) {
-        due[i] = 1 + rng() % 4000;
-        w.post(due[i], static_cast<std::uint32_t>(i));
-    }
-    EXPECT_GT(w.resizes(), 0u);
-    EXPECT_GT(w.bucketCount(), 8u);
-    for (CpuCycle t = 0; t <= 4000; ++t)
-        w.drainUpTo(t, [&](TimingWheel::Payload p) {
-            ++count[p];
-            EXPECT_EQ(due[p], t) << "event " << p
-                                 << " delivered off-cycle";
-        });
-    for (std::size_t i = 0; i < due.size(); ++i)
-        EXPECT_EQ(count[i], 1) << "event " << i;
-    EXPECT_EQ(w.size(), 0u);
-    EXPECT_EQ(w.nextEventAt(), kNoCycle);
+    WakeQueue q;
+    q.post(200, 1);
+    drainAt(q, 200);
+    EXPECT_THROW(q.post(5, 2), PanicError);
+    EXPECT_THROW(q.post(199, 2), PanicError);
+    // The drain cycle itself is not the past: it is due at the next
+    // drain, like every entry posted after this one.
+    q.post(200, 3);
+    q.post(250, 4);
+    EXPECT_EQ(q.size(), 2u);
+    EXPECT_EQ(drainAt(q, 400), (std::vector<int>{3, 4}));
 }
 
-TEST(TimingWheelResize, ShrinksWhenSparseAndWrapsAtNewGeometry)
+TEST(WakeQueue, NextEventAtTracksMinimumAcrossPosts)
 {
-    // Start at 256 buckets with caps down to 8: a sparse steady state
-    // (one live event at a time) must shrink the wheel to the floor,
-    // and the cursor must keep wrapping correctly at each successive
-    // geometry — the post/drain loop crosses the shrunken 64-cycle
-    // window many times per lap.
-    TimingWheel w(3, 8, 3, 8);
-    EXPECT_EQ(w.bucketCount(), 256u);
-    // An entry parked 1500 cycles out: in-window at 256 buckets, but
-    // past the 64-cycle window once shrunk — the rebuild must spill it
-    // back to the overflow heap and still deliver it on time.
-    const CpuCycle far_due = 1500;
-    w.post(far_due, 7777);
-    bool far_seen = false;
-    CpuCycle t = 0;
-    for (int i = 0; i < 1000; ++i) {
-        t += 2;
-        if (t >= far_due)
-            break;
-        w.post(t, static_cast<std::uint32_t>(i));
-        bool self_seen = false;
-        w.drainUpTo(t, [&](TimingWheel::Payload p) {
-            ASSERT_NE(p, 7777u) << "far event delivered early";
-            self_seen = true;
-        });
-        EXPECT_TRUE(self_seen);
-        EXPECT_EQ(w.size(), 1u) << "only the far event should remain";
-    }
-    // With two live events the shrink rule (live < buckets/8) halts at
-    // 16 buckets — the floor the density actually supports, above the
-    // hard cap of 8.
-    EXPECT_GE(w.resizes(), 4u) << "256 -> 16 takes four halvings";
-    EXPECT_EQ(w.bucketCount(), 16u);
-    EXPECT_EQ(w.nextEventAt(), far_due);
-    w.drainUpTo(far_due, [&](TimingWheel::Payload p) {
-        EXPECT_EQ(p, 7777u);
-        far_seen = true;
-    });
-    EXPECT_TRUE(far_seen);
-    EXPECT_EQ(w.size(), 0u);
-}
-
-TEST(TimingWheelResize, OverflowSpillbackSurvivesGrow)
-{
-    // Overflow entries must survive a grow (a wider window pulls them
-    // into buckets early) and later posts/drains; occupancy-bitmap /
-    // inWheel_ consistency is checked implicitly — nextEventAt()
-    // panics on a bit set over an empty bucket and the final size must
-    // reach zero.
-    TimingWheel w(3, 3, 3, 10); // 64-cycle window initially.
-    std::vector<CpuCycle> due;
-    std::vector<int> count;
-    auto add = [&](CpuCycle at) {
-        w.post(at, static_cast<std::uint32_t>(due.size()));
-        due.push_back(at);
-        count.push_back(0);
-    };
-    add(500);   // Beyond the initial window: overflow heap.
-    add(3000);  // Ditto.
-    std::mt19937_64 rng(7);
-    for (int i = 0; i < 300; ++i)
-        add(1 + rng() % 450); // Density forces a grow past 500.
-    EXPECT_GT(w.resizes(), 0u);
-    EXPECT_GT(w.bucketCount() * 8, 500u)
-        << "window must now cover the first overflow entry";
-    for (CpuCycle t = 0; t <= 3000; ++t)
-        w.drainUpTo(t, [&](TimingWheel::Payload p) {
-            ++count[p];
-            EXPECT_EQ(due[p], t);
-        });
-    for (std::size_t i = 0; i < due.size(); ++i)
-        EXPECT_EQ(count[i], 1) << "event " << i;
-    EXPECT_EQ(w.size(), 0u);
-    EXPECT_EQ(w.nextEventAt(), kNoCycle);
-}
-
-TEST(TimingWheelResize, PostIntoPastAssertsAtEveryGeometry)
-{
-    TimingWheel w(3, 3, 3, 10);
-    w.post(200, 1);
-    drainAt(w, 200); // Cursor now at bucket 25.
-    EXPECT_THROW(w.post(5, 2), PanicError);
-
-    // Force a grow, then re-check: the cursor floor survives the
-    // rebuild, so posting behind it must still trip the assertion.
-    std::mt19937_64 rng(3);
-    for (int i = 0; i < 200; ++i)
-        w.post(201 + rng() % 60, static_cast<std::uint32_t>(i));
-    EXPECT_GT(w.resizes(), 0u);
-    EXPECT_THROW(w.post(100, 3), PanicError);
-    std::size_t before = w.size();
-    auto got = drainAt(w, 400);
-    EXPECT_EQ(got.size(), before);
-}
-
-TEST(TimingWheelResize, SoakWithResizeThrash)
-{
-    // Alternating dense bursts and sparse stretches drive repeated
-    // grow/shrink transitions; exactly-once delivery at the right
-    // cycle must hold throughout (the resize rule must never lose,
-    // duplicate, or reorder an event across rebuilds).
-    std::mt19937_64 rng(20260808);
-    TimingWheel w(3, 4, 3, 9);
-    std::vector<CpuCycle> due;
-    std::vector<int> count;
-    CpuCycle t = 0;
-    for (int phase = 0; phase < 6; ++phase) {
-        bool dense = (phase & 1) == 0;
-        int posts = dense ? 500 : 80;
-        for (int i = 0; i < posts; ++i) {
-            CpuCycle at = t + 1 + rng() % (dense ? 300 : 2000);
-            w.post(at, static_cast<std::uint32_t>(due.size()));
-            due.push_back(at);
-            count.push_back(0);
-        }
-        CpuCycle until = t + (dense ? 400 : 2500);
-        while (t < until) {
-            t += 1 + rng() % 16;
-            w.drainUpTo(t, [&](TimingWheel::Payload p) {
-                ASSERT_GE(t, due[p]) << "early delivery";
-                ++count[p];
-            });
-        }
-    }
-    w.drainUpTo(t + 100000, [&](TimingWheel::Payload p) { ++count[p]; });
-    EXPECT_GE(w.resizes(), 2u) << "thrash phases should resize";
-    for (std::size_t i = 0; i < due.size(); ++i)
-        ASSERT_EQ(count[i], 1) << "event " << i;
-    EXPECT_EQ(w.size(), 0u);
-}
-
-TEST(TimingWheel, NextEventAtTracksMinimumAcrossPosts)
-{
-    TimingWheel w;
-    EXPECT_EQ(w.nextEventAt(), kNoCycle);
-    w.post(500, 1);
-    w.post(200, 2);
-    w.post(900, 3);
-    EXPECT_EQ(w.nextEventAt(), 200u);
-    EXPECT_EQ(drainAt(w, 200), std::vector<std::uint32_t>{2});
-    EXPECT_EQ(w.nextEventAt(), 500u);
-    w.post(300, 4);
-    EXPECT_EQ(w.nextEventAt(), 300u);
+    WakeQueue q;
+    EXPECT_EQ(q.nextEventAt(), kNoCycle);
+    q.post(500, 1);
+    q.post(200, 2);
+    q.post(900, 3);
+    EXPECT_EQ(q.nextEventAt(), 200u);
+    EXPECT_EQ(drainAt(q, 200), std::vector<int>{2});
+    EXPECT_EQ(q.nextEventAt(), 500u);
+    q.post(300, 4);
+    EXPECT_EQ(q.nextEventAt(), 300u);
 }
 
 } // namespace

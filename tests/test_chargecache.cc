@@ -405,26 +405,6 @@ TEST_F(ProviderTest, CombinedTakesTheBetterOfBoth)
     EXPECT_EQ(t.trcd, 7);
 }
 
-TEST_F(ProviderTest, MultiDurationPrefersShortestDurationHit)
-{
-    std::vector<DurationLevel> levels = {
-        {800000, 7, 20},    // 1 ms.
-        {12800000, 9, 24},  // 16 ms.
-    };
-    Hcrac::Params tp;
-    tp.entries = 128;
-    tp.ways = 2;
-    MultiDurationProvider p(spec.timing, tp, levels);
-    p.onPrecharge(0, rowAddr(0, 3), 3, 0);
-    // Within 1 ms: fastest level.
-    EXPECT_EQ(p.onActivate(0, rowAddr(0, 3), 1000).trcd, 7);
-    // Re-insert, then wait past 1 ms but within 16 ms: second level.
-    p.onPrecharge(0, rowAddr(0, 3), 3, 2000);
-    auto t = p.onActivate(0, rowAddr(0, 3), 2000 + 900000);
-    EXPECT_TRUE(t.reduced);
-    EXPECT_EQ(t.trcd, 9);
-}
-
 TEST_F(ProviderTest, ResetStatsClearsCounters)
 {
     ChargeCacheProvider p(spec.timing, ccParams(), 1);

@@ -374,8 +374,8 @@ TEST(KernelEquivalence, CalendarParanoidShadowValidates)
 {
     // Calendar paranoia runs the per-cycle schedule, executes every
     // tick the calendar kernel would skip and asserts it is quiescent,
-    // and shadow-runs the timing wheel and the cached controller
-    // horizons: an unsound skip, a missed or late wheel delivery, or a
+    // and shadow-runs the wake queue and the cached controller
+    // horizons: an unsound skip, a missed or late wake delivery, or a
     // cached horizon that would have skipped an active controller
     // tick, panics. Results must still be bit-identical to the
     // reference (it *is* the per-cycle schedule).

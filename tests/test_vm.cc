@@ -864,8 +864,8 @@ TEST(KernelEquivalence, VmParanoidShadowValidates)
 {
     // Every skip/park/wake decision the calendar kernel takes across
     // translation stalls and PTE fetch returns is executed-and-asserted
-    // under the per-cycle schedule, with its wheel and cached horizons
-    // shadow-run.
+    // under the per-cycle schedule, with its wake queue and cached
+    // horizons shadow-run.
     const std::vector<std::string> workloads = {"apache20", "mcf"};
     sim::System ref(vmTwoCore(sim::Scheme::ChargeCache,
                               sim::KernelMode::PerCycle,
@@ -1182,8 +1182,8 @@ TEST_F(MpFiniteTrace, ParanoidShadowValidatesShootdownParkWake)
 {
     // Execute-and-assert every skip decision across shootdown windows:
     // the per-cycle schedule re-runs each would-be-parked tick and the
-    // calendar shadow checks its wheel delivered each Shootdown-window
-    // wake at exactly the right cycle.
+    // calendar shadow checks its wake queue delivered each
+    // Shootdown-window wake at exactly the right cycle.
     sim::SystemResult ref = runWith(config(sim::KernelMode::PerCycle));
     sim::SimConfig cfg = config(sim::KernelMode::Calendar);
     cfg.kernelParanoid = true;
