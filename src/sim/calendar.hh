@@ -9,7 +9,7 @@
  * every parked core. Controller horizons do not go here; runCalendar
  * keeps them in a per-channel slot array. The traffic is small: a
  * parked core mostly waits on an external completion and posts
- * nothing, so a run has at most a handful of live entries
+ * nothing, so a queue holds at most about a dozen live entries
  * (docs/performance.md, "Wake queue").
  *
  * Entries are lazily invalidated: the queue may deliver a wake whose
@@ -22,7 +22,6 @@
 #define CCSIM_SIM_CALENDAR_HH
 
 #include <algorithm>
-#include <cstdint>
 #include <functional>
 #include <vector>
 
