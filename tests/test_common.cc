@@ -4,12 +4,14 @@
 
 #include <deque>
 #include <set>
+#include <vector>
 
 #include "common/log.hh"
 #include "common/random.hh"
 #include "common/ring.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "obs/telemetry.hh"
 #include "resilience/error.hh"
 #include "resilience/serial.hh"
 
@@ -323,6 +325,48 @@ TEST(Histogram, PercentileEdges)
     skew.sample(1000);
     skew.sample(1000);
     EXPECT_EQ(skew.percentileUpperBound(0.5), 1023u);
+}
+
+TEST(Stats, ResetAllCoversHistograms)
+{
+    // The warm-up statistics reset (Telemetry::rebase) must zero every
+    // latency histogram — each channel's read-latency and queue-wait,
+    // each core's page-walk — not just the first of each kind.
+    obs::ObsConfig cfg;
+    cfg.enable = true;
+    cfg.histograms = true;
+    obs::Telemetry tele(cfg, /*channels=*/2, /*cores=*/3,
+                        /*cpu_ratio=*/5, /*trfc=*/208);
+
+    std::vector<Histogram *> all;
+    for (int ch = 0; ch < 2; ++ch) {
+        obs::CtrlHists *c = tele.ctrlHists(ch);
+        ASSERT_NE(c, nullptr);
+        all.push_back(&c->readLatency);
+        all.push_back(&c->queueWait);
+    }
+    for (int core = 0; core < 3; ++core) {
+        ASSERT_NE(tele.ptwHist(core), nullptr);
+        all.push_back(tele.ptwHist(core));
+    }
+    for (Histogram *h : all) {
+        h->sample(100);
+        h->sample(3);
+        ASSERT_EQ(h->count(), 2u);
+    }
+
+    tele.rebase();
+    for (Histogram *h : all) {
+        EXPECT_EQ(h->count(), 0u);
+        EXPECT_EQ(h->sum(), 0u);
+        for (int i = 0; i < Histogram::kBuckets; ++i)
+            EXPECT_EQ(h->bucketCount(i), 0u);
+    }
+    EXPECT_EQ(tele.mergedReadLatency().count(), 0u);
+    EXPECT_EQ(tele.mergedPtwWalk().count(), 0u);
+    // The hooks survive a reset (same objects, zeroed).
+    EXPECT_EQ(&tele.ctrlHists(1)->queueWait, all[3]);
+    EXPECT_EQ(tele.ptwHist(2), all.back());
 }
 
 TEST(Logger, ParseLogLevel)
