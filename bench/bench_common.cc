@@ -25,10 +25,9 @@ envInt(const char *name, int def)
 /**
  * Build-provenance object spliced into every captured record: the git
  * revision and compiler the binary came from, an FNV-1a hash over the
- * build identity (revision + compiler + compile-time feature set) for
- * cheap "same build?" comparisons across trajectory rows, and the
- * host's hardware thread count (parallel sweep speedups are
- * meaningless without it).
+ * build identity (revision + compiler + NDEBUG) for cheap "same
+ * build?" comparisons across trajectory rows, and the host's hardware
+ * thread count (parallel sweep speedups are meaningless without it).
  */
 std::string
 provenanceJson()
@@ -43,12 +42,6 @@ provenanceJson()
     mix(CCSIM_GIT_SHA);
     mix("|");
     mix(__VERSION__);
-    mix("|");
-#if CCSIM_OBS
-    mix("obs=1");
-#else
-    mix("obs=0");
-#endif
 #ifdef NDEBUG
     mix("|ndebug");
 #endif

@@ -21,17 +21,31 @@ main()
     bench::printHeader("fig08_energy",
                        "Figure 8 (DRAM energy reduction of ChargeCache)");
 
+    // Every (workload or mix, scheme) point runs in one parallel sweep;
+    // point 2k is the baseline and 2k + 1 ChargeCache of the k-th
+    // workload, then of the k-th mix.
+    const auto workloads_1c = bench::singleWorkloads();
+    const auto mixes = bench::mainMixes();
+    const size_t n1 = workloads_1c.size();
+    std::vector<sim::SystemResult> res = sim::runSweep(
+        2 * (n1 + mixes.size()), [&](size_t i) {
+            const sim::Scheme scheme = i % 2 ? sim::Scheme::ChargeCache
+                                             : sim::Scheme::Baseline;
+            const size_t k = i / 2;
+            return k < n1 ? sim::runSingle(workloads_1c[k], scheme)
+                          : sim::runMix(mixes[k - n1], scheme);
+        });
+
     std::printf("\n-- single-core --\n");
     std::printf("%-12s %14s %14s %10s\n", "workload", "base (mJ)",
                 "CC (mJ)", "saving");
     std::vector<double> single;
-    for (const auto &w : bench::singleWorkloads()) {
-        sim::SystemResult base = sim::runSingle(w, sim::Scheme::Baseline);
-        sim::SystemResult cc =
-            sim::runSingle(w, sim::Scheme::ChargeCache);
+    for (size_t k = 0; k < n1; ++k) {
+        const sim::SystemResult &base = res[2 * k];
+        const sim::SystemResult &cc = res[2 * k + 1];
         double saving = 1.0 - cc.energy.totalNj() / base.energy.totalNj();
-        std::printf("%-12s %14.3f %14.3f %9.2f%%\n", w.c_str(),
-                    base.energy.totalNj() * 1e-6,
+        std::printf("%-12s %14.3f %14.3f %9.2f%%\n",
+                    workloads_1c[k].c_str(), base.energy.totalNj() * 1e-6,
                     cc.energy.totalNj() * 1e-6, 100 * saving);
         if (base.activations > 100)
             single.push_back(saving);
@@ -41,11 +55,11 @@ main()
     std::printf("%-12s %14s %14s %10s\n", "mix", "base (mJ)", "CC (mJ)",
                 "saving");
     std::vector<double> eight;
-    for (int mix : bench::mainMixes()) {
-        sim::SystemResult base = sim::runMix(mix, sim::Scheme::Baseline);
-        sim::SystemResult cc = sim::runMix(mix, sim::Scheme::ChargeCache);
+    for (size_t m = 0; m < mixes.size(); ++m) {
+        const sim::SystemResult &base = res[2 * (n1 + m)];
+        const sim::SystemResult &cc = res[2 * (n1 + m) + 1];
         double saving = 1.0 - cc.energy.totalNj() / base.energy.totalNj();
-        std::printf("w%-11d %14.3f %14.3f %9.2f%%\n", mix,
+        std::printf("w%-11d %14.3f %14.3f %9.2f%%\n", mixes[m],
                     base.energy.totalNj() * 1e-6,
                     cc.energy.totalNj() * 1e-6, 100 * saving);
         eight.push_back(saving);

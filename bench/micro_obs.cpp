@@ -22,10 +22,6 @@
  * it is an opt-in debugging view with per-DRAM-command cost, not part
  * of the always-on telemetry shape the 5% budget covers.
  *
- * When the tree was compiled with -DCCSIM_OBS=OFF the binary writes a
- * {"compiled": 0} record and exits 0 (nothing to measure: the hooks
- * do not exist).
- *
  * Scale via CCSIM_OBS_INSTS (default 40000 insts/core).
  */
 
@@ -104,17 +100,6 @@ main()
     bench::printHeader("micro_obs: telemetry overhead + trace export",
                        "observability contract (docs/observability.md)");
 
-#if !CCSIM_OBS
-    const std::string record =
-        "{\"bench\": \"obs\", \"compiled\": 0}\n";
-    if (!resilience::tryAtomicWriteFile("BENCH_obs.json", record)) {
-        std::fprintf(stderr, "cannot write BENCH_obs.json\n");
-        return 1;
-    }
-    std::printf("telemetry compiled out (-DCCSIM_OBS=OFF); nothing to "
-                "measure\n");
-    return 0;
-#else
     const std::uint64_t insts = envU64("CCSIM_OBS_INSTS", 40000);
     const std::uint64_t repeat =
         std::max<std::uint64_t>(1, envU64("CCSIM_OBS_REPEAT", 3));
@@ -207,5 +192,4 @@ main()
         std::printf("gate ok: overhead %.3f <= %.3f\n", overhead, limit);
     }
     return 0;
-#endif
 }

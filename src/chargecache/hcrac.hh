@@ -145,9 +145,6 @@ class SweepInvalidator
 
     Cycle period() const { return period_; }
 
-    /** Cycle of the next sweep invalidation (event-kernel horizon). */
-    Cycle nextEventAt() const { return nextDue_; }
-
     /** Checkpoint: sweep phase (nextDue_, EC). */
     void saveState(resilience::SnapshotWriter &w) const;
     void loadState(resilience::SnapshotReader &r);

@@ -2,7 +2,7 @@
  * @file
  * Error and status reporting, following the gem5 panic()/fatal() split:
  * panic() for internal invariant violations (simulator bugs), fatal() for
- * unrecoverable user/configuration errors, warn()/inform() for status.
+ * unrecoverable user/configuration errors, warn() for status.
  *
  * Error-contract audit (see also src/resilience/error.hh):
  *
@@ -24,9 +24,8 @@
 #ifndef CCSIM_COMMON_LOG_HH
 #define CCSIM_COMMON_LOG_HH
 
-#include <atomic>
-#include <cstdint>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 namespace ccsim {
@@ -41,51 +40,11 @@ struct FatalError : std::runtime_error {
     using std::runtime_error::runtime_error;
 };
 
-/**
- * Severity for the structured logger. The active threshold comes from
- * the CCSIM_LOG_LEVEL environment variable ("error", "warn", "info",
- * "debug", or 0-3; default "info") and can be overridden with
- * setLogLevel(). Messages above the threshold are dropped before
- * formatting.
- */
-enum class LogLevel : int {
-    Error = 0,
-    Warn = 1,
-    Info = 2,
-    Debug = 3,
-};
-
-/** Parse a CCSIM_LOG_LEVEL value; unrecognized strings map to Info. */
-LogLevel parseLogLevel(const std::string &s);
-
-/** Active threshold (env-derived unless overridden). */
-LogLevel logLevel();
-
-/** Override the threshold (tests / embedding tools). */
-void setLogLevel(LogLevel lvl);
-
-/** Would a message at this level be emitted? */
-bool logEnabled(LogLevel lvl);
-
-/**
- * Each CCSIM_LOG call site owns one of these (function-local static in
- * the macro): after kLogSiteLimit messages the site goes quiet with a
- * one-time suppression notice, so a warning inside a per-cycle loop
- * cannot flood stderr. Counters keep accumulating while suppressed.
- */
 namespace detail {
-
-struct LogSite {
-    std::atomic<std::uint64_t> emitted{0};
-    std::atomic<std::uint64_t> suppressed{0};
-};
-
-constexpr std::uint64_t kLogSiteLimit = 20;
 
 [[noreturn]] void panicImpl(const char *file, int line, const std::string &msg);
 [[noreturn]] void fatalImpl(const char *file, int line, const std::string &msg);
-void logImpl(LogLevel lvl, const char *component, LogSite &site,
-             const std::string &msg);
+void warnImpl(const std::string &msg);
 
 template <typename... Args>
 std::string
@@ -96,12 +55,6 @@ format(Args &&...args)
     return os.str();
 }
 } // namespace detail
-
-/**
- * Squelch log output entirely (used by tests). Rate-limit accounting
- * still runs so LogSite counters stay testable.
- */
-void setQuiet(bool quiet);
 
 } // namespace ccsim
 
@@ -125,28 +78,10 @@ void setQuiet(bool quiet);
     } while (0)
 
 /**
- * Structured, rate-limited log statement:
- *   CCSIM_LOG(LogLevel::Warn, "ctrl", "queue full on channel ", ch);
- * emits "[warn] ctrl: queue full on channel 3". Formatting is skipped
- * when the level is filtered; each call site self-limits after
- * detail::kLogSiteLimit messages.
+ * Non-fatal warning: writes "[warn] sim: <msg>" as one line to stderr.
+ * Lines from concurrent threads (sweep points) do not interleave.
  */
-#define CCSIM_LOG(level, component, ...) \
-    do { \
-        if (::ccsim::logEnabled(level)) { \
-            static ::ccsim::detail::LogSite ccsimLogSite_; \
-            ::ccsim::detail::logImpl( \
-                level, component, ccsimLogSite_, \
-                ::ccsim::detail::format(__VA_ARGS__)); \
-        } \
-    } while (0)
-
-/** Non-fatal warning (level Warn, component "sim"). */
 #define CCSIM_WARN(...) \
-    CCSIM_LOG(::ccsim::LogLevel::Warn, "sim", __VA_ARGS__)
-
-/** Informational message (level Info, component "sim"). */
-#define CCSIM_INFORM(...) \
-    CCSIM_LOG(::ccsim::LogLevel::Info, "sim", __VA_ARGS__)
+    ::ccsim::detail::warnImpl(::ccsim::detail::format(__VA_ARGS__))
 
 #endif // CCSIM_COMMON_LOG_HH

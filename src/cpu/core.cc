@@ -104,10 +104,8 @@ Core::advanceTranslation(CpuCycle now)
             return IssueResult::XlatStep;
         }
         xlatState_ = XlatState::NeedPte;
-#if CCSIM_OBS
         if (obsPtwHist_)
             obsWalkStart_ = now;
-#endif
         return issuePte(now);
       }
       case XlatState::WaitL2:
@@ -137,12 +135,10 @@ Core::advanceTranslation(CpuCycle now)
                 shootdownHook_(id_, sd_asid, sd_vpn, now);
             translatedLine_ = mmu_->translatedLine();
             xlatState_ = XlatState::None;
-#if CCSIM_OBS
             if (obsPtwHist_ && obsWalkStart_ != kNoCycle) {
                 obsPtwHist_->sample(now - obsWalkStart_);
                 obsWalkStart_ = kNoCycle;
             }
-#endif
             return IssueResult::Issued;
         }
         xlatState_ = XlatState::NeedPte;

@@ -185,7 +185,6 @@ class Core
     const CoreStats &stats() const { return stats_; }
     const vm::Mmu *mmu() const { return mmu_; }
 
-#if CCSIM_OBS
     /**
      * Attach the telemetry page-walk latency histogram: each completed
      * full walk (L2 TLB miss through last PTE return) samples its
@@ -197,7 +196,6 @@ class Core
         walk still samples the right latency. */
     CpuCycle obsWalkStart() const { return obsWalkStart_; }
     void setObsWalkStart(CpuCycle at) { obsWalkStart_ = at; }
-#endif
 
     /**
      * Zero statistics and re-base instruction counting at `now`
@@ -307,10 +305,8 @@ class Core
     std::uint64_t instsSinceSwitch_ = 0;
     std::uint64_t switchQuantum_ = 0;
 
-#if CCSIM_OBS
     Histogram *obsPtwHist_ = nullptr; ///< Telemetry walk latency.
     CpuCycle obsWalkStart_ = kNoCycle; ///< In-flight walk start.
-#endif
 
     CoreStats stats_;
 };

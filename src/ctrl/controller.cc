@@ -200,11 +200,9 @@ MemoryController::enqueue(Request req)
         // callbacks must never fire inside enqueue (reentrancy).
         if (writeLines_.count(req.lineAddr)) {
             ++stats_.readForwards;
-#if CCSIM_OBS
             // Forwarded reads never enter the read queue: wait is 0.
             if (obsHists_)
                 obsHists_->queueWait.sample(0);
-#endif
             PendingRead pr;
             pr.req = std::move(req);
             pr.done = now_ + 1;
@@ -523,10 +521,8 @@ MemoryController::serveQueueBankLists(bool is_write)
             ++stats_.autoPres;
         }
         if (!is_write) {
-#if CCSIM_OBS
             if (obsHists_)
                 obsHists_->queueWait.sample(now_ - qr.req.arrive);
-#endif
             PendingRead pr;
             pr.req = qr.req;
             pr.done = channel_.readDataDone(now_);
@@ -606,10 +602,8 @@ MemoryController::serveQueueReference(std::deque<QueuedReq> &queue,
             ++stats_.autoPres;
         }
         if (!is_write) {
-#if CCSIM_OBS
             if (obsHists_)
                 obsHists_->queueWait.sample(now_ - it->req.arrive);
-#endif
             PendingRead pr;
             pr.req = std::move(it->req);
             pr.done = channel_.readDataDone(now_);
@@ -662,10 +656,8 @@ MemoryController::tick()
         pending_.pop();
         ++stats_.reads;
         stats_.readLatencySum += pr.done - pr.req.arrive;
-#if CCSIM_OBS
         if (obsHists_)
             obsHists_->readLatency.sample(pr.done - pr.req.arrive);
-#endif
         active = true;
         pr.req.complete(pr.done);
     }

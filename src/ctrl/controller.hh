@@ -228,7 +228,6 @@ class MemoryController
     const CtrlStats &stats() const { return stats_; }
     void resetStats();
 
-#if CCSIM_OBS
     /**
      * Attach the telemetry hot-path histograms (read service latency,
      * queue wait). Observation-only: samples mirror values the
@@ -237,7 +236,6 @@ class MemoryController
      * pointer test.
      */
     void setObsHists(obs::CtrlHists *hists) { obsHists_ = hists; }
-#endif
 
     const dram::Channel &channel() const { return channel_; }
     RefreshScheduler &refreshScheduler() { return refresh_; }
@@ -420,9 +418,7 @@ class MemoryController
     /** Queue state changed outside a tick; see consumeHorizonDirty(). */
     bool horizonDirty_ = true;
     CtrlStats stats_;
-#if CCSIM_OBS
     obs::CtrlHists *obsHists_ = nullptr; ///< Telemetry histograms.
-#endif
 };
 
 } // namespace ccsim::ctrl

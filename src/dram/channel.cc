@@ -2,8 +2,6 @@
 
 #include "resilience/serial.hh"
 
-#include <algorithm>
-
 #include "common/log.hh"
 
 namespace ccsim::dram {
@@ -31,21 +29,6 @@ Channel::canIssue(const Command &cmd, Cycle now) const
             return false;
     }
     return true;
-}
-
-Cycle
-Channel::earliest(const Command &cmd) const
-{
-    Cycle t = ranks_[cmd.addr.rank].earliest(cmd);
-    if (isColumnCmd(cmd.type) && cmd.addr.rank != lastBusRank_ &&
-        lastBusRank_ >= 0) {
-        const DramTiming &tt = spec_.timing;
-        Cycle lat = isReadCmd(cmd.type) ? Cycle(tt.tCL) : Cycle(tt.tCWL);
-        Cycle need = busFreeAt_ + Cycle(tt.tRTRS);
-        if (need > lat)
-            t = std::max(t, need - lat);
-    }
-    return t;
 }
 
 void

@@ -34,14 +34,10 @@ class Channel
     /** Full (channel+rank+bank scope) legality of `cmd` at `now`. */
     bool canIssue(const Command &cmd, Cycle now) const;
 
-    /** Lower bound on the issue cycle of `cmd` (for scheduling). */
-    Cycle earliest(const Command &cmd) const;
-
     /**
      * Channel-scope component of a column command's earliest issue
      * cycle on `rank` (0 when no cross-rank turnaround applies) — the
-     * bus term of earliest() and of canIssue()'s tRTRS check, hoisted
-     * per rank for schedulers.
+     * tRTRS check of canIssue(), hoisted per rank for schedulers.
      */
     Cycle
     busEarliestBase(int rank, bool is_read) const

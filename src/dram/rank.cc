@@ -74,41 +74,6 @@ Rank::canIssue(const Command &cmd, Cycle now) const
     return false;
 }
 
-Cycle
-Rank::earliest(const Command &cmd) const
-{
-    Cycle t = busyUntil_;
-    const Bank &b = banks_[cmd.addr.bank];
-    switch (cmd.type) {
-      case CmdType::ACT: {
-        t = std::max(t, b.earliest(CmdType::ACT));
-        t = std::max(t, nextActRank_);
-        if (acts_.full())
-            t = std::max(t, acts_.front() + Cycle(timing_.tFAW));
-        return t;
-      }
-      case CmdType::RD:
-      case CmdType::RDA:
-        return std::max({t, nextRd_, b.earliest(cmd.type)});
-      case CmdType::WR:
-      case CmdType::WRA:
-        return std::max({t, nextWr_, b.earliest(cmd.type)});
-      case CmdType::PRE:
-        return std::max(t, b.earliest(CmdType::PRE));
-      case CmdType::PREA: {
-        for (const auto &bk : banks_)
-            t = std::max(t, bk.earliest(CmdType::PRE));
-        return t;
-      }
-      case CmdType::REF: {
-        for (const auto &bk : banks_)
-            t = std::max(t, bk.earliest(CmdType::ACT));
-        return t;
-      }
-    }
-    return t;
-}
-
 void
 Rank::issue(const Command &cmd, Cycle now, const EffActTiming *eff)
 {

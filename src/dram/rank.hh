@@ -39,17 +39,11 @@ class Rank
     /** Rank+bank-scope legality of `cmd` at `now`. */
     bool canIssue(const Command &cmd, Cycle now) const;
 
-    /**
-     * Lower bound (not necessarily tight for tFAW) on the cycle at which
-     * `cmd` could issue; used by schedulers for ordering decisions only.
-     */
-    Cycle earliest(const Command &cmd) const;
-
-    // Rank-scope components of earliest(), for schedulers that combine
-    // them with the per-bank terms inline: max with Bank::earliest()
-    // reproduces earliest() exactly, and a command is rank-legal at
-    // `now` iff that max is <= now (rank state only changes when a
-    // command issues, so the FR-FCFS scan reads these once per rank).
+    // Rank-scope earliest issue cycles of ACT, PRE and column commands,
+    // for schedulers that combine them with the per-bank terms inline:
+    // such a command is rank-legal at `now` iff max(base,
+    // Bank::earliest()) <= now (rank state only changes when a command
+    // issues, so the FR-FCFS scan reads these once per rank).
 
     /** Rank part of a column command's earliest cycle. */
     Cycle

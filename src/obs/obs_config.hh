@@ -2,11 +2,9 @@
  * @file
  * Telemetry configuration (see docs/observability.md).
  *
- * Observability is compile-guarded by the CCSIM_OBS CMake option: when
- * compiled out, every hot-path hook disappears and the simulator is
- * byte-for-byte the pre-telemetry binary. When compiled in, this
- * struct is the runtime switchboard; `enable == false` (the default)
- * reduces the hooks to a null-pointer test.
+ * Telemetry is always compiled in; this struct is its run-time
+ * switchboard. `enable == false` (the default) reduces every hook to a
+ * null-pointer test.
  *
  * The determinism contract: telemetry *reads* simulation state at
  * quiescent points, it never perturbs the schedule — simulated results

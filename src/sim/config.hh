@@ -91,7 +91,6 @@ struct SimConfig {
     /** NUAT 5PB bin edges (ms); the last edge is the refresh window. */
     std::vector<double> nuatBinEdgesMs = {6, 16, 32, 48, 64};
 
-    bool trackRltl = false;
     bool modelEnergy = true;
     bool attachOracle = false;
     std::uint64_t seed = 42;
@@ -120,8 +119,7 @@ struct SimConfig {
      * Observation-only — results are bit-identical with telemetry on
      * or off, across kernels (tests/test_obs.cc).
      * Excluded from the snapshot config hash like the other execution-
-     * strategy knobs. Inert unless obs.enable (and the CCSIM_OBS
-     * compile option, default ON) are set.
+     * strategy knobs. Inert unless obs.enable is set.
      */
     obs::ObsConfig obs;
 

@@ -124,7 +124,7 @@ System::build(const std::vector<cpu::TraceSource *> &traces)
 {
     traceRefs_ = traces; // Retained for snapshot serialization.
 
-    if (resilience::injectsAllocFailure(config_.faults))
+    if (config_.faults.enabled())
         throw resilience::SimError(
             resilience::ErrorKind::ResourceExhausted,
             "injected allocation failure (fault seed " +
@@ -235,7 +235,6 @@ System::build(const std::vector<cpu::TraceSource *> &traces)
                     shootdownBroadcast(initiator, asid, vpn, now);
                 });
 
-#if CCSIM_OBS
     if (config_.obs.enable) {
         tele_ = std::make_unique<obs::Telemetry>(
             config_.obs, config_.channels, config_.nCores,
@@ -249,7 +248,6 @@ System::build(const std::vector<cpu::TraceSource *> &traces)
             cores_[i]->setObsPtwHist(tele_->ptwHist(i));
         registerObsProbes();
     }
-#endif
 }
 
 void
@@ -401,7 +399,6 @@ class System::StallWatchdog
 SystemResult
 System::run()
 {
-#if CCSIM_OBS
     if (tele_) {
         tele_->attachHost();
         // Fresh runs arm the sample grid at cycle 0; resumed runs
@@ -409,7 +406,6 @@ System::run()
         if (!resume_ && tele_->nextSampleAt() == kNoCycle)
             tele_->scheduleFrom(0);
     }
-#endif
     if (config_.kernel == KernelMode::Calendar && !config_.kernelParanoid)
         return runCalendar();
 
@@ -466,14 +462,12 @@ System::run()
     }
 
     while (true) {
-#if CCSIM_OBS
         // Sample before any checkpoint at the same cycle so a snapshot
         // taken now already carries this row (and the advanced
         // nextSampleAt), keeping resumed series gap- and
         // duplicate-free.
         if (obsSampleDue(now))
             tele_->takeSample(now);
-#endif
         if (checkpointDue(now))
             fireCheckpoint(now, warm, warm_end);
 
@@ -481,10 +475,8 @@ System::run()
             warm = true;
             warm_end = now;
             resetAllStats(now);
-#if CCSIM_OBS
             if (tele_)
                 tele_->rebase();
-#endif
         }
         if (warm) {
             bool done = true;
@@ -687,10 +679,8 @@ System::collectResults(CpuCycle now, CpuCycle warm_end)
         res.afterRefresh8ms = acts ? after_ref / acts : 0.0;
     }
 
-#if CCSIM_OBS
     if (tele_)
         tele_->flush(); // Write configured files; detach the host sink.
-#endif
     return res;
 }
 
@@ -702,12 +692,8 @@ System::settleCoreStalls(int core, CpuCycle skipped, CpuCycle upto)
     cores_[core]->accountStallCycles(skipped);
     if (cores_[core]->stallKind() == cpu::Core::StallKind::BlockedLlc)
         llc_->accountBlockedProbes(skipped);
-#if CCSIM_OBS
     if (tele_)
         tele_->corePark(core, skipped, upto);
-#else
-    (void)upto;
-#endif
 }
 
 void
@@ -852,13 +838,11 @@ System::runCalendar()
     }
 
     while (true) {
-#if CCSIM_OBS
         // Sample before a same-cycle checkpoint (see run()).
         if (obsSampleDue(now)) {
             settle_all_parked(now);
             tele_->takeSample(now);
         }
-#endif
         if (checkpointDue(now)) {
             settle_all_parked(now);
             try {
@@ -878,10 +862,8 @@ System::runCalendar()
                 warm_end = now;
                 settle_all_parked(now);
                 resetAllStats(now);
-#if CCSIM_OBS
                 if (tele_)
                     tele_->rebase();
-#endif
             }
             if (warm && all_past(done_cursor, [](const cpu::Core &c) {
                     return c.reachedTarget();
@@ -985,7 +967,6 @@ System::runCalendar()
                 horizon = std::min<CpuCycle>(horizon, ctrl_now * ratio);
             CCSIM_ASSERT(horizon != kNoCycle, "no future event horizon");
             next = std::max(now + 1, horizon);
-#if CCSIM_OBS
             // Land exactly on the next sample cycle: stopping a jump
             // early at an eventless cycle is statistically invisible
             // (same argument as stale wake entries), and it makes the
@@ -994,7 +975,6 @@ System::runCalendar()
             if (tele_ && tele_->seriesOn())
                 next = std::max<CpuCycle>(
                     now + 1, std::min(next, tele_->nextSampleAt()));
-#endif
             if (next > now + 1) {
                 // Controller ticks inside (now, next) are provably
                 // idle; fast-forward their clocks in one step.
@@ -1175,16 +1155,12 @@ System::serializeSnapshot() const
     // the section records whether it was live so a mismatched resume
     // fails loudly instead of silently dropping the series.
     w.beginSection("obs", 1);
-#if CCSIM_OBS
     w.put<std::uint8_t>(tele_ ? 1 : 0);
     if (tele_) {
         tele_->saveState(w);
         for (const auto &core : cores_)
             w.put(core->obsWalkStart());
     }
-#else
-    w.put<std::uint8_t>(0);
-#endif
     w.endSection();
 
     return w.take();
@@ -1259,11 +1235,7 @@ System::restoreSnapshot(const std::vector<std::uint8_t> &bytes)
     r.openSection("obs", 1);
     {
         bool snapObs = r.get<std::uint8_t>() != 0;
-#if CCSIM_OBS
         bool haveObs = tele_ != nullptr;
-#else
-        bool haveObs = false;
-#endif
         if (snapObs != haveObs)
             throw SimError(ErrorKind::Unsupported,
                            snapObs
@@ -1271,13 +1243,11 @@ System::restoreSnapshot(const std::vector<std::uint8_t> &bytes)
                                  "resume with obs.enable set"
                                : "snapshot has no telemetry state; "
                                  "resume with obs.enable unset");
-#if CCSIM_OBS
         if (haveObs) {
             tele_->loadState(r);
             for (auto &core : cores_)
                 core->setObsWalkStart(r.get<CpuCycle>());
         }
-#endif
     }
     r.closeSection();
 

@@ -133,9 +133,9 @@ class System
 
     /**
      * Telemetry facade (src/obs/, docs/observability.md); null unless
-     * config.obs.enable was set and CCSIM_OBS is compiled in. Owned by
-     * the System for its lifetime; time-series rows, histograms and
-     * the trace-event sink stay readable after run() returns.
+     * config.obs.enable was set. Owned by the System for its lifetime;
+     * time-series rows, histograms and the trace-event sink stay
+     * readable after run() returns.
      */
     obs::Telemetry *telemetry() { return tele_.get(); }
 
@@ -220,12 +220,7 @@ class System
     bool
     obsSampleDue(CpuCycle now) const
     {
-#if CCSIM_OBS
         return tele_ && tele_->sampleDue(now);
-#else
-        (void)now;
-        return false;
-#endif
     }
     /** Gather every end-of-run metric (shared by all kernels). */
     SystemResult collectResults(CpuCycle now, CpuCycle warm_end);
@@ -280,7 +275,7 @@ class System
      */
     std::unique_ptr<CalendarKernelState> cal_;
 
-    /** Telemetry (null unless config.obs.enable && CCSIM_OBS). */
+    /** Telemetry (null unless config.obs.enable). */
     std::unique_ptr<obs::Telemetry> tele_;
 
     // Checkpoint/restore plumbing.

@@ -369,48 +369,5 @@ TEST(Stats, ResetAllCoversHistograms)
     EXPECT_EQ(tele.ptwHist(2), all.back());
 }
 
-TEST(Logger, ParseLogLevel)
-{
-    EXPECT_EQ(parseLogLevel("error"), LogLevel::Error);
-    EXPECT_EQ(parseLogLevel("warn"), LogLevel::Warn);
-    EXPECT_EQ(parseLogLevel("info"), LogLevel::Info);
-    EXPECT_EQ(parseLogLevel("debug"), LogLevel::Debug);
-    EXPECT_EQ(parseLogLevel("0"), LogLevel::Error);
-    EXPECT_EQ(parseLogLevel("3"), LogLevel::Debug);
-    EXPECT_EQ(parseLogLevel("bogus"), LogLevel::Info);
-}
-
-TEST(Logger, ThresholdFilters)
-{
-    LogLevel prev = logLevel();
-    setLogLevel(LogLevel::Warn);
-    EXPECT_TRUE(logEnabled(LogLevel::Error));
-    EXPECT_TRUE(logEnabled(LogLevel::Warn));
-    EXPECT_FALSE(logEnabled(LogLevel::Info));
-    EXPECT_FALSE(logEnabled(LogLevel::Debug));
-    setLogLevel(prev);
-}
-
-TEST(Logger, RateLimitPerSite)
-{
-    // Drive one call site past the limit with output squelched; the
-    // accounting (which setQuiet leaves running) is the observable.
-    setQuiet(true);
-    detail::LogSite site;
-    for (std::uint64_t i = 0; i < detail::kLogSiteLimit + 5; ++i)
-        detail::logImpl(LogLevel::Warn, "test", site, "msg");
-    setQuiet(false);
-    EXPECT_EQ(site.emitted.load(), detail::kLogSiteLimit + 5);
-    EXPECT_EQ(site.suppressed.load(), 5u);
-
-    // A different site has its own budget.
-    setQuiet(true);
-    detail::LogSite fresh;
-    detail::logImpl(LogLevel::Warn, "test", fresh, "msg");
-    setQuiet(false);
-    EXPECT_EQ(fresh.emitted.load(), 1u);
-    EXPECT_EQ(fresh.suppressed.load(), 0u);
-}
-
 } // namespace
 } // namespace ccsim

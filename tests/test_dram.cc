@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/log.hh"
 #include "common/random.hh"
 #include "dram/addr.hh"
@@ -512,38 +514,95 @@ TEST_F(OracleTest, UnsortedTraceRejected)
 }
 
 // Property: the device model itself never lets an illegal sequence
-// through — drive random legal-when-possible traffic and verify.
+// through — drive random legal-when-possible traffic and verify. Along
+// the way, check the readiness rule the FR-FCFS scan relies on: for
+// the command class the scan would consider for a bank (ACT when idle,
+// PRE or a column command to the open row when active), max(rank base,
+// Bank::earliest()) <= now exactly when Channel::canIssue says so. The
+// traffic runs on two ranks, leans toward ACT/PRE so tRRD and tFAW
+// bind, and refreshes each rank now and then.
 TEST(DeviceOracleProperty, RandomTrafficThroughChannelIsClean)
 {
     DramSpec spec = DramSpec::ddr3_1600(1);
+    spec.org.ranksPerChannel = 2;
+    spec.validate();
     Channel ch(spec);
     TimingOracle oracle(spec);
     Rng rng(2024);
     EffActTiming std_t{11, 28, false};
     EffActTiming fast{7, 20, true};
 
+    bool ref_due[2] = {false, false};
+    int refs = 0;
+    int act_gated = 0; // Bank ready, ACT held by the rank (tRRD/tFAW).
+    int bus_gated = 0; // Rank ready, column held by the bus (tRTRS).
     Cycle now = 0;
     int issued = 0;
     while (issued < 5000) {
-        // Try a random plausible command; issue only if legal.
+        const int r = static_cast<int>(rng.below(2));
+        const Rank &rank = ch.rank(r);
+
+        // A rank that falls due for refresh takes no scan commands
+        // (the controller's scan skips it) until PREA and REF issue.
+        if (!ref_due[r] && rng.chance(0.002))
+            ref_due[r] = true;
+        if (ref_due[r]) {
+            Command ref;
+            ref.addr.rank = r;
+            ref.type = CmdType::REF;
+            Command prea = ref;
+            prea.type = CmdType::PREA;
+            if (ch.canIssue(ref, now)) {
+                ch.issue(ref, now, nullptr);
+                oracle.record(ref, now, nullptr);
+                ref_due[r] = false;
+                ++refs;
+                ++issued;
+            } else if (!rank.allBanksIdle() && ch.canIssue(prea, now)) {
+                ch.issue(prea, now, nullptr);
+                oracle.record(prea, now, nullptr);
+                ++issued;
+            }
+        }
+
         Command c;
-        int pick = static_cast<int>(rng.below(6));
+        c.addr.rank = r;
         c.addr.bank = static_cast<int>(rng.below(8));
-        c.addr.row = static_cast<int>(rng.below(16));
-        c.type = pick == 0   ? CmdType::ACT
-                 : pick == 1 ? CmdType::PRE
-                 : pick == 2 ? CmdType::RD
-                 : pick == 3 ? CmdType::WR
-                 : pick == 4 ? CmdType::RDA
-                             : CmdType::WRA;
-        // Column commands must target the open row to be legal.
-        const Bank &b = ch.rank(0).bank(c.addr.bank);
-        if (isColumnCmd(c.type) && b.state() == Bank::State::Active)
+        const Bank &b = rank.bank(c.addr.bank);
+        Cycle base = 0;
+        if (b.state() == Bank::State::Idle) {
+            c.type = CmdType::ACT;
+            c.addr.row = static_cast<int>(rng.below(16));
+            base = rank.actEarliestBase();
+        } else if (rng.chance(0.6)) {
+            c.type = CmdType::PRE;
             c.addr.row = b.openRow();
-        const EffActTiming *eff = nullptr;
-        if (c.type == CmdType::ACT)
-            eff = rng.chance(0.5) ? &fast : &std_t;
-        if (ch.canIssue(c, now)) {
+            base = rank.preEarliestBase();
+        } else {
+            const CmdType cols[] = {CmdType::RD, CmdType::WR, CmdType::RDA,
+                                    CmdType::WRA};
+            c.type = cols[rng.below(4)];
+            c.addr.row = b.openRow();
+            const Cycle rank_base =
+                rank.columnEarliestBase(isWriteCmd(c.type));
+            base = std::max(rank_base,
+                            ch.busEarliestBase(r, isReadCmd(c.type)));
+            if (std::max(rank_base, b.earliest(c.type)) <= now &&
+                base > now)
+                ++bus_gated;
+        }
+        const bool legal = ch.canIssue(c, now);
+        ASSERT_EQ(std::max(base, b.earliest(c.type)) <= now, legal)
+            << cmdName(c.type) << " rank " << r << " bank " << c.addr.bank
+            << " at cycle " << now;
+        if (c.type == CmdType::ACT && !legal &&
+            std::max(rank.preEarliestBase(), b.earliest(c.type)) <= now)
+            ++act_gated;
+
+        if (legal && !ref_due[r]) {
+            const EffActTiming *eff = nullptr;
+            if (c.type == CmdType::ACT)
+                eff = rng.chance(0.5) ? &fast : &std_t;
             ch.issue(c, now, eff);
             oracle.record(c, now, eff);
             ++issued;
@@ -552,6 +611,10 @@ TEST(DeviceOracleProperty, RandomTrafficThroughChannelIsClean)
     }
     auto v = oracle.verify();
     EXPECT_TRUE(v.empty()) << (v.empty() ? "" : v[0]);
+    // The run exercised what the rule has to get right.
+    EXPECT_GT(refs, 0);
+    EXPECT_GT(act_gated, 0);
+    EXPECT_GT(bus_gated, 0);
 }
 
 } // namespace

@@ -13,7 +13,7 @@
  *    neutral) and the SIGINT/SIGTERM stop flag (final snapshot, then
  *    SimError{Interrupted});
  *  - deterministic fault injection (an allocation failure surfaces as
- *    a retryable SimError) and its environment overrides;
+ *    a retryable SimError);
  *  - structured input-validation errors (SimError, not aborts) and
  *    the sweep runner's retry/backoff on retryable kinds;
  *  - malformed / truncated trace regression tests.
@@ -43,7 +43,6 @@
 #include "mem/llc.hh"
 #include "resilience/checkpoint.hh"
 #include "resilience/error.hh"
-#include "resilience/fault.hh"
 #include "resilience/io.hh"
 #include "resilience/serial.hh"
 #include "sim/experiment.hh"
@@ -550,7 +549,6 @@ TEST(Resilience, AllocFailureIsRetryableSimError)
 {
     SimConfig cfg = ckptConfig(KernelMode::Calendar, false);
     cfg.faults.seed = 7;
-    cfg.faults.kind = resilience::FaultKind::AllocFail;
     try {
         System sys(cfg, ckptWorkloads(cfg.nCores));
         FAIL() << "expected ResourceExhausted";
@@ -558,64 +556,6 @@ TEST(Resilience, AllocFailureIsRetryableSimError)
         EXPECT_EQ(e.kind(), ErrorKind::ResourceExhausted);
         EXPECT_TRUE(e.retryable());
     }
-}
-
-TEST(Resilience, EnvFaultOverridesParse)
-{
-    setenv("CCSIM_FAULT_SEED", "31337", 1);
-    setenv("CCSIM_FAULT_KIND", "alloc-fail", 1);
-    resilience::FaultConfig fc;
-    resilience::applyEnvFaults(fc);
-    EXPECT_EQ(fc.seed, 31337u);
-    EXPECT_EQ(fc.kind, resilience::FaultKind::AllocFail);
-    EXPECT_TRUE(resilience::injectsAllocFailure(fc));
-
-    // Kinds that never injected anything are rejected, not ignored.
-    for (const char *gone : {"trace-truncate", "worker-death",
-                             "meteor-strike"}) {
-        setenv("CCSIM_FAULT_KIND", gone, 1);
-        EXPECT_THROW(resilience::applyEnvFaults(fc), SimError) << gone;
-    }
-    unsetenv("CCSIM_FAULT_SEED");
-    unsetenv("CCSIM_FAULT_KIND");
-}
-
-TEST(Resilience, EnvFaultScalarsRejectGarbage)
-{
-    // strtoull with a nullptr end pointer used to parse these as 0 —
-    // i.e. a typo'd fault spec silently became "no fault injected".
-    // Each scalar must throw InvalidConfig naming the variable.
-    struct Case {
-        const char *name;
-        const char *value;
-    };
-    const Case cases[] = {{"CCSIM_FAULT_SEED", "abc"},
-                          {"CCSIM_FAULT_SEED", "12abc"},
-                          {"CCSIM_FAULT_SEED", "7 "},
-                          {"CCSIM_FAULT_SEED", "0x2"}};
-    for (const Case &c : cases) {
-        setenv(c.name, c.value, 1);
-        resilience::FaultConfig fc;
-        try {
-            resilience::applyEnvFaults(fc);
-            FAIL() << c.name << "='" << c.value
-                   << "' should have been rejected";
-        } catch (const SimError &e) {
-            EXPECT_EQ(e.kind(), ErrorKind::InvalidConfig);
-            EXPECT_NE(std::string(e.what()).find(c.name),
-                      std::string::npos)
-                << "error must name the offending variable: "
-                << e.what();
-        }
-        unsetenv(c.name);
-    }
-
-    // Valid values still parse.
-    setenv("CCSIM_FAULT_SEED", "42", 1);
-    resilience::FaultConfig fc;
-    resilience::applyEnvFaults(fc);
-    EXPECT_EQ(fc.seed, 42u);
-    unsetenv("CCSIM_FAULT_SEED");
 }
 
 // ---------------------------------------------------------------------
@@ -680,10 +620,17 @@ TEST(Resilience, SweepRetriesTransientFailures)
         r.cpuCycles = 100 + i;
         return r;
     };
+    testing::internal::CaptureStderr();
     std::vector<SystemResult> out = runSweep(3, point, 2);
+    const std::string err = testing::internal::GetCapturedStderr();
     ASSERT_EQ(out.size(), 3u);
     EXPECT_EQ(out[1].cpuCycles, 101u);
     EXPECT_EQ(attempts.load(), 2) << "one failure + one retry";
+
+    // The retry is reported as exactly one warning line.
+    const std::string line = "[warn] sim: sweep point 1 attempt 1 failed";
+    EXPECT_EQ(err.rfind(line, 0), 0u) << err;
+    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
 }
 
 TEST(Resilience, SweepPropagatesDeterministicErrors)

@@ -34,7 +34,6 @@
 #include "helpers.hh"
 #include "mem/llc.hh"
 #include "resilience/error.hh"
-#include "resilience/fault.hh"
 #include "resilience/io.hh"
 #include "resilience/serial.hh"
 #include "sim/config.hh"
@@ -569,7 +568,6 @@ TEST(Sampling, SlicePoolSurfacesSliceErrors)
     sc.maxClusters = 4;
     SimConfig cfg = sampleConfig();
     cfg.faults.seed = 7;
-    cfg.faults.kind = resilience::FaultKind::AllocFail;
     test::ScopedEnv env("CCSIM_THREADS", "4");
     try {
         trace::SampledSimulation(cfg, path, sc).run();
@@ -580,7 +578,6 @@ TEST(Sampling, SlicePoolSurfacesSliceErrors)
     std::remove(path.c_str());
 }
 
-#if CCSIM_OBS
 TEST(Sampling, SlicePoolKeepsTelemetryFilesSerial)
 {
     // Every slice writes the configured time-series path, so such runs
@@ -609,7 +606,6 @@ TEST(Sampling, SlicePoolKeepsTelemetryFilesSerial)
     std::remove(series.c_str());
     std::remove(path.c_str());
 }
-#endif
 
 TEST(Sampling, WarmInjectLlcTagState)
 {
