@@ -10,12 +10,18 @@
  * (tests/system_compare.hh) with constants recorded from a known-good
  * build.
  *
- * A second test does the same for sampled simulation: a single-core and
- * a two-core SampledSimulation over small generated CCTR traces, written
- * with small blocks so each profile pass crosses many blocks, one run
- * coarsened by a small maxIntervals. Its digest covers every profiled
- * interval field (signature doubles bit for bit), the cluster count,
- * the instruction totals, every slice and the aggregate.
+ * A second test digests the bytes of every autosave snapshot of two of
+ * those Calendar runs, hooked off the DRAM-boundary grid, so it also
+ * catches a change that keeps every result but moves where the
+ * kernel's jumps stop.
+ *
+ * A third test does what the first does for sampled simulation: a
+ * single-core and a two-core SampledSimulation over small generated
+ * CCTR traces, written with small blocks so each profile pass crosses
+ * many blocks, one run coarsened by a small maxIntervals. Its digest
+ * covers every profiled interval field (signature doubles bit for
+ * bit), the cluster count, the instruction totals, every slice and the
+ * aggregate.
  *
  * A refactor that is meant to keep results must pass this unedited. A
  * deliberate model change re-records the constants the failure message
@@ -218,6 +224,50 @@ TEST(GoldenResults, CalendarMatchesPinnedDigests)
                       << firstMovedField(fields, c.print)
                       << "\nnew digest and field print: "
                       << recordLine(fields, digest);
+    }
+}
+
+TEST(GoldenResults, CalendarSnapshotsMatchPinnedDigest)
+{
+    // An autosave fires at the first cycle the Calendar kernel visits
+    // at or past its due cycle, so its bytes pin where the kernel's
+    // jumps stop, which no result digest sees. The prime interval keeps
+    // the fires off the DRAM-boundary grid. The multi-process case is
+    // the only one whose parked cores post wakes.
+    const struct {
+        const char *name;
+        std::uint64_t digest;
+    } pins[] = {
+        {"ChargeCache/4c2ch-closed/vm-off", 0xbffcf8821b607858ull},
+        {"ChargeCache/4c2ch-closed/multi-process", 0x6490cdbb8efa5d66ull},
+    };
+    for (const auto &pin : pins) {
+        SCOPED_TRACE(pin.name);
+        const PinnedCase *c = nullptr;
+        for (const PinnedCase &k : kCases)
+            if (std::strcmp(k.name, pin.name) == 0)
+                c = &k;
+        ASSERT_NE(c, nullptr);
+        SimConfig cfg = configFor(*c);
+        cfg.kernelParanoid = false; // The fires must land where it jumps.
+        System sys(cfg, workloadsFor(c->shape));
+        std::uint64_t digest = 0xcbf29ce484222325ull; // FNV-1a, 64-bit.
+        int snapshots = 0;
+        sys.setCheckpointHook(5000, 7919, [&](System &s) {
+            for (std::uint8_t b : s.serializeSnapshot()) {
+                digest ^= b;
+                digest *= 0x100000001b3ull;
+            }
+            ++snapshots;
+            return true;
+        });
+        sys.run();
+        EXPECT_GE(snapshots, 10);
+        char hex[24];
+        std::snprintf(hex, sizeof hex, "0x%016" PRIx64 "ull", digest);
+        EXPECT_EQ(digest, pin.digest)
+            << "snapshot digest moved over " << snapshots
+            << " snapshots; new: " << hex;
     }
 }
 
