@@ -26,10 +26,6 @@ MemoryController::MemoryController(const dram::DramSpec &spec,
       channel_(spec),
       refresh_(refresh)
 {
-    if (dynamic_cast<chargecache::StandardProvider *>(&provider_))
-        providerKind_ = ProviderKind::Standard;
-    else if (dynamic_cast<chargecache::ChargeCacheProvider *>(&provider_))
-        providerKind_ = ProviderKind::ChargeCache;
     bankCtl_.resize(spec_.org.ranksPerChannel);
     for (auto &per_rank : bankCtl_)
         per_rank.resize(spec_.org.banksPerRank);
@@ -189,7 +185,6 @@ MemoryController::enqueue(Request req)
     if (req.token == 0)
         req.token = tokenSeq_++;
     if (req.type == ReqType::Read) {
-        horizonDirty_ = true;
         if (req.isPtw) {
             ++stats_.ptwReads;
             if (req.ptwLevel >= 0 && req.ptwLevel < 4)
@@ -220,7 +215,6 @@ MemoryController::enqueue(Request req)
         if (!writeLines_.insert(req.lineAddr).second)
             return;
         ++stats_.writes;
-        horizonDirty_ = true;
         nextServeTry_ = 0; // New candidate: the scheduler must rescan.
         if (config_.useServeHorizon) {
             enqueueListed(std::move(req), true);
@@ -266,20 +260,7 @@ void
 MemoryController::issueAct(const dram::DramAddr &addr, int core_id,
                            bool is_ptw)
 {
-    dram::EffActTiming eff;
-    switch (providerKind_) {
-      case ProviderKind::Standard:
-        eff = static_cast<chargecache::StandardProvider &>(provider_)
-                  .onActivate(core_id, addr, now_);
-        break;
-      case ProviderKind::ChargeCache:
-        eff = static_cast<chargecache::ChargeCacheProvider &>(provider_)
-                  .onActivate(core_id, addr, now_);
-        break;
-      default:
-        eff = provider_.onActivate(core_id, addr, now_);
-        break;
-    }
+    const dram::EffActTiming eff = provider_.onActivate(core_id, addr, now_);
     CCSIM_ASSERT(eff.trcd <= spec_.timing.tRCD &&
                      eff.tras <= spec_.timing.tRAS,
                  "provider returned slower-than-standard timing");
@@ -902,7 +883,6 @@ MemoryController::loadState(resilience::SnapshotReader &r,
     // 0 means "rescan", which is always sound, and the rescan issues
     // nothing observable if the saved horizon was still in force.
     nextServeTry_ = 0;
-    horizonDirty_ = true;
 }
 
 } // namespace ccsim::ctrl

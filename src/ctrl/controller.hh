@@ -141,7 +141,9 @@ class MemoryController
      * next refresh falling due, and — while requests are queued — the
      * cached scheduler horizon (the earliest cycle any queued request's
      * next command could become timing-legal; see serveQueueBankLists).
-     * Never kNoCycle — refresh is periodic.
+     * Never kNoCycle — refresh is periodic. A few loads and compares:
+     * the calendar kernel asks at every DRAM boundary and every jump,
+     * so an enqueue needs no notice to move it.
      */
     Cycle
     nextEventAt() const
@@ -169,25 +171,12 @@ class MemoryController
 
     /**
      * Advance one provably-idle cycle without re-deriving the horizon:
-     * the calendar kernel calls this when its cached posted event for
-     * this controller lies strictly in the future, which is exactly the
-     * nextEventAt() > now() precondition of skipTicks(1). Paranoid mode
-     * revalidates every such decision against a real tick.
+     * the calendar kernel calls this at a DRAM boundary where it has
+     * just found nextEventAt() > now(), the precondition of
+     * skipTicks(1). Paranoid mode revalidates every such decision
+     * against a real tick.
      */
     void advanceIdle() { ++now_; }
-
-    /**
-     * True once since the last call if queue state changed outside a
-     * tick (an enqueue) — the calendar kernel's cue to re-read
-     * nextEventAt() and repost this controller's event.
-     */
-    bool
-    consumeHorizonDirty()
-    {
-        bool dirty = horizonDirty_;
-        horizonDirty_ = false;
-        return dirty;
-    }
 
     Cycle now() const { return now_; }
 
@@ -282,13 +271,6 @@ class MemoryController
         int ownerCore = -1; ///< Core whose request opened the row.
     };
 
-    /**
-     * Concrete provider type, resolved once at construction so the
-     * per-ACT probe of the two common schemes dispatches statically
-     * (the provider classes are final, letting the compiler inline).
-     */
-    enum class ProviderKind { Generic, Standard, ChargeCache };
-
     /** Rank capacity of scanBanks' per-scan gate table. */
     static constexpr int kMaxScanRanks = 8;
 
@@ -375,7 +357,6 @@ class MemoryController
     dram::DramSpec spec_;
     CtrlConfig config_;
     chargecache::LatencyProvider &provider_;
-    ProviderKind providerKind_ = ProviderKind::Generic;
     int channelId_;
 
     dram::Channel channel_;
@@ -415,8 +396,6 @@ class MemoryController
     Cycle nextServeTry_ = 0;
     Cycle now_ = 0;
     std::uint64_t tokenSeq_ = 1;
-    /** Queue state changed outside a tick; see consumeHorizonDirty(). */
-    bool horizonDirty_ = true;
     CtrlStats stats_;
     obs::CtrlHists *obsHists_ = nullptr; ///< Telemetry histograms.
 };

@@ -6,11 +6,11 @@
  * The wake queue holds the self-wakes of parked cores: a core that
  * parks on a self-scheduled event posts (cycle, core id) once, and the
  * kernel asks the queue when the next one is due instead of polling
- * every parked core. Controller horizons do not go here; runCalendar
- * keeps them in a per-channel slot array. The traffic is small: a
- * parked core mostly waits on an external completion and posts
- * nothing, so a queue holds at most about a dozen live entries
- * (docs/performance.md, "Wake queue").
+ * every parked core. Controller horizons do not go here: runCalendar
+ * asks each controller for its nextEventAt() at every DRAM boundary and
+ * at every jump. The traffic is small: a parked core mostly waits on
+ * an external completion and posts nothing, so a queue holds at most
+ * about a dozen live entries (docs/performance.md, "Wake queue").
  *
  * Entries are lazily invalidated: the queue may deliver a wake whose
  * core has since been woken by other means, and the kernel revalidates

@@ -430,20 +430,17 @@ System::run()
     // A paranoid Calendar run (kernelParanoid) runs this same schedule
     // with the calendar kernel shadowed: every tick the kernel would
     // elide still executes and is asserted quiescent, and the wake
-    // queue and the cached controller horizons are shadow-run and
-    // asserted to deliver every wake-up at exactly the cycle this
-    // schedule needs it.
+    // queue is shadow-run and asserted to deliver every self-wake at
+    // exactly the cycle this schedule needs it.
     const CpuCycle ratio = static_cast<CpuCycle>(config_.cpuRatio);
     const bool shadow = config_.kernel == KernelMode::Calendar;
 
     // Calendar shadow state: self-wake events posted at park time, the
-    // per-cycle due set they resolve to, the cached (repost-driven)
-    // controller horizons the calendar kernel would steer by, and the
-    // cores it would have parked (whose ticks still execute here).
+    // per-cycle due set they resolve to, and the cores the calendar
+    // kernel would have parked (whose ticks still execute here).
     WakeQueue shadow_wakes;
     std::vector<char> shadow_due(cores_.size(), 0);
     std::vector<int> shadow_due_list;
-    std::vector<CpuCycle> shadow_ctrl_next(controllers_.size(), 0);
     std::vector<char> parked(cores_.size(), 0);
 
     CpuCycle next_progress_check = 65536;
@@ -501,31 +498,14 @@ System::run()
         }
 
         if (now % ratio == 0) {
-            if (!shadow) {
-                for (auto &mc : controllers_)
-                    mc->tick();
-            } else {
-                for (size_t ch = 0; ch < controllers_.size(); ++ch) {
-                    ctrl::MemoryController &mc = *controllers_[ch];
-                    // Mirror the calendar kernel's lazy repost: consume
-                    // the dirty flag at the boundary before deciding.
-                    if (mc.consumeHorizonDirty())
-                        shadow_ctrl_next[ch] =
-                            static_cast<CpuCycle>(mc.nextEventAt()) *
-                            ratio;
-                    bool could = mc.nextEventAt() <= mc.now();
-                    bool cached_could = shadow_ctrl_next[ch] <= now;
-                    bool active = mc.tick();
-                    CCSIM_ASSERT(!active || could,
-                                 "controller horizon would have skipped "
-                                 "an active controller tick");
-                    CCSIM_ASSERT(!active || cached_could,
-                                 "calendar posted horizon would have "
-                                 "skipped an active controller tick");
-                    mc.consumeHorizonDirty();
-                    shadow_ctrl_next[ch] =
-                        static_cast<CpuCycle>(mc.nextEventAt()) * ratio;
-                }
+            for (auto &mc : controllers_) {
+                // The calendar kernel ticks a controller only when its
+                // horizon is due; an active tick must have been due.
+                bool could = !shadow || mc->nextEventAt() <= mc->now();
+                bool active = mc->tick();
+                CCSIM_ASSERT(!active || could,
+                             "controller horizon would have skipped "
+                             "an active controller tick");
             }
             if (llc_->needsAnyDrain())
                 llc_->tick();
@@ -744,11 +724,9 @@ System::runCalendar()
     //    wake event at park time (its hit queue is frozen while
     //    parked, so the event never moves); a purely externally-driven
     //    core posts nothing and is revived by the LLC callbacks;
-    //  - each controller's nextEventAt() is cached in CPU cycles and
-    //    reposted only when it changes — after one of its own ticks, or
-    //    when an enqueue dirties it (consumeHorizonDirty) — so awake
-    //    phases cost one integer compare per controller per DRAM cycle
-    //    and jumps need no controller polling at all;
+    //  - each controller is asked for its nextEventAt() at every DRAM
+    //    boundary, which ticks it only when that is due and otherwise
+    //    advances its clock idle, and again at every jump;
     //  - only awake cores are visited in the core phase (the sorted
     //    awake list preserves the reference's id-ordered tick order);
     //    parked cores are entirely off the per-cycle path;
@@ -758,12 +736,18 @@ System::runCalendar()
     //    and nothing is due, which is statistically invisible — never
     //    skip past a real event, because posting only adds entries.
     // kernelParanoid runs the per-cycle schedule in run() instead, with
-    // this kernel's wake queue and cached horizons shadowed and
+    // this kernel's wake queue and controller horizons shadowed and
     // asserted.
     // ------------------------------------------------------------------
     CCSIM_ASSERT(!cal_, "runCalendar is not reentrant");
     cal_ = std::make_unique<CalendarKernelState>(cores_.size());
     CalendarKernelState &cal = *cal_;
+    // Released on every exit, a stop or an error included, so the
+    // kernel can run again.
+    struct ReleaseCal {
+        std::unique_ptr<CalendarKernelState> &p;
+        ~ReleaseCal() { p.reset(); }
+    } release_cal{cal_};
 
     CpuCycle now = 0;
     bool warm = false;
@@ -789,21 +773,6 @@ System::runCalendar()
     StallWatchdog watchdog(*this);
     CpuCycle next_progress_check = 65536;
 
-    // Controller event slots: each channel's posted horizon, in CPU
-    // cycles — the cycle of its next tick that could do observable
-    // work. Controllers repost after each of their own ticks; enqueues
-    // from the core/LLC side dirty the slot (consumeHorizonDirty) and
-    // the value is refreshed lazily at the next boundary or jump
-    // decision. Channels are few and their horizons move every DRAM
-    // cycle while serving, so a dedicated slot array beats queue
-    // entries (no stale-entry churn); the wake queue carries the
-    // per-core wake events, whose timestamps are arbitrary and sparse.
-    std::vector<CpuCycle> ctrl_next(controllers_.size(), 0);
-    auto repost_ctrl = [&](std::size_t ch) {
-        ctrl_next[ch] =
-            static_cast<CpuCycle>(controllers_[ch]->nextEventAt()) * ratio;
-    };
-
     // Settle every parked core's stall statistics up to `upto` and
     // re-base its park time (warm-up boundary and end of run).
     auto settle_all_parked = [&](CpuCycle upto) {
@@ -825,10 +794,10 @@ System::runCalendar()
         // with every core awake (the CalendarKernelState starts with
         // all cores on the awake list and an empty wake queue). Restored
         // previously-parked cores take one real non-progressing tick
-        // and re-park, reposting their self-wakes; the controller
-        // slots start at 0 and force a first-boundary horizon refresh.
-        // Both are observationally identical to the uninterrupted
-        // schedule (docs/resilience.md).
+        // and re-park, reposting their self-wakes, which is
+        // observationally identical to the uninterrupted schedule
+        // (docs/resilience.md). The controllers need nothing: the
+        // kernel asks them for their horizons afresh.
         now = resume_->now;
         warm = resume_->warm;
         warm_end = resume_->warmEnd;
@@ -845,12 +814,7 @@ System::runCalendar()
         }
         if (checkpointDue(now)) {
             settle_all_parked(now);
-            try {
-                fireCheckpoint(now, warm, warm_end);
-            } catch (...) {
-                cal_.reset(); // Keep the kernel re-entrant after a stop.
-                throw;
-            }
+            fireCheckpoint(now, warm, warm_end);
         }
 
         if (progress_since_check) {
@@ -886,18 +850,11 @@ System::runCalendar()
 
         if (now == next_boundary) {
             next_boundary += ratio;
-            for (std::size_t ch = 0; ch < controllers_.size(); ++ch) {
-                if (controllers_[ch]->consumeHorizonDirty())
-                    repost_ctrl(ch);
-                if (ctrl_next[ch] <= now) {
-                    controllers_[ch]->tick();
-                    controllers_[ch]->consumeHorizonDirty();
-                    repost_ctrl(ch);
-                } else {
-                    // Posted horizon proves this tick would be a pure
-                    // clock advance.
-                    controllers_[ch]->advanceIdle();
-                }
+            for (auto &mc : controllers_) {
+                if (mc->nextEventAt() <= mc->now())
+                    mc->tick();
+                else
+                    mc->advanceIdle(); // Provably a pure clock advance.
             }
             if (llc_->needsAnyDrain())
                 llc_->tick();
@@ -952,16 +909,13 @@ System::runCalendar()
         if (!any_progress && cal.awake.empty() &&
             cal.pendingWake.empty()) {
             // Everything is parked and nothing fired: jump to the
-            // earliest posted event — wake queue and controller
-            // slots, refreshed where an enqueue dirtied them. The
-            // horizon is always finite: refresh keeps every controller
-            // posting.
+            // earliest of the wake queue and the controller horizons.
+            // The horizon is always finite: refresh keeps every
+            // controller's nextEventAt() finite.
             CpuCycle horizon = cal.wakes.nextEventAt();
-            for (std::size_t ch = 0; ch < controllers_.size(); ++ch) {
-                if (controllers_[ch]->consumeHorizonDirty())
-                    repost_ctrl(ch);
-                horizon = std::min(horizon, ctrl_next[ch]);
-            }
+            for (auto &mc : controllers_)
+                horizon = std::min(
+                    horizon, static_cast<CpuCycle>(mc->nextEventAt()) * ratio);
             Cycle ctrl_now = controllers_[0]->now();
             if (llc_->needsTick())
                 horizon = std::min<CpuCycle>(horizon, ctrl_now * ratio);
@@ -993,14 +947,8 @@ System::runCalendar()
             next_progress_check += 65536;
             if (resilience::stopRequested()) {
                 settle_all_parked(now);
-                try {
-                    if (ckptHook_)
-                        fireCheckpoint(now, warm, warm_end);
-                } catch (...) {
-                    cal_.reset();
-                    throw;
-                }
-                cal_.reset();
+                if (ckptHook_)
+                    fireCheckpoint(now, warm, warm_end);
                 throw resilience::SimError(
                     resilience::ErrorKind::Interrupted,
                     "stop signal received at cycle " +
@@ -1014,7 +962,6 @@ System::runCalendar()
     }
 
     settle_all_parked(now);
-    cal_.reset();
     return collectResults(now, warm_end);
 }
 
