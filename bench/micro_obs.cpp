@@ -15,8 +15,8 @@
  * ratio exceeds CCSIM_OBS_GATE_RATIO (default 1.05, the documented
  * <= 5% budget) — the CI perf-trajectory job's telemetry gate.
  *
- * Section 2 (untimed): a short run with the simulated-time and host
- * trace-event exporters on, written to CCSIM_OBS_TRACE_PATH (default
+ * Section 2 (untimed): a short run with the simulated-time trace-event
+ * exporter on, written to CCSIM_OBS_TRACE_PATH (default
  * ccsim_trace.json) — CI parses it as JSON and archives it. Bank/
  * refresh span tracing is deliberately not part of the timed section:
  * it is an opt-in debugging view with per-DRAM-command cost, not part
@@ -138,7 +138,6 @@ main()
         tr.obs.enable = true;
         tr.obs.sampleInterval = 25000;
         tr.obs.simTrace = true;
-        tr.obs.hostTrace = true;
         tr.obs.traceEventPath = trace_path;
         sim::System system(tr,
                            workloads::mixWorkloads(mix, tr.nCores));

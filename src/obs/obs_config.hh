@@ -44,11 +44,6 @@ struct ObsConfig {
      */
     bool simTrace = false;
 
-    /**
-     * Host wall-clock spans (pid 2): sampled-simulation stages.
-     */
-    bool hostTrace = false;
-
     /** Cap on buffered trace events; further events are counted+dropped. */
     std::size_t maxTraceEvents = std::size_t(1) << 20;
 

@@ -184,22 +184,8 @@ Telemetry::mergedPtwWalk() const
 }
 
 void
-Telemetry::attachHost()
-{
-    if (hostTraceOn())
-        HostTracer::instance().attach(&sink_);
-}
-
-void
-Telemetry::detachHost()
-{
-    HostTracer::instance().detach();
-}
-
-void
 Telemetry::flush()
 {
-    detachHost();
     if (!enabled())
         return;
     if (!cfg_.timeSeriesPath.empty())

@@ -74,7 +74,6 @@ class Telemetry
     bool enabled() const { return cfg_.enable; }
     bool histogramsOn() const { return cfg_.enable && cfg_.histograms; }
     bool simTraceOn() const { return cfg_.enable && cfg_.simTrace; }
-    bool hostTraceOn() const { return cfg_.enable && cfg_.hostTrace; }
     bool seriesOn() const
     {
         return cfg_.enable && cfg_.sampleInterval > 0;
@@ -130,11 +129,7 @@ class Telemetry
     Histogram mergedQueueWait() const;
     Histogram mergedPtwWalk() const;
 
-    /** Attach/detach the process-wide host tracer to this sink. */
-    void attachHost();
-    void detachHost();
-
-    /** Write configured output files (atomic) and detach the host sink. */
+    /** Write configured output files (atomic). */
     void flush();
 
     /** Checkpoint: schedule + series rows/baselines + histograms. */

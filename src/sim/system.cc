@@ -399,13 +399,10 @@ class System::StallWatchdog
 SystemResult
 System::run()
 {
-    if (tele_) {
-        tele_->attachHost();
-        // Fresh runs arm the sample grid at cycle 0; resumed runs
-        // carry nextSampleAt in the snapshot (no gap, no duplicate).
-        if (!resume_ && tele_->nextSampleAt() == kNoCycle)
-            tele_->scheduleFrom(0);
-    }
+    // Fresh runs arm the sample grid at cycle 0; resumed runs carry
+    // nextSampleAt in the snapshot (no gap, no duplicate).
+    if (tele_ && !resume_ && tele_->nextSampleAt() == kNoCycle)
+        tele_->scheduleFrom(0);
     if (config_.kernel == KernelMode::Calendar && !config_.kernelParanoid)
         return runCalendar();
 
@@ -660,7 +657,7 @@ System::collectResults(CpuCycle now, CpuCycle warm_end)
     }
 
     if (tele_)
-        tele_->flush(); // Write configured files; detach the host sink.
+        tele_->flush(); // Write configured files.
     return res;
 }
 

@@ -10,7 +10,6 @@
 #include <mutex>
 
 #include "common/random.hh"
-#include "obs/trace_event.hh"
 #include "resilience/error.hh"
 #include "sim/experiment.hh"
 #include "trace/replay.hh"
@@ -721,7 +720,6 @@ SampledSimulation::simulateSlice(const std::vector<IntervalInfo> &ivs,
         // and into HCRAC twins whose tables are then injected. The
         // twins stay separate because an insert bumps the table's
         // statistics and, under BIP, draws from its RNG.
-        obs::HostSpan span("sampling: functional warm", "sampling");
         const dram::DramSpec spec = cfg.buildSpec();
         const dram::AddressMapper mapper(spec.org, cfg.mapping);
         mem::Llc &llc = sys.llc();
@@ -798,7 +796,6 @@ SampledSimulation::simulateSlice(const std::vector<IntervalInfo> &ivs,
         }
     }
 
-    obs::HostSpan span("sampling: detailed slice", "sampling");
     job.slice.result = sys.run();
 }
 
@@ -808,20 +805,11 @@ SampledSimulation::run()
     const int n = config_.nCores;
     SampledResult out;
     std::vector<std::uint64_t> perCoreInsts;
-    {
-        // Host wall-clock spans for the sampled-simulation stages
-        // (no-ops unless a telemetry sink is attached; the detailed
-        // slices attach their own per-System sinks below).
-        obs::HostSpan span("sampling: profile", "sampling");
-        out.intervals = profileTrace(perCoreInsts);
-    }
+    out.intervals = profileTrace(perCoreInsts);
     out.totalInsts = 0;
     for (auto v : perCoreInsts)
         out.totalInsts += v;
-    {
-        obs::HostSpan span("sampling: cluster", "sampling");
-        out.clusters = clusterIntervals(out.intervals);
-    }
+    out.clusters = clusterIntervals(out.intervals);
     const auto &ivs = out.intervals;
 
     // Representative per cluster: the member closest to the recomputed
@@ -897,16 +885,15 @@ SampledSimulation::run()
     // The slices are independent by construction (each opens its own
     // readers and builds its own System), so they run on a pool and
     // fold back in cluster order: every field is the same at any
-    // thread count. Telemetry that writes host spans or files keeps
-    // them serial: the host-span sink is process-global, and every
-    // slice writes the same output paths.
+    // thread count. Each slice's telemetry lives in its own System;
+    // telemetry that writes files keeps the slices serial, because
+    // every slice writes the same output paths.
     const obs::ObsConfig &obsCfg = config_.obs;
-    const bool sharedSinks =
-        obsCfg.enable && (obsCfg.hostTrace ||
-                          !obsCfg.timeSeriesPath.empty() ||
+    const bool sharedFiles =
+        obsCfg.enable && (!obsCfg.timeSeriesPath.empty() ||
                           !obsCfg.traceEventPath.empty());
     const int threads =
-        sharedSinks ? 1
+        sharedFiles ? 1
                     : std::clamp<int>(static_cast<int>(jobs.size()), 1,
                                       sim::ParallelRunner::defaultThreads());
     {

@@ -44,11 +44,11 @@
  *     from the ~1.5M-instruction LLC horizon to ~100k. Slices are
  *     independent by construction and run as jobs on a
  *     sim::ParallelRunner of min(slices, defaultThreads()) workers
- *     (CCSIM_THREADS), folded back in cluster order, so
- *     every result field is the same at any thread count and the
- *     lowest cluster's error wins. Telemetry that writes host spans
- *     or files keeps the pool at one worker (process-global span
- *     sink, shared output paths).
+ *     (CCSIM_THREADS), folded back in cluster order, so every result
+ *     field is the same at any thread count and the lowest cluster's
+ *     error wins. Each slice's System keeps its own telemetry; only
+ *     telemetry that writes files keeps the pool at one worker, since
+ *     every slice writes the same output paths.
  *  4. Aggregate: per-core IPC combines as an instruction-weighted
  *     harmonic mean over each core's own instruction shares; shared
  *     LLC/HCRAC hit rates weight by each slice's activation rate —
