@@ -364,7 +364,9 @@ TEST(Sampling, SlicePoolMatchesOneWorkerRun)
     // slices run on a pool and fold back in cluster order, so one
     // worker and four give the same result, field for field. The
     // 64-record-block leg gives the profile window thousands of jobs,
-    // so its buffers are reused many times over.
+    // so its buffers are reused many times over. The telemetry leg
+    // writes no files, so it keeps its four workers, each slice
+    // recording histograms and trace spans into its own System's sinks.
     const std::string p0 = writeAnalyticsTrace(160000, 42, 0, "pool0");
     const std::string p1 =
         writeAnalyticsTrace(160000, 91, 1 << 21, "pool1");
@@ -381,12 +383,17 @@ TEST(Sampling, SlicePoolMatchesOneWorkerRun)
     SimConfig single = sampleConfig();
     SimConfig multi = sampleConfig();
     multi.nCores = 2;
+    SimConfig traced = multi;
+    traced.obs.enable = true;
+    traced.obs.histograms = true;
+    traced.obs.simTrace = true;
     const std::vector<std::string> one{p0}, two{p0, p1}, small{s0, s1};
     for (const auto &[cfg, paths] :
          {std::pair{single, one}, std::pair{multi, two},
-          std::pair{multi, small}}) {
+          std::pair{multi, small}, std::pair{traced, two}}) {
         SCOPED_TRACE(std::to_string(cfg.nCores) + " core(s), " +
-                     paths[0]);
+                     paths[0] +
+                     (cfg.obs.enable ? ", telemetry on" : ""));
         const trace::SampledResult inl =
             runWithThreads("1", cfg, paths, sc);
         const trace::SampledResult pooled =
