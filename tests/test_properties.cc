@@ -154,7 +154,15 @@ TEST_P(ControllerStress, RandomTrafficIsProtocolCleanAndConserving)
                                       static_cast<int>(rng.below(2)));
             }
         }
-        h->mc->tick();
+        // The calendar kernel ticks the controller only when its
+        // horizon is due, so a tick that did work must have been due.
+        const Cycle horizon = h->mc->nextEventAt();
+        ASSERT_GE(horizon, h->mc->now()) << "at cycle " << c;
+        const bool due = horizon <= h->mc->now();
+        const bool active = h->mc->tick();
+        ASSERT_TRUE(due || !active)
+            << "active tick before the horizon " << horizon << " at cycle "
+            << c;
     }
     h->drain();
 
