@@ -294,8 +294,6 @@ class CombinedProvider final : public LatencyProvider
         nuat_->resetStats();
     }
 
-    ChargeCacheProvider &chargeCache() { return *cc_; }
-
     void saveState(resilience::SnapshotWriter &w) const override;
     void loadState(resilience::SnapshotReader &r) override;
 

@@ -64,9 +64,6 @@ class TimingModel
     DerivedTimings timingsForDuration(double duration_ms,
                                       const dram::DramTiming &timing) const;
 
-    const StretchedFit &trcdFit() const { return trcdFit_; }
-    const StretchedFit &trasFit() const { return trasFit_; }
-
   private:
     StretchedFit trcdFit_;
     StretchedFit trasFit_;

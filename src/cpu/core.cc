@@ -45,9 +45,10 @@ loadRecord(resilience::SnapshotReader &r, TraceRecord &record)
     r.skip(7);
 }
 
-Core::Core(int id, const CoreConfig &config, TraceSource &trace,
-           mem::Llc &llc, vm::Mmu *mmu)
-    : id_(id), config_(config), trace_(trace), llc_(llc), mmu_(mmu),
+Core::Core(int id, const CoreConfig &config, std::uint64_t target_insts,
+           TraceSource &trace, mem::Llc &llc, vm::Mmu *mmu)
+    : id_(id), config_(config), targetInsts_(target_insts), trace_(trace),
+      llc_(llc), mmu_(mmu),
       window_(windowCapacity(config)), hitQueue_(windowCapacity(config))
 {
     if (mmu_ && mmu_->multiProcess())
@@ -271,7 +272,7 @@ Core::tick(CpuCycle now)
         ++stats_.retired;
         progressed = true;
     }
-    if (!targetRecorded_ && stats_.retired >= config_.targetInsts) {
+    if (!targetRecorded_ && stats_.retired >= targetInsts_) {
         targetRecorded_ = true;
         targetCycle_ = now;
     }

@@ -40,7 +40,6 @@ namespace ccsim::cpu {
 struct CoreConfig {
     int issueWidth = 3;
     int windowSize = 128;
-    std::uint64_t targetInsts = 1000000; ///< Retire target (post-reset).
 };
 
 struct CoreStats {
@@ -84,8 +83,9 @@ class Core
                                              std::uint32_t asid,
                                              Addr vpn, CpuCycle now)>;
 
-    Core(int id, const CoreConfig &config, TraceSource &trace,
-         mem::Llc &llc, vm::Mmu *mmu = nullptr);
+    /** `target_insts`: retire target counted from the last reset. */
+    Core(int id, const CoreConfig &config, std::uint64_t target_insts,
+         TraceSource &trace, mem::Llc &llc, vm::Mmu *mmu = nullptr);
 
     /** Install the shootdown broadcast hook (multi-process VM mode). */
     void setShootdownHook(ShootdownHook hook)
@@ -175,8 +175,8 @@ class Core
      */
     void accountStallCycles(CpuCycle cycles);
 
-    /** True once `targetInsts` have retired since the last reset. */
-    bool reachedTarget() const { return stats_.retired >= config_.targetInsts; }
+    /** True once the target count has retired since the last reset. */
+    bool reachedTarget() const { return stats_.retired >= targetInsts_; }
 
     /** Cycle at which the target was reached (valid once reached). */
     CpuCycle targetCycle() const { return targetCycle_; }
@@ -202,14 +202,6 @@ class Core
      * (end-of-warm-up). In-flight state is preserved.
      */
     void resetStats(CpuCycle now);
-
-    /** Instantaneous IPC since the last reset. */
-    double
-    ipcAt(CpuCycle now) const
-    {
-        CpuCycle cycles = now > baseCycle_ ? now - baseCycle_ : 1;
-        return double(stats_.retired) / double(cycles);
-    }
 
     /**
      * Checkpoint the core's complete in-flight state (window, hit
@@ -257,6 +249,7 @@ class Core
 
     int id_;
     CoreConfig config_;
+    std::uint64_t targetInsts_; ///< Retire target (post-reset).
     TraceSource &trace_;
     mem::Llc &llc_;
     vm::Mmu *mmu_; ///< Null: physical mode (legacy behavior).

@@ -52,9 +52,6 @@ class RefreshScheduler : public chargecache::RefreshInfo
      */
     Cycle nextEventAt() const { return cachedNext_; }
 
-    /** Total REFs issued to `rank`. */
-    std::uint64_t refCount(int rank) const { return refCount_[rank]; }
-
     /** Rows refreshed by each REF command. */
     int rowsPerRef() const { return rowsPerRef_; }
 

@@ -62,13 +62,6 @@ class AddressMapper
     /** Inverse of decode(). */
     Addr encode(const DramAddr &addr) const;
 
-    /** Decode a byte address (drops the intra-line offset). */
-    DramAddr
-    decodeBytes(Addr byte_addr) const
-    {
-        return decode(byte_addr >> lineShift_);
-    }
-
     /** Number of distinct line addresses. */
     Addr numLines() const { return numLines_; }
 
@@ -77,7 +70,6 @@ class AddressMapper
   private:
     MapScheme scheme_;
     int chBits_, raBits_, baBits_, roBits_, coBits_;
-    int lineShift_;
     Addr numLines_;
 };
 

@@ -27,7 +27,6 @@ class Channel
 
     Rank &rank(int idx) { return ranks_[idx]; }
     const Rank &rank(int idx) const { return ranks_[idx]; }
-    int numRanks() const { return static_cast<int>(ranks_.size()); }
 
     const DramSpec &spec() const { return spec_; }
 

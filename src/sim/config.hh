@@ -91,7 +91,6 @@ struct SimConfig {
     /** NUAT 5PB bin edges (ms); the last edge is the refresh window. */
     std::vector<double> nuatBinEdgesMs = {6, 16, 32, 48, 64};
 
-    bool modelEnergy = true;
     bool attachOracle = false;
     std::uint64_t seed = 42;
 

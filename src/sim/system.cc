@@ -160,12 +160,10 @@ System::build(const std::vector<cpu::TraceSource *> &traces)
     for (int ch = 0; ch < config_.channels; ++ch) {
         controllers_.push_back(std::make_unique<ctrl::MemoryController>(
             chan_spec, ctrl_cfg, *providers_[ch], *refresh_[ch], ch));
-        if (config_.modelEnergy) {
-            energy_.push_back(std::make_unique<energy::EnergyModel>(
-                chan_spec, energy::IddProfile::micronDdr3_1600_4Gb(),
-                cc_static_mw));
-            controllers_.back()->addListener(energy_.back().get());
-        }
+        energy_.push_back(std::make_unique<energy::EnergyModel>(
+            chan_spec, energy::IddProfile::micronDdr3_1600_4Gb(),
+            cc_static_mw));
+        controllers_.back()->addListener(energy_.back().get());
         if (config_.attachOracle) {
             oracles_.push_back(std::make_unique<OracleListener>(chan_spec));
             controllers_.back()->addListener(oracles_.back().get());
@@ -221,11 +219,9 @@ System::build(const std::vector<cpu::TraceSource *> &traces)
         }
     }
 
-    cpu::CoreConfig core_cfg = config_.core;
-    core_cfg.targetInsts = config_.targetInsts;
     for (int i = 0; i < config_.nCores; ++i)
         cores_.push_back(std::make_unique<cpu::Core>(
-            i, core_cfg, *traces[i], *llc_,
+            i, config_.core, config_.targetInsts, *traces[i], *llc_,
             mmus_.empty() ? nullptr : mmus_[i].get()));
     if (config_.vm.mp.enabled())
         for (auto &core : cores_)
@@ -630,11 +626,9 @@ System::collectResults(CpuCycle now, CpuCycle warm_end)
                     ? double(res.ctrl.acts) / (res.cpuCycles / 1000.0)
                     : 0.0;
 
-    if (config_.modelEnergy) {
-        for (size_t ch = 0; ch < energy_.size(); ++ch) {
-            energy_[ch]->finalize(controllers_[ch]->now());
-            res.energy += energy_[ch]->breakdown();
-        }
+    for (size_t ch = 0; ch < energy_.size(); ++ch) {
+        energy_[ch]->finalize(controllers_[ch]->now());
+        res.energy += energy_[ch]->breakdown();
     }
 
     if (config_.ctrl.trackRltl) {
@@ -1025,7 +1019,7 @@ System::configHash() const
     mix(static_cast<std::uint64_t>(config_.scheme));
     mix_f64(config_.ccDurationMs);
     mix(config_.seed);
-    mix(config_.modelEnergy ? 1 : 0);
+    mix(1); // Energy is always modelled; kept so old snapshots resume.
     mix(config_.ctrl.trackRltl ? 1 : 0);
     mix(config_.vm.enable ? 1 : 0);
     if (config_.vm.enable) {

@@ -119,14 +119,6 @@ class System
     {
         return mmus_.empty() ? nullptr : mmus_[idx].get();
     }
-    /** Shared address space (multi-process VM mode only). */
-    vm::AddressSpace *addressSpace(int idx)
-    {
-        return idx >= 0 && idx < static_cast<int>(spaces_.size())
-                   ? spaces_[idx].get()
-                   : nullptr;
-    }
-    int numAddressSpaces() const { return static_cast<int>(spaces_.size()); }
     chargecache::LatencyProvider &provider(int channel);
     OracleListener *oracleListener(int channel);
     const SimConfig &config() const { return config_; }

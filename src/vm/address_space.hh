@@ -81,8 +81,6 @@ class AddressSpace
 
     std::uint32_t asid() const { return asid_; }
     Addr dataBaseLine() const { return dataBaseLine_; }
-    std::uint64_t dataFrames() const { return dataFrames_; }
-    std::uint64_t mappedPages() const { return pageMap_.size(); }
     std::uint64_t remaps() const { return remaps_; }
 
     /** Checkpoint: allocator, page table, the vpn→frame map (key-sorted)

@@ -185,8 +185,7 @@ class Mmu
 
     bool multiProcess() const { return spaces_.size() > 1; }
 
-    /** Address space currently running on this core. */
-    AddressSpace &currentSpace() { return *space_; }
+    /** ASID of the address space currently running on this core. */
     std::uint32_t currentAsid() const { return space_->asid(); }
 
     /**

@@ -43,8 +43,6 @@ class RamulatorTraceReader : public cpu::TraceSource
     void saveState(resilience::SnapshotWriter &w) const override;
     void loadState(resilience::SnapshotReader &r) override;
 
-    std::uint64_t linesParsed() const { return linesParsed_; }
-
     /** Fault injection: report TraceIo truncation after `lines` lines
         (0 disables). Called directly by the resilience tests. */
     void injectTruncateAfter(std::uint64_t lines)

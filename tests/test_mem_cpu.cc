@@ -336,9 +336,8 @@ struct CoreTest : ::testing::Test {
             [this](int, std::uint64_t token) {
                 core->onMissComplete(token);
             });
-        cpu::CoreConfig ccfg;
-        ccfg.targetInsts = target;
-        core = std::make_unique<cpu::Core>(0, ccfg, trace, *llc);
+        core = std::make_unique<cpu::Core>(0, cpu::CoreConfig{}, target,
+                                           trace, *llc);
     }
 
     CpuCycle

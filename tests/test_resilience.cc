@@ -785,7 +785,8 @@ TEST(Resilience, SnapshotBytesCarryNoPadding)
     auto coreBytes = [&](unsigned char fill) {
         alignas(cpu::Core) unsigned char buf[sizeof(cpu::Core)];
         std::memset(buf, fill, sizeof buf);
-        auto *core = new (buf) cpu::Core(0, cfg.core, src, llc, nullptr);
+        auto *core = new (buf)
+            cpu::Core(0, cfg.core, cfg.targetInsts, src, llc, nullptr);
         resilience::SnapshotWriter w;
         core->saveState(w);
         core->~Core();
