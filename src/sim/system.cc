@@ -709,20 +709,21 @@ System::runCalendar()
     // ------------------------------------------------------------------
     // Calendar-queue event kernel. Semantics are identical to the
     // PerCycle reference (bit-identical SystemResult; enforced by
-    // tests/test_system.cc) but every "when does anything next happen"
-    // question is answered by posted events instead of polling:
+    // tests/test_system.cc) but a component is ticked only when it
+    // could do observable work:
     //  - a parked core with a self-scheduled LLC-hit return posts one
     //    wake event at park time (its hit queue is frozen while
     //    parked, so the event never moves); a purely externally-driven
     //    core posts nothing and is revived by the LLC callbacks;
     //  - each controller is asked for its nextEventAt() at every DRAM
-    //    boundary, which ticks it only when that is due and otherwise
-    //    advances its clock idle, and again at every jump;
+    //    boundary: it ticks when that is due and otherwise advances
+    //    its clock idle;
     //  - only awake cores are visited in the core phase (the sorted
     //    awake list preserves the reference's id-ordered tick order);
     //    parked cores are entirely off the per-cycle path;
-    //  - when everything is parked, `now` jumps to the next posted
-    //    event. Stale wake entries (the core was woken another way)
+    //  - when everything is parked, `now` jumps to the earliest posted
+    //    wake or controller horizon, each controller asked afresh.
+    //    Stale wake entries (the core was woken another way)
     //    can only stop the jump early — at a cycle where nothing fires
     //    and nothing is due, which is statistically invisible — never
     //    skip past a real event, because posting only adds entries.

@@ -26,8 +26,8 @@ namespace ccsim::test {
  * CCSIM_PARANOID=1 (the dedicated CI job) upgrades every optimised
  * kernel under test to its shadow-validation mode: all skip decisions
  * are executed-and-asserted instead of taken on faith, and the
- * calendar kernel's wake queue and cached horizons are cross-checked
- * against the per-cycle schedule.
+ * calendar kernel's wake queue and controller horizons are
+ * cross-checked against the per-cycle schedule.
  */
 inline bool
 envParanoid()
