@@ -170,11 +170,10 @@ class MemoryController
     }
 
     /**
-     * Advance one provably-idle cycle without re-deriving the horizon:
-     * the calendar kernel calls this at a DRAM boundary where it has
-     * just found nextEventAt() > now(), the precondition of
-     * skipTicks(1). Paranoid mode revalidates every such decision
-     * against a real tick.
+     * skipTicks(1) without its re-check of the horizon: the calendar
+     * kernel calls this at a DRAM boundary where it has just found
+     * nextEventAt() > now(). Paranoid mode revalidates every such
+     * decision against a real tick.
      */
     void advanceIdle() { ++now_; }
 
