@@ -46,7 +46,7 @@ class RefreshScheduler : public chargecache::RefreshInfo
     /**
      * Earliest cycle at which any rank next owes a REF — the refresh
      * horizon for the calendar kernel. Always finite: refresh is the
-     * periodic heartbeat that bounds every skip. Cached (reposted on
+     * periodic heartbeat that bounds every skip. Cached (updated on
      * every REF issue) so the controller's horizon query is O(1)
      * instead of a per-rank scan.
      */

@@ -48,8 +48,8 @@ const char *schemeName(Scheme scheme);
 enum class KernelMode {
     /**
      * Calendar event kernel (default): parked cores post their
-     * self-wakes to a wake queue and controllers repost their horizons
-     * to per-channel slots; parked cores stay off the per-cycle tick
+     * self-wakes to a wake queue and each controller is ticked only
+     * when its horizon is due; parked cores stay off the per-cycle tick
      * path entirely until an event or a memory return wakes them, and
      * the FR-FCFS scheduler issues from per-bank request lists.
      * Iteration cost scales with events, not with awake-core cycles.
