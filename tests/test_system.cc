@@ -376,8 +376,9 @@ TEST(KernelEquivalence, CalendarParanoidShadowValidates)
     // tick the calendar kernel would skip and asserts it is quiescent,
     // shadow-runs the wake queue and checks each controller's horizon:
     // an unsound skip, a missed or late wake delivery, or a horizon
-    // that would have skipped an active controller tick, panics. Results must still be bit-identical to the
-    // reference (it *is* the per-cycle schedule).
+    // that would have skipped an active controller tick, panics.
+    // Results must still be bit-identical to the reference (it *is*
+    // the per-cycle schedule).
     const std::vector<std::string> workloads = {"apache20", "STREAMcopy"};
     for (Scheme s : {Scheme::Baseline, Scheme::ChargeCache}) {
         System ref(tinyTwoCore(s, KernelMode::PerCycle), workloads);
