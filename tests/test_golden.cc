@@ -18,7 +18,9 @@
  * A third test does what the first does for sampled simulation: a
  * single-core and a two-core SampledSimulation over small generated
  * CCTR traces, written with small blocks so each profile pass crosses
- * many blocks, one run coarsened by a small maxIntervals. Its digest
+ * many blocks, one run coarsened by a small maxIntervals, and the
+ * single-core run again under the BIP insertion policy, whose HCRAC
+ * draws from its RNG while slices warm. Its digest
  * covers every profiled interval field (signature doubles bit for
  * bit), the cluster count, the instruction totals, every slice and the
  * aggregate.
@@ -338,6 +340,8 @@ struct PinnedSampledCase {
     std::uint64_t records;       ///< Per trace.
     std::uint32_t recordsPerBlock;
     trace::SamplingConfig sampling;
+    /** HCRAC insertion policy; BIP is the one that draws from its RNG. */
+    chargecache::InsertPolicy policy;
     std::uint64_t digest;
 };
 
@@ -358,10 +362,14 @@ TEST(GoldenResults, SampledMatchesPinnedDigests)
 {
     const PinnedSampledCase cases[] = {
         {"1c/kv-zipf", {"kv-zipf"}, 40000, 64,
-         pinnedSampling(20000, 4000, 30000, 4096), 0x4a9fccdd595abdc1ull},
+         pinnedSampling(20000, 4000, 30000, 4096),
+         chargecache::InsertPolicy::Lru, 0x4a9fccdd595abdc1ull},
         {"2c/analytics+web/coarsened", {"analytics-scan", "web-fanout"},
          30000, 100, pinnedSampling(10000, 2000, 20000, 6),
-         0x4bb14241d3bdd6cbull},
+         chargecache::InsertPolicy::Lru, 0x4bb14241d3bdd6cbull},
+        {"1c/kv-zipf/bip", {"kv-zipf"}, 40000, 64,
+         pinnedSampling(20000, 4000, 30000, 4096),
+         chargecache::InsertPolicy::Bip, 0x70ccf25796b5bb90ull},
     };
     for (const PinnedSampledCase &c : cases) {
         SCOPED_TRACE(c.name);
@@ -381,6 +389,7 @@ TEST(GoldenResults, SampledMatchesPinnedDigests)
         cfg.nCores = n;
         cfg.scheme = Scheme::ChargeCache;
         cfg.cc.trackUnlimited = true;
+        cfg.cc.table.policy = c.policy;
         cfg.finalizeChargeCache();
         test::applyEnvParanoia(cfg);
         const trace::SampledResult res =
