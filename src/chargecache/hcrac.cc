@@ -71,6 +71,7 @@ Hcrac::Hcrac(const Params &params)
     : ways_(params.ways),
       policy_(params.policy),
       bipEpsilon_(params.bipEpsilon),
+      seed_(params.seed),
       rng_(params.seed)
 {
     CCSIM_ASSERT(params.entries > 0 && params.ways > 0,
@@ -245,19 +246,6 @@ UnlimitedHcrac::lookup(std::uint64_t key, Cycle now)
         return true;
     }
     return false;
-}
-
-
-void
-Hcrac::warmCopyFrom(const Hcrac &other)
-{
-    if (other.ways_ != ways_ || other.sets_ != sets_)
-        throw resilience::SimError(
-            resilience::ErrorKind::InvalidConfig,
-            "warm-state injection needs matching HCRAC geometry");
-    entries_ = other.entries_;
-    clock_ = other.clock_;
-    valid_ = other.valid_;
 }
 
 void

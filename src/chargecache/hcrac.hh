@@ -93,12 +93,12 @@ class Hcrac
     void resetStats() { stats_ = Stats(); }
 
     /**
-     * Warm-state injection (SMARTS-style functional warming): adopt
-     * `other`'s entries and recency clock. Geometry must match or
-     * SimError{InvalidConfig} is thrown. Statistics and the BIP RNG
-     * are untouched — warming seeds state, not history.
+     * Restart the BIP RNG from its seed, as a fresh table starts it.
+     * Functional warming (trace/sampling.cc) inserts into the table
+     * itself, so it calls this to keep the detailed run's draws
+     * independent of how long the warm window was.
      */
-    void warmCopyFrom(const Hcrac &other);
+    void restartRng() { rng_.reseed(seed_); }
 
     /** Checkpoint: entries, recency clock, RNG, statistics. */
     void saveState(resilience::SnapshotWriter &w) const;
@@ -121,6 +121,7 @@ class Hcrac
     std::vector<Entry> entries_; ///< sets_ * ways_, set-major.
     std::uint64_t clock_ = 0;    ///< Recency stamp source.
     int valid_ = 0;              ///< Live count of valid entries.
+    std::uint64_t seed_;         ///< Where restartRng() puts rng_.
     Rng rng_;
     Stats stats_;
 };

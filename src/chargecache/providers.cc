@@ -73,14 +73,10 @@ ChargeCacheProvider::warmInsert(int owner_core, const dram::DramAddr &addr,
 }
 
 void
-ChargeCacheProvider::warmCopyFrom(const ChargeCacheProvider &other)
+ChargeCacheProvider::endWarming()
 {
-    if (other.tables_.size() != tables_.size())
-        throw resilience::SimError(
-            resilience::ErrorKind::InvalidConfig,
-            "warm-state injection needs matching HCRAC table counts");
-    for (std::size_t i = 0; i < tables_.size(); ++i)
-        tables_[i]->warmCopyFrom(*other.tables_[i]);
+    for (auto &t : tables_)
+        t->restartRng();
 }
 
 void

@@ -58,9 +58,9 @@ class LatencyProvider
     virtual ~LatencyProvider() = default;
 
     /**
-     * The ChargeCacheProvider embedded in this provider, if any —
-     * stat-collection access without dynamic_cast scans (Baseline,
-     * NUAT and LL-DRAM return nullptr).
+     * The ChargeCacheProvider embedded in this provider, if any — for
+     * statistics and functional warming without dynamic_cast scans
+     * (Baseline, NUAT and LL-DRAM return nullptr).
      */
     virtual ChargeCacheProvider *chargeCacheView() { return nullptr; }
 
@@ -210,16 +210,15 @@ class ChargeCacheProvider final : public LatencyProvider
      * do — but time does not advance during warming, so the sweep
      * invalidator is not run and the unlimited-table model (which
      * needs real insertion cycles) is skipped. Statistics still count
-     * the insert; warming callers reset stats before measuring.
+     * the insert; the run's warm-up boundary resets them.
      */
     void warmInsert(int owner_core, const dram::DramAddr &addr, int row);
 
     /**
-     * Warm-state injection: adopt `other`'s table contents (per-table
-     * Hcrac::warmCopyFrom; table counts must match). Invalidator
-     * phase, the unlimited table and statistics are untouched.
+     * End a warm window: restart every table's BIP RNG from its seed,
+     * so the detailed run draws what it would from a fresh table.
      */
-    void warmCopyFrom(const ChargeCacheProvider &other);
+    void endWarming();
 
     int numTables() const { return static_cast<int>(tables_.size()); }
     const Hcrac &table(int idx) const { return *tables_[idx]; }

@@ -18,9 +18,11 @@ rowPolicyName(RowPolicy policy)
 MemoryController::MemoryController(const dram::DramSpec &spec,
                                    const CtrlConfig &config,
                                    chargecache::LatencyProvider &provider,
-                                   RefreshScheduler &refresh, int channel_id)
+                                   RefreshScheduler &refresh, int channel_id,
+                                   Scheduler scheduler)
     : spec_(spec),
       config_(config),
+      scheduler_(scheduler),
       provider_(provider),
       channelId_(channel_id),
       channel_(spec),
@@ -34,7 +36,7 @@ MemoryController::MemoryController(const dram::DramSpec &spec,
     for (int rank = 0; rank < spec_.org.ranksPerChannel; ++rank)
         for (int bank = 0; bank < spec_.org.banksPerRank; ++bank)
             bankPtr_.push_back(&channel_.rank(rank).bank(bank));
-    if (config_.useServeHorizon) {
+    if (bankLists()) {
         CCSIM_ASSERT(spec_.org.ranksPerChannel <= kMaxScanRanks &&
                          bankPtr_.size() <= 64,
                      "DRAM geometry exceeds the bank-list scan's fixed "
@@ -205,7 +207,7 @@ MemoryController::enqueue(Request req)
             return;
         }
         nextServeTry_ = 0; // New candidate: the scheduler must rescan.
-        if (config_.useServeHorizon) {
+        if (bankLists()) {
             enqueueListed(std::move(req), false);
             return;
         }
@@ -216,7 +218,7 @@ MemoryController::enqueue(Request req)
             return;
         ++stats_.writes;
         nextServeTry_ = 0; // New candidate: the scheduler must rescan.
-        if (config_.useServeHorizon) {
+        if (bankLists()) {
             enqueueListed(std::move(req), true);
             return;
         }
@@ -238,7 +240,7 @@ MemoryController::issue(const dram::Command &cmd,
 {
     nextServeTry_ = 0; // Bank/bus state changed: rescan.
     channel_.issue(cmd, now_, eff);
-    if (config_.useServeHorizon)
+    if (bankLists())
         noteRowChange(cmd);
     notify(cmd, eff);
 }
@@ -320,7 +322,7 @@ bool
 MemoryController::anotherHitQueued(const dram::DramAddr &addr,
                                    std::uint64_t skip_token) const
 {
-    if (config_.useServeHorizon) {
+    if (bankLists()) {
         // `addr` hits its bank's open row, so the open-row hit count is
         // this row's count. It includes the candidate itself: "another
         // hit" means two queued requests across both queues.
@@ -657,14 +659,15 @@ MemoryController::tick()
         return true;
     }
 
-    if (!config_.useServeHorizon) {
+    if (!bankLists()) {
         // Seed-faithful reference: scan every tick, like the original
         // per-cycle loop.
         if (drainMode_ || trickleWrites())
             active |= serveQueueReference(writeQ_, true);
         else
             active |= serveQueueReference(readQ_, false);
-    } else if (now_ >= nextServeTry_ || config_.paranoidSchedule) {
+    } else if (now_ >= nextServeTry_ ||
+               scheduler_ == Scheduler::BankListsChecked) {
         bool within_horizon = now_ < nextServeTry_;
         bool is_write = drainMode_ || trickleWrites();
         bool served = serveQueueBankLists(is_write);
@@ -738,7 +741,7 @@ MemoryController::saveState(resilience::SnapshotWriter &w) const
     // pool stores them unordered, so collect and sort by arrival seq.
     auto put_queue = [&](bool is_write) {
         std::vector<const QueuedReq *> reqs;
-        if (config_.useServeHorizon) {
+        if (bankLists()) {
             std::vector<bool> free_slot(slots_.size(), false);
             for (int s : freeSlots_)
                 free_slot[static_cast<std::size_t>(s)] = true;
@@ -819,7 +822,7 @@ MemoryController::loadState(resilience::SnapshotReader &r,
     writeLines_.clear();
     slots_.clear();
     freeSlots_.clear();
-    if (config_.useServeHorizon) {
+    if (bankLists()) {
         readLists_.reset(bankPtr_.size());
         writeLists_.reset(bankPtr_.size());
     }
@@ -833,7 +836,7 @@ MemoryController::loadState(resilience::SnapshotReader &r,
             bool serviced = r.get<bool>();
             if (is_write)
                 writeLines_.insert(req.lineAddr);
-            if (config_.useServeHorizon) {
+            if (bankLists()) {
                 const std::size_t bi = bankIndexOf(req.addr);
                 enqueueListed(std::move(req), is_write);
                 int s = lists(is_write).tail[bi];

@@ -56,24 +56,33 @@ struct CtrlConfig {
     /** RLTL windows in milliseconds (Figure 4's sweep by default). */
     std::vector<double> rltlWindowsMs = {0.125, 0.25, 0.5, 1.0, 8.0, 32.0};
     double rltlRefreshWindowMs = 8.0;
+};
+
+/**
+ * How the FR-FCFS scheduler finds its next command. System::build
+ * picks it from the kernel; both list modes must issue exactly what
+ * the reference scan does, which the kernel-equivalence tests check.
+ */
+enum class Scheduler {
     /**
-     * The Calendar kernel's scheduler: keep queued requests on per-bank
+     * The seed loop's exhaustive arrival-order scan, every tick (the
+     * PerCycle reference kernel).
+     */
+    Reference,
+    /**
+     * The Calendar kernel's scheduler: queued requests sit on per-bank
      * arrival-ordered lists with per-bank open-row hit counts, so an
-     * issuing scan selects the FR-FCFS winner in O(banks touched)
-     * instead of walking the queue in arrival order, and cache a
-     * scheduler horizon after fruitless scans to skip scans inside it.
-     * Disabled by the PerCycle reference kernel, which keeps the seed
-     * loop's exhaustive arrival-order scan every tick — so the
-     * kernel-equivalence tests verify both the list-based selection
-     * and the horizon against it.
+     * issuing scan selects the FR-FCFS winner in O(banks touched), and
+     * a scheduler horizon cached after fruitless scans skips scans
+     * inside it.
      */
-    bool useServeHorizon = true;
+    BankLists,
     /**
-     * Debug: run the FR-FCFS scan even inside the cached scheduler
-     * horizon and assert it issues nothing — validates every
-     * scan-skipping decision (set by SimConfig::kernelParanoid).
+     * BankLists that also scans inside the cached horizon and asserts
+     * nothing issues there: validates every scan-skipping decision
+     * (the paranoid Calendar kernel, SimConfig::kernelParanoid).
      */
-    bool paranoidSchedule = false;
+    BankListsChecked,
 };
 
 /** Aggregate controller statistics. */
@@ -110,10 +119,12 @@ class MemoryController
      * @param refresh refresh scheduler for this channel (not owned; it
      *        is external so NUAT can be built against it first).
      * @param channel_id this controller's channel index.
+     * @param scheduler how the FR-FCFS scan finds its command.
      */
     MemoryController(const dram::DramSpec &spec, const CtrlConfig &config,
                      chargecache::LatencyProvider &provider,
-                     RefreshScheduler &refresh, int channel_id);
+                     RefreshScheduler &refresh, int channel_id,
+                     Scheduler scheduler = Scheduler::BankLists);
 
     /** Attach a command observer (energy model, oracle...). */
     void addListener(CommandListener *listener);
@@ -179,18 +190,18 @@ class MemoryController
 
     Cycle now() const { return now_; }
 
-    /** Queued reads (deque or slot-pool storage, per useServeHorizon). */
+    /** Queued reads (slot-pool or deque storage, per the scheduler). */
     std::size_t
     readCount() const
     {
-        return config_.useServeHorizon ? readLists_.size : readQ_.size();
+        return bankLists() ? readLists_.size : readQ_.size();
     }
 
     /** Queued writes. */
     std::size_t
     writeCount() const
     {
-        return config_.useServeHorizon ? writeLists_.size : writeQ_.size();
+        return bankLists() ? writeLists_.size : writeQ_.size();
     }
 
     /** Outstanding queued requests (reads + writes). */
@@ -207,7 +218,7 @@ class MemoryController
     int
     openRowHits(const dram::DramAddr &addr) const
     {
-        CCSIM_ASSERT(config_.useServeHorizon,
+        CCSIM_ASSERT(bankLists(),
                      "open-row hit counts are kept in bank-list mode");
         const std::size_t bi = bankIndexOf(addr);
         return readLists_.hits[bi] + writeLists_.hits[bi];
@@ -226,11 +237,8 @@ class MemoryController
     void setObsHists(obs::CtrlHists *hists) { obsHists_ = hists; }
 
     const dram::Channel &channel() const { return channel_; }
-    RefreshScheduler &refreshScheduler() { return refresh_; }
-    const RefreshScheduler &refreshScheduler() const { return refresh_; }
     const CtrlConfig &config() const { return config_; }
     RltlTracker *rltl() { return rltl_.get(); }
-    chargecache::LatencyProvider &provider() { return provider_; }
 
     /**
      * Checkpoint. Queues are dumped in canonical arrival order (and the
@@ -274,7 +282,7 @@ class MemoryController
     static constexpr int kMaxScanRanks = 8;
 
     /**
-     * Slot-pool request storage (useServeHorizon): requests live in a
+     * Slot-pool request storage (bank-list modes): requests live in a
      * free-listed pool, threaded onto their bank's arrival-ordered
      * (seq) list. The FR pass takes each hit-ready bank's oldest
      * open-row hit by walking that list; the FCFS pass takes each
@@ -329,7 +337,7 @@ class MemoryController
                           std::uint64_t skip_token) const;
     void classify(QueuedReq &qr);
 
-    // ---- slot-pool storage (useServeHorizon) ------------------------
+    // ---- slot-pool storage (bank-list modes) ------------------------
     int allocSlot();
     void enqueueListed(Request req, bool is_write);
     void unlinkSlot(int slot, bool is_write);
@@ -353,8 +361,12 @@ class MemoryController
                static_cast<std::size_t>(addr.bank);
     }
 
+    /** True unless the scheduler is the reference scan. */
+    bool bankLists() const { return scheduler_ != Scheduler::Reference; }
+
     dram::DramSpec spec_;
     CtrlConfig config_;
+    Scheduler scheduler_;
     chargecache::LatencyProvider &provider_;
     int channelId_;
 

@@ -58,8 +58,6 @@ class RltlTracker
     /** Fraction of ACTs within the refresh window of the last REF. */
     double afterRefreshFraction() const;
 
-    const std::vector<Cycle> &thresholds() const { return thresholds_; }
-
     /** Checkpoint: counters + last-precharge map (lookup-only; dumped
         key-sorted so snapshots are byte-deterministic). */
     void saveState(resilience::SnapshotWriter &w) const;

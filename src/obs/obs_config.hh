@@ -15,7 +15,6 @@
 #ifndef CCSIM_OBS_OBS_CONFIG_HH
 #define CCSIM_OBS_OBS_CONFIG_HH
 
-#include <cstddef>
 #include <string>
 
 #include "common/types.hh"
@@ -43,9 +42,6 @@ struct ObsConfig {
      * ACT->PRE windows, refresh, core park/wake.
      */
     bool simTrace = false;
-
-    /** Cap on buffered trace events; further events are counted+dropped. */
-    std::size_t maxTraceEvents = std::size_t(1) << 20;
 
     /** JSONL time-series output path (empty: keep in memory only). */
     std::string timeSeriesPath;

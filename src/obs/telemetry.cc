@@ -66,8 +66,7 @@ BankSpanTracer::onCommand(const dram::Command &cmd, Cycle cycle,
         auto it = openAct_.find(key);
         if (it == openAct_.end())
             break;
-        sink_.complete(kPidSim,
-                       bankTid(channel_, cmd.addr.rank, cmd.addr.bank),
+        sink_.complete(bankTid(channel_, cmd.addr.rank, cmd.addr.bank),
                        it->second.second ? "row (hcrac hit)" : "row",
                        "bank", usOf(it->second.first),
                        usOf(cycle) - usOf(it->second.first));
@@ -78,7 +77,6 @@ BankSpanTracer::onCommand(const dram::Command &cmd, Cycle cycle,
         for (auto it = openAct_.begin(); it != openAct_.end();) {
             if ((it->first >> 8) == cmd.addr.rank) {
                 sink_.complete(
-                    kPidSim,
                     bankTid(channel_, cmd.addr.rank, it->first & 0xff),
                     it->second.second ? "row (hcrac hit)" : "row",
                     "bank", usOf(it->second.first),
@@ -91,8 +89,8 @@ BankSpanTracer::onCommand(const dram::Command &cmd, Cycle cycle,
         break;
       }
       case CmdType::REF:
-        sink_.complete(kPidSim, refreshTid(channel_), "refresh", "ref",
-                       usOf(cycle), usOf(cycle + trfc_) - usOf(cycle));
+        sink_.complete(refreshTid(channel_), "refresh", "ref", usOf(cycle),
+                       usOf(cycle + trfc_) - usOf(cycle));
         break;
       default:
         break;
@@ -104,7 +102,6 @@ Telemetry::Telemetry(const ObsConfig &cfg, int channels, int cores,
     : cfg_(cfg), cpuRatio_(cpu_ratio), trfc_(trfc),
       ctrlHists_(std::size_t(channels)), ptwHists_(std::size_t(cores))
 {
-    sink_.setLimit(cfg_.maxTraceEvents);
     if (simTraceOn()) {
         tracers_.reserve(std::size_t(channels));
         for (int ch = 0; ch < channels; ++ch) {
@@ -152,8 +149,8 @@ Telemetry::corePark(int core, CpuCycle skipped, CpuCycle upto)
 {
     if (!simTraceOn() || skipped == 0)
         return;
-    sink_.complete(kPidSim, core, "parked", "core",
-                   cpuUs(upto - skipped), cpuUs(upto) - cpuUs(upto - skipped));
+    sink_.complete(core, "parked", "core", cpuUs(upto - skipped),
+                   cpuUs(upto) - cpuUs(upto - skipped));
 }
 
 Histogram

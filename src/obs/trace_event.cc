@@ -41,14 +41,14 @@ TraceEventSink::setLimit(std::size_t max_events)
 }
 
 void
-TraceEventSink::complete(int pid, int tid, const std::string &name,
-                         const char *cat, double ts_us, double dur_us)
+TraceEventSink::complete(int tid, const std::string &name, const char *cat,
+                         double ts_us, double dur_us)
 {
     if (events_.size() >= limit_) {
         ++dropped_;
         return;
     }
-    events_.push_back(Event{pid, tid, name, cat, ts_us, dur_us});
+    events_.push_back(Event{tid, name, cat, ts_us, dur_us});
 }
 
 std::string
@@ -61,7 +61,7 @@ TraceEventSink::toJson() const
        << ",\"tid\":0,\"name\":\"process_name\","
           "\"args\":{\"name\":\"simulated time\"}}";
     for (const Event &e : events_) {
-        os << ",\n{\"ph\":\"X\",\"pid\":" << e.pid
+        os << ",\n{\"ph\":\"X\",\"pid\":" << kPidSim
            << ",\"tid\":" << e.tid << ",\"name\":\"";
         appendEscaped(os, e.name);
         os << "\",\"cat\":\"" << e.cat << "\",\"ts\":" << e.ts

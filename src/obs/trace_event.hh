@@ -28,12 +28,18 @@ constexpr int kPidSim = 1;
 class TraceEventSink
 {
   public:
-    /** Cap buffered events; extra events increment droppedCount(). */
+    /**
+     * Cap buffered events (2^20 unless set); extra events increment
+     * droppedCount().
+     */
     void setLimit(std::size_t max_events);
 
-    /** Complete ("X") event: a [ts, ts+dur] span, microseconds. */
-    void complete(int pid, int tid, const std::string &name,
-                  const char *cat, double ts_us, double dur_us);
+    /**
+     * Complete ("X") event on kPidSim: a [ts, ts+dur] span,
+     * microseconds.
+     */
+    void complete(int tid, const std::string &name, const char *cat,
+                  double ts_us, double dur_us);
 
     std::size_t size() const { return events_.size(); }
     std::uint64_t droppedCount() const { return dropped_; }
@@ -46,7 +52,6 @@ class TraceEventSink
 
   private:
     struct Event {
-        int pid;
         int tid;
         std::string name;
         const char *cat;

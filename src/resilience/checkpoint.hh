@@ -10,9 +10,9 @@
  * docs/resilience.md). The config hash covers every knob that shapes
  * simulated state — workloads, core/channel counts, scheme, seeds,
  * instruction targets, VM shape — but deliberately EXCLUDES the
- * execution strategy (kernel mode, paranoia, fault injection): both
- * kernels produce bit-identical schedules, so a snapshot taken under
- * Calendar may be resumed under PerCycle, paranoid or not, and back.
+ * execution strategy (kernel mode, paranoia): both kernels produce
+ * bit-identical schedules, so a snapshot taken under Calendar may be
+ * resumed under PerCycle, paranoid or not, and back.
  *
  * The stop flag is the SIGINT/SIGTERM half of graceful shutdown:
  * installStopSignalHandler() arms an async-signal-safe flag that

@@ -22,7 +22,6 @@
 #include "dram/spec.hh"
 #include "mem/llc.hh"
 #include "obs/obs_config.hh"
-#include "resilience/fault.hh"
 #include "vm/mmu.hh"
 
 namespace ccsim::sim {
@@ -91,27 +90,21 @@ struct SimConfig {
     /** NUAT 5PB bin edges (ms); the last edge is the refresh window. */
     std::vector<double> nuatBinEdgesMs = {6, 16, 32, 48, 64};
 
-    bool attachOracle = false;
     std::uint64_t seed = 42;
 
     KernelMode kernel = KernelMode::Calendar;
     /**
      * Calendar only: run the per-cycle schedule with the calendar
      * kernel shadowed — execute every tick it would skip and assert
-     * each one is quiescent, and shadow-run its wake queue and cached
-     * controller horizons, asserting they would have delivered every
-     * self-wake and controller event at exactly the cycle the
-     * per-cycle schedule needs it. A per-cycle-speed equivalence check
-     * of every skip decision (tests/debugging).
+     * each one is quiescent, shadow-run its wake queue asserting it
+     * delivers every self-wake at exactly the cycle the per-cycle
+     * schedule needs it, assert every active controller tick was one
+     * its horizon allowed, and scan inside each scheduler horizon too
+     * (ctrl::Scheduler::BankListsChecked). A per-cycle-speed
+     * equivalence check of every skip decision (tests/debugging).
      */
     bool kernelParanoid = false;
 
-    /**
-     * Deterministic fault injection (tests): disabled unless
-     * faults.seed != 0 (see src/resilience/fault.hh and
-     * docs/resilience.md).
-     */
-    resilience::FaultConfig faults;
     /**
      * Telemetry (src/obs/, docs/observability.md): interval
      * time-series, hot-path latency histograms, trace-event export.

@@ -124,12 +124,6 @@ System::build(const std::vector<cpu::TraceSource *> &traces)
 {
     traceRefs_ = traces; // Retained for snapshot serialization.
 
-    if (config_.faults.enabled())
-        throw resilience::SimError(
-            resilience::ErrorKind::ResourceExhausted,
-            "injected allocation failure (fault seed " +
-                std::to_string(config_.faults.seed) + ")");
-
     // Per-channel refresh schedulers first (NUAT is built against them).
     dram::DramSpec chan_spec = spec_;
     chan_spec.org.channels = 1; // Controllers are per-channel.
@@ -153,21 +147,18 @@ System::build(const std::vector<cpu::TraceSource *> &traces)
             config_.channels;
     }
 
-    ctrl::CtrlConfig ctrl_cfg = config_.ctrl;
-    ctrl_cfg.useServeHorizon = config_.kernel != KernelMode::PerCycle;
-    ctrl_cfg.paranoidSchedule =
-        ctrl_cfg.useServeHorizon && config_.kernelParanoid;
+    const ctrl::Scheduler scheduler =
+        config_.kernel == KernelMode::PerCycle ? ctrl::Scheduler::Reference
+        : config_.kernelParanoid ? ctrl::Scheduler::BankListsChecked
+                                 : ctrl::Scheduler::BankLists;
     for (int ch = 0; ch < config_.channels; ++ch) {
         controllers_.push_back(std::make_unique<ctrl::MemoryController>(
-            chan_spec, ctrl_cfg, *providers_[ch], *refresh_[ch], ch));
+            chan_spec, config_.ctrl, *providers_[ch], *refresh_[ch], ch,
+            scheduler));
         energy_.push_back(std::make_unique<energy::EnergyModel>(
             chan_spec, energy::IddProfile::micronDdr3_1600_4Gb(),
             cc_static_mw));
         controllers_.back()->addListener(energy_.back().get());
-        if (config_.attachOracle) {
-            oracles_.push_back(std::make_unique<OracleListener>(chan_spec));
-            controllers_.back()->addListener(oracles_.back().get());
-        }
     }
 
     std::vector<ctrl::MemoryController *> channels;
@@ -302,30 +293,6 @@ chargecache::LatencyProvider &
 System::provider(int channel)
 {
     return *providers_[channel];
-}
-
-void
-System::injectWarmState(
-    const std::vector<const chargecache::ChargeCacheProvider *> &warm_cc)
-{
-    if (warm_cc.size() != providers_.size())
-        throw resilience::SimError(
-            resilience::ErrorKind::InvalidConfig,
-            "warm-state injection needs one HCRAC image per channel");
-    for (std::size_t ch = 0; ch < providers_.size(); ++ch) {
-        chargecache::ChargeCacheProvider *view =
-            providers_[ch]->chargeCacheView();
-        if (view && warm_cc[ch])
-            view->warmCopyFrom(*warm_cc[ch]);
-    }
-}
-
-OracleListener *
-System::oracleListener(int channel)
-{
-    if (oracles_.empty())
-        return nullptr;
-    return oracles_[channel].get();
 }
 
 void
@@ -996,8 +963,8 @@ System::configHash() const
 {
     // Advisory compatibility check: covers the knobs that shape
     // simulated state, excludes pure execution strategy (kernel mode,
-    // paranoia, fault injection) so snapshots resume across kernels.
-    // See resilience/checkpoint.hh.
+    // paranoia) so snapshots resume across kernels. See
+    // resilience/checkpoint.hh.
     std::uint64_t h = 0x4343534e41503031ull; // "CCSNAP01"
     auto mix = [&h](std::uint64_t v) { h = mix64(h ^ v); };
     auto mix_str = [&](const std::string &s) {

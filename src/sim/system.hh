@@ -19,7 +19,6 @@
 
 #include "cpu/core.hh"
 #include "ctrl/controller.hh"
-#include "dram/oracle.hh"
 #include "energy/energy_model.hh"
 #include "mem/llc.hh"
 #include "obs/telemetry.hh"
@@ -28,25 +27,6 @@
 #include "workloads/synthetic.hh"
 
 namespace ccsim::sim {
-
-/** Command listener that feeds the protocol oracle (tests/debug). */
-class OracleListener : public ctrl::CommandListener
-{
-  public:
-    explicit OracleListener(const dram::DramSpec &spec) : oracle_(spec) {}
-
-    void
-    onCommand(const dram::Command &cmd, Cycle cycle,
-              const dram::EffActTiming *eff) override
-    {
-        oracle_.record(cmd, cycle, eff);
-    }
-
-    dram::TimingOracle &oracle() { return oracle_; }
-
-  private:
-    dram::TimingOracle oracle_;
-};
 
 /** Everything a figure could want from one run. */
 struct SystemResult {
@@ -96,20 +76,6 @@ class System
     /** Run warm-up + measurement; return all metrics. */
     SystemResult run();
 
-    /**
-     * HCRAC warm-state injection for sampled slices (SMARTS-style
-     * functional warming, trace/sampling.cc): when the scheme carries
-     * an HCRAC, adopt each channel's functionally warmed table
-     * contents. `warm_cc` holds one entry per channel (nullptr =
-     * skip). Call between construction and run(), like warming the
-     * LLC in place through llc().warmAccess; the detailed warm
-     * lead-in then only re-warms in-flight machine state (MSHRs,
-     * queues, row buffers), not the big arrays.
-     */
-    void injectWarmState(
-        const std::vector<const chargecache::ChargeCacheProvider *>
-            &warm_cc);
-
     // Component access for tests.
     ctrl::MemoryController &controller(int channel);
     mem::Llc &llc() { return *llc_; }
@@ -120,7 +86,6 @@ class System
         return mmus_.empty() ? nullptr : mmus_[idx].get();
     }
     chargecache::LatencyProvider &provider(int channel);
-    OracleListener *oracleListener(int channel);
     const SimConfig &config() const { return config_; }
 
     /**
@@ -168,8 +133,8 @@ class System
 
     /**
      * Hash of every configuration knob that shapes simulated state.
-     * Deliberately excludes execution strategy (kernel, paranoia,
-     * fault plan) so snapshots resume across kernels.
+     * Deliberately excludes execution strategy (kernel, paranoia) so
+     * snapshots resume across kernels.
      */
     std::uint64_t configHash() const;
 
@@ -252,7 +217,6 @@ class System
     std::vector<std::unique_ptr<chargecache::LatencyProvider>> providers_;
     std::vector<std::unique_ptr<ctrl::MemoryController>> controllers_;
     std::vector<std::unique_ptr<energy::EnergyModel>> energy_;
-    std::vector<std::unique_ptr<OracleListener>> oracles_;
     std::unique_ptr<mem::Llc> llc_;
     /** Shared address spaces (multi-process VM mode; else empty — each
         legacy Mmu owns its single space internally). */

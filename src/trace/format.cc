@@ -438,11 +438,6 @@ TraceReader::refill()
 bool
 TraceReader::next(cpu::TraceRecord &record)
 {
-    if (truncateAfter_ && position_ >= truncateAfter_)
-        throw SimError(ErrorKind::TraceIo,
-                       "trace file '" + path_ + "' truncated after " +
-                           std::to_string(position_) +
-                           " records (injected)");
     while (blockLeft_ == 0)
         if (!refill())
             return false;

@@ -208,17 +208,6 @@ class TraceReader
     void seekBlock(const BlockSpan &span);
 
     /**
-     * Fault injection (the trace tests): report SimError{TraceIo}
-     * truncation once `records` records have been produced (0
-     * disables) — the binary sibling of
-     * RamulatorTraceReader::injectTruncateAfter.
-     */
-    void injectTruncateAfter(std::uint64_t records)
-    {
-        truncateAfter_ = records;
-    }
-
-    /**
      * Fault injection: make readahead refill number `refills` (1-based)
      * behave as if the trace file vanished between refills — the
      * stream errors out and the reader must surface
@@ -257,7 +246,6 @@ class TraceReader
     bool metaValid_ = false;
 
     std::uint64_t refills_ = 0;
-    std::uint64_t truncateAfter_ = 0;
     std::uint64_t vanishAfterRefills_ = 0;
 };
 

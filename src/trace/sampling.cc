@@ -40,37 +40,28 @@ dist2(const std::vector<double> &a, const std::vector<double> &b)
 constexpr std::uint32_t kJobBlocks = 2;
 constexpr int kWindowChunks = 8;
 
+/** Lloyd iterations at most, if the assignments keep changing. */
+constexpr std::uint32_t kKmeansIters = 50;
+
 /**
  * Signature bucket of a record address: a hash of its 8 KB row, the
- * ChargeCache locality unit. This runs once per record over the whole
- * trace; a hardware divide there costs more than the rest of the
- * decode, so the power-of-two default takes a mask instead (same value
- * as % n).
+ * ChargeCache locality unit, masked to kSignatureBuckets (a power of
+ * two, so no divide in this once-per-record step).
  */
-struct Buckets {
-    explicit Buckets(int buckets)
-        : n(static_cast<std::uint64_t>(buckets)), mask(n - 1),
-          pow2((n & mask) == 0)
-    {
-    }
-
-    std::uint32_t
-    of(Addr addr) const
-    {
-        const std::uint64_t h = mix64(addr >> 13);
-        return static_cast<std::uint32_t>(pow2 ? (h & mask) : (h % n));
-    }
-
-    std::uint64_t n, mask;
-    bool pow2;
-};
+std::uint32_t
+bucketOf(Addr addr)
+{
+    static_assert((kSignatureBuckets & (kSignatureBuckets - 1)) == 0);
+    return static_cast<std::uint32_t>(mix64(addr >> 13) &
+                                      (kSignatureBuckets - 1));
+}
 
 /** A decoded record, as the fold needs it. */
 struct ProfRec {
     std::uint32_t insts;  ///< nonMemInsts + 1.
     std::uint32_t bucket; ///< Signature bucket; kWriteBit marks a write.
 };
-constexpr std::uint32_t kWriteBit = 1u << 31; ///< Buckets are ints.
+constexpr std::uint32_t kWriteBit = 1u << 31; ///< Above every bucket.
 
 /** Totals of one decoded block, so that it can fold in one step. */
 struct BlockSum {
@@ -92,7 +83,7 @@ struct Chunk {
 
     std::vector<ProfRec> recs;
     std::vector<BlockSum> blocks;
-    std::vector<std::uint32_t> hist; ///< Per block, Buckets::n wide.
+    std::vector<std::uint32_t> hist; ///< Per block, kSignatureBuckets wide.
     std::exception_ptr error; ///< What stopped the job after recs.
     bool end = false;         ///< The trace ended cleanly after recs.
     bool ready = false; ///< Decoded, not yet taken; under the window mutex.
@@ -105,11 +96,11 @@ struct Chunk {
  * ch.error, after the records decoded before it.
  */
 void
-decodeChunk(const std::string &path, const Buckets &bk, Chunk &ch)
+decodeChunk(const std::string &path, Chunk &ch)
 {
     ch.recs.clear();
     ch.blocks.clear();
-    ch.hist.assign(ch.spans.size() * bk.n, 0);
+    ch.hist.assign(ch.spans.size() * kSignatureBuckets, 0);
     ch.error = nullptr;
     ch.end = false;
     try {
@@ -125,12 +116,12 @@ decodeChunk(const std::string &path, const Buckets &bk, Chunk &ch)
             BlockSum &b = ch.blocks.emplace_back();
             b.first = static_cast<std::uint32_t>(ch.recs.size());
             std::uint32_t *hist =
-                ch.hist.data() + (ch.blocks.size() - 1) * bk.n;
+                ch.hist.data() + (ch.blocks.size() - 1) * kSignatureBuckets;
             for (std::uint32_t i = 0; i < span.records; ++i) {
                 if (!rd.next(rec))
                     throw changed();
                 const std::uint32_t insts = rec.nonMemInsts + 1;
-                const std::uint32_t bucket = bk.of(rec.addr);
+                const std::uint32_t bucket = bucketOf(rec.addr);
                 ++hist[bucket];
                 b.lastStart = b.insts;
                 b.insts += insts;
@@ -169,9 +160,8 @@ class DecodeWindow
     /** Fold order of core c's chunk that starts at record `rec`. */
     using Rank = std::function<std::uint64_t(int c, std::uint64_t rec)>;
 
-    DecodeWindow(const std::vector<std::string> &paths, Buckets bk,
-                 Rank rank)
-        : paths_(paths), bk_(bk), rank_(std::move(rank)),
+    DecodeWindow(const std::vector<std::string> &paths, Rank rank)
+        : paths_(paths), rank_(std::move(rank)),
           lanes_(openLanes(paths)),
           pool_(std::min(sim::ParallelRunner::defaultThreads(),
                          kWindowChunks))
@@ -245,7 +235,7 @@ class DecodeWindow
         lane.queued.push_back(ch);
         ++inWindow_;
         pool_.enqueue([this, ch, &path = paths_[c]] {
-            decodeChunk(path, bk_, *ch);
+            decodeChunk(path, *ch);
             {
                 std::lock_guard<std::mutex> lock(mutex_);
                 ch->ready = true;
@@ -277,7 +267,6 @@ class DecodeWindow
     }
 
     const std::vector<std::string> &paths_;
-    const Buckets bk_;
     const Rank rank_;
     std::vector<std::unique_ptr<Lane>> lanes_;
     std::vector<std::unique_ptr<Chunk>> chunks_;
@@ -338,9 +327,9 @@ SampledSimulation::SampledSimulation(
         throw SimError(ErrorKind::InvalidConfig,
                        "sampling warmup must be shorter than the "
                        "interval");
-    if (sampling_.maxClusters == 0 || sampling_.signatureBuckets <= 0)
+    if (sampling_.maxClusters == 0)
         throw SimError(ErrorKind::InvalidConfig,
-                       "sampling needs clusters and signature buckets");
+                       "sampling needs at least one cluster");
     if (sampling_.maxIntervals < 2)
         throw SimError(ErrorKind::InvalidConfig,
                        "sampling maxIntervals must be at least 2");
@@ -359,8 +348,7 @@ SampledSimulation::profileTrace(std::vector<std::uint64_t> &per_core_insts)
 {
     std::uint64_t L = sampling_.intervalInsts;
     const std::uint64_t W = sampling_.warmupInsts;
-    const Buckets bk(sampling_.signatureBuckets);
-    const std::uint64_t B = bk.n;
+    const std::uint64_t B = kSignatureBuckets;
     const int n = config_.nCores;
 
     std::vector<CoreScan> cores(n);
@@ -371,7 +359,7 @@ SampledSimulation::profileTrace(std::vector<std::uint64_t> &per_core_insts)
     // interval by interval, and core by core within an interval. A
     // chunk's first instruction is estimated from its core's
     // instructions per record so far.
-    DecodeWindow window(paths_, bk, [&](int c, std::uint64_t rec) {
+    DecodeWindow window(paths_, [&](int c, std::uint64_t rec) {
         const CoreScan &cs = cores[c];
         const std::uint64_t perRec = cs.recIdx ? cs.cum / cs.recIdx : 1;
         const std::uint64_t at = cs.cum + (rec - cs.recIdx) * perRec;
@@ -604,8 +592,7 @@ SampledSimulation::clusterIntervals(std::vector<IntervalInfo> &ivs)
         // Lloyd iterations; assignments are deterministic (ties
         // resolve to the lowest center index).
         std::vector<int> assign(n, -1);
-        for (std::uint32_t iter = 0; iter < sampling_.kmeansIters;
-             ++iter) {
+        for (std::uint32_t iter = 0; iter < kKmeansIters; ++iter) {
             bool changed = false;
             for (std::size_t i = 0; i < n; ++i) {
                 int best = 0;
@@ -717,20 +704,18 @@ SampledSimulation::simulateSlice(const std::vector<IntervalInfo> &ivs,
     if (funcWarm) {
         // SMARTS-style functional warming: replay the warm window into
         // the slice's own fresh LLC (tag/LRU/dirty state, no timing)
-        // and into HCRAC twins whose tables are then injected. The
-        // twins stay separate because an insert bumps the table's
-        // statistics and, under BIP, draws from its RNG.
+        // and HCRAC tables. The inserts' statistics go at the warm-up
+        // boundary like every other counter; the tables' BIP RNGs
+        // restart from their seeds once the window is done.
         const dram::DramSpec spec = cfg.buildSpec();
         const dram::AddressMapper mapper(spec.org, cfg.mapping);
         mem::Llc &llc = sys.llc();
-        std::vector<std::unique_ptr<chargecache::ChargeCacheProvider>>
-            warmCc;
-        if (cfg.scheme == sim::Scheme::ChargeCache ||
-            cfg.scheme == sim::Scheme::ChargeCacheNuat)
-            for (int ch = 0; ch < cfg.channels; ++ch)
-                warmCc.push_back(
-                    std::make_unique<chargecache::ChargeCacheProvider>(
-                        spec.timing, cfg.cc, n));
+        // Every channel runs the same scheme: one table set per
+        // channel, or none.
+        std::vector<chargecache::ChargeCacheProvider *> warmCc;
+        for (int ch = 0; ch < cfg.channels; ++ch)
+            if (auto *p = sys.provider(ch).chargeCacheView())
+                warmCc.push_back(p);
 
         // Merge the per-core streams by absolute instruction position
         // (ties to the lowest core id) — a deterministic stand-in for
@@ -788,12 +773,8 @@ SampledSimulation::simulateSlice(const std::vector<IntervalInfo> &ivs,
                 iv.cores[cc].warmStartRecord)
                 srcs[cc]->reader().seekRecord(
                     iv.cores[cc].warmStartRecord);
-        if (!warmCc.empty()) {
-            std::vector<const chargecache::ChargeCacheProvider *> views;
-            for (const auto &p : warmCc)
-                views.push_back(p.get());
-            sys.injectWarmState(views);
-        }
+        for (chargecache::ChargeCacheProvider *p : warmCc)
+            p->endWarming();
     }
 
     job.slice.result = sys.run();

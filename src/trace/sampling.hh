@@ -38,8 +38,9 @@
  *     the last `functionalWarmInsts` before the detailed lead-in are
  *     replayed *functionally* through the same readers the slice then
  *     runs on — records update the slice System's own LLC
- *     tags/LRU/dirty in place and HCRAC twins with no timing, and the
- *     twins' tables are injected — so the detailed lead-in only
+ *     tags/LRU/dirty and HCRAC tables in place with no timing, and
+ *     each table's BIP RNG then restarts from its seed, as a fresh
+ *     table's starts — so the detailed lead-in only
  *     re-warms in-flight machine state and `warmupInsts` can drop
  *     from the ~1.5M-instruction LLC horizon to ~100k. Slices are
  *     independent by construction and run as jobs on a
@@ -73,6 +74,9 @@
 
 namespace ccsim::trace {
 
+/** Row-hash histogram width of an interval signature, per core. */
+constexpr std::uint32_t kSignatureBuckets = 32;
+
 struct SamplingConfig {
     std::uint64_t intervalInsts = 1'000'000; ///< Slice length (per core).
     std::uint64_t warmupInsts = 100'000;     ///< Detailed lead-in.
@@ -86,15 +90,13 @@ struct SamplingConfig {
      */
     std::uint64_t functionalWarmInsts = 4'000'000;
     std::uint32_t maxClusters = 8; ///< k (SimPoint maxK).
-    std::uint32_t kmeansIters = 50;
     /**
      * Bounded-RAM profiling cap: when a trace yields more intervals
      * than this, adjacent intervals merge and the effective interval
      * length doubles (streaming aggregation of the raw counts).
      */
     std::uint32_t maxIntervals = 4096;
-    int signatureBuckets = 32; ///< Row-hash histogram width (per core).
-    std::uint64_t seed = 42;   ///< Clustering RNG seed.
+    std::uint64_t seed = 42; ///< Clustering RNG seed.
 };
 
 /** One profiled co-phase interval (indices are absolute positions). */
@@ -111,7 +113,10 @@ struct IntervalInfo {
     std::vector<PerCore> cores;
     std::uint64_t insts = 0;   ///< Summed over cores.
     std::uint64_t records = 0; ///< Summed over cores.
-    /** Concatenated per-core chunks, each signatureBuckets + 2 wide. */
+    /**
+     * Concatenated per-core chunks, each kSignatureBuckets + 2 wide:
+     * the row-hash histogram, memory intensity and write fraction.
+     */
     std::vector<double> signature;
     int cluster = -1;
 };

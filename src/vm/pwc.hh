@@ -67,8 +67,6 @@ class Pwc
     const Stats &stats() const { return stats_; }
     void resetStats() { stats_ = Stats(); }
 
-    int upperLevels() const { return levels_ - 1; }
-
     /** Checkpoint: every per-level array + counters. */
     void saveState(resilience::SnapshotWriter &w) const;
     void loadState(resilience::SnapshotReader &r);

@@ -65,11 +65,6 @@ RamulatorTraceReader::next(cpu::TraceRecord &record)
     while (std::getline(in_, line)) {
         if (line.empty() || line[0] == '#')
             continue;
-        if (truncateAfter_ && linesParsed_ >= truncateAfter_)
-            throw SimError(ErrorKind::TraceIo,
-                           "trace file '" + path_ +
-                               "' truncated after " +
-                               std::to_string(linesParsed_) + " lines");
         std::istringstream ss(line);
         std::uint64_t gap = 0;
         std::string rd, wr;

@@ -34,7 +34,7 @@ class RamulatorTraceReader : public cpu::TraceSource
     /**
      * @throws resilience::SimError{MalformedTrace} on an unparseable
      *         line, resilience::SimError{TraceIo} on a mid-file read
-     *         failure (or injected truncation).
+     *         failure.
      */
     bool next(cpu::TraceRecord &record) override;
     void reset() override;
@@ -43,19 +43,11 @@ class RamulatorTraceReader : public cpu::TraceSource
     void saveState(resilience::SnapshotWriter &w) const override;
     void loadState(resilience::SnapshotReader &r) override;
 
-    /** Fault injection: report TraceIo truncation after `lines` lines
-        (0 disables). Called directly by the resilience tests. */
-    void injectTruncateAfter(std::uint64_t lines)
-    {
-        truncateAfter_ = lines;
-    }
-
   private:
     std::string path_;
     std::ifstream in_;
     std::optional<cpu::TraceRecord> pendingWrite_;
     std::uint64_t linesParsed_ = 0;
-    std::uint64_t truncateAfter_ = 0;
 };
 
 } // namespace ccsim::workloads

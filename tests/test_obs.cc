@@ -329,9 +329,9 @@ TEST(ObsTrace, EventCapCountsDrops)
 {
     obs::TraceEventSink sink;
     sink.setLimit(2);
-    sink.complete(obs::kPidSim, 0, "a", "t", 0.0, 1.0);
-    sink.complete(obs::kPidSim, 0, "b", "t", 2.0, 1.0);
-    sink.complete(obs::kPidSim, 0, "c", "t", 3.0, 1.0);
+    sink.complete(0, "a", "t", 0.0, 1.0);
+    sink.complete(0, "b", "t", 2.0, 1.0);
+    sink.complete(0, "c", "t", 3.0, 1.0);
     EXPECT_EQ(sink.size(), 2u);
     EXPECT_EQ(sink.droppedCount(), 1u);
     const std::string json = sink.toJson();

@@ -543,22 +543,6 @@ TEST(Resilience, StopFlagSavesFinalSnapshotAndResumes)
 }
 
 // ---------------------------------------------------------------------
-// Fault injection.
-
-TEST(Resilience, AllocFailureIsRetryableSimError)
-{
-    SimConfig cfg = ckptConfig(KernelMode::Calendar, false);
-    cfg.faults.seed = 7;
-    try {
-        System sys(cfg, ckptWorkloads(cfg.nCores));
-        FAIL() << "expected ResourceExhausted";
-    } catch (const SimError &e) {
-        EXPECT_EQ(e.kind(), ErrorKind::ResourceExhausted);
-        EXPECT_TRUE(e.retryable());
-    }
-}
-
-// ---------------------------------------------------------------------
 // Structured input validation + sweep retry.
 
 TEST(Resilience, ConfigValidationThrowsStructuredErrors)
@@ -858,30 +842,7 @@ TEST(Resilience, TableSlotsLoadFromRawDumps)
 }
 
 // ---------------------------------------------------------------------
-// Malformed / truncated trace regression.
-
-TEST(Resilience, TruncatedTraceReportsTraceIo)
-{
-    const std::string path =
-        ::testing::TempDir() + "/ccsim_resil_trace.txt";
-    {
-        std::ofstream out(path);
-        for (int i = 0; i < 10; ++i)
-            out << "3 0x" << std::hex << (0x1000 + i * 64) << std::dec
-                << "\n";
-    }
-    workloads::RamulatorTraceReader reader(path);
-    reader.injectTruncateAfter(4);
-    cpu::TraceRecord rec;
-    try {
-        for (int i = 0; i < 10; ++i)
-            reader.next(rec);
-        FAIL() << "expected injected truncation";
-    } catch (const SimError &e) {
-        EXPECT_EQ(e.kind(), ErrorKind::TraceIo);
-    }
-    std::remove(path.c_str());
-}
+// Malformed trace regression.
 
 TEST(Resilience, GarbageTraceReportsMalformedTrace)
 {

@@ -566,21 +566,22 @@ TEST(Sampling, GarbageFuzzCorpusFailsTheProfilePass)
 
 TEST(Sampling, SlicePoolSurfacesSliceErrors)
 {
-    // Every slice's System build fails; the pool must hand back the
-    // structured error, not hang or terminate.
+    // Every slice's System build fails (the LLC's 65536 lines do not
+    // divide into 3 ways, which only the LLC checks); the pool must hand
+    // back the structured error, not hang or terminate.
     const std::string path = writeAnalyticsTrace(120000);
     trace::SamplingConfig sc;
     sc.intervalInsts = 40000;
     sc.warmupInsts = 8000;
     sc.maxClusters = 4;
     SimConfig cfg = sampleConfig();
-    cfg.faults.seed = 7;
+    cfg.llc.ways = 3;
     test::ScopedEnv env("CCSIM_THREADS", "4");
     try {
         trace::SampledSimulation(cfg, path, sc).run();
-        FAIL() << "expected ResourceExhausted";
+        FAIL() << "expected InvalidConfig";
     } catch (const SimError &e) {
-        EXPECT_EQ(e.kind(), ErrorKind::ResourceExhausted);
+        EXPECT_EQ(e.kind(), ErrorKind::InvalidConfig);
     }
     std::remove(path.c_str());
 }
@@ -655,38 +656,54 @@ TEST(Sampling, WarmInjectLlcTagState)
 
 TEST(Sampling, WarmInjectHcracAndProvider)
 {
-    chargecache::Hcrac::Params hp;
-    chargecache::Hcrac a(hp), b(hp);
-    a.insert(0x123);
-    a.insert(0x456);
-    b.warmCopyFrom(a);
-    EXPECT_TRUE(b.lookup(0x123));
-    EXPECT_TRUE(b.lookup(0x456));
-    EXPECT_FALSE(b.lookup(0x789));
-
-    chargecache::Hcrac::Params small = hp;
-    small.entries = hp.entries / 2;
-    chargecache::Hcrac c(small);
-    EXPECT_THROW(c.warmCopyFrom(a), SimError);
-
-    // Provider-level warm insert feeds the same table onActivate
-    // probes, and warmCopyFrom carries it into a cold provider.
+    // A warm insert lands in the table onActivate probes; its count
+    // goes with the stats reset at the warm-up boundary, the entry
+    // stays.
     SimConfig cfg = sampleConfig();
     dram::DramSpec spec = cfg.buildSpec();
-    chargecache::ChargeCacheProvider warm_cc(spec.timing, cfg.cc, 1);
+    chargecache::ChargeCacheProvider cc(spec.timing, cfg.cc, 1);
     dram::DramAddr da;
     da.channel = 0;
     da.rank = 0;
     da.bank = 1;
     da.row = 7;
-    warm_cc.warmInsert(0, da, da.row);
-
-    chargecache::ChargeCacheProvider cold_cc(spec.timing, cfg.cc, 1);
-    cold_cc.warmCopyFrom(warm_cc);
-    EXPECT_TRUE(cold_cc.onActivate(0, da, 0).reduced);
+    cc.warmInsert(0, da, da.row);
+    cc.endWarming();
+    EXPECT_EQ(cc.tableStats().inserts, 1u);
+    cc.resetStats();
+    EXPECT_EQ(cc.tableStats().inserts, 0u);
+    EXPECT_TRUE(cc.onActivate(0, da, 0).reduced);
     dram::DramAddr other = da;
     other.row = 9;
-    EXPECT_FALSE(cold_cc.onActivate(0, other, 0).reduced);
+    EXPECT_FALSE(cc.onActivate(0, other, 0).reduced);
+
+    // BIP draws from the table's RNG at every new insert. After
+    // restartRng() a warmed table draws what a fresh one does: with
+    // every entry invalidated, the same inserts leave both with the
+    // same survivors (a larger recency clock keeps the same order).
+    chargecache::Hcrac::Params bip;
+    bip.entries = 4;
+    bip.ways = 2;
+    bip.policy = chargecache::InsertPolicy::Bip;
+    bip.bipEpsilon = 0.5;
+    auto survivors = [](chargecache::Hcrac &t) {
+        t.invalidateAll();
+        std::vector<bool> out;
+        for (std::uint64_t k = 0; k < 64; ++k) {
+            t.insert(k);
+            out.push_back(k >= 3 && t.lookup(k - 3));
+        }
+        return out;
+    };
+    chargecache::Hcrac fresh(bip), warmed(bip), unrestarted(bip);
+    for (std::uint64_t k = 100; k < 132; ++k) {
+        warmed.insert(k);
+        unrestarted.insert(k);
+    }
+    warmed.restartRng();
+    const std::vector<bool> want = survivors(fresh);
+    EXPECT_EQ(survivors(warmed), want);
+    EXPECT_NE(survivors(unrestarted), want);
 }
 
 TEST(Sampling, SampledTracksFullRunAtTestScale)

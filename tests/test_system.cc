@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <fstream>
 
+#include "helpers.hh"
 #include "sim/config.hh"
 #include "sim/experiment.hh"
 #include "sim/system.hh"
@@ -199,18 +200,28 @@ class OracleCleanProperty
 {
 };
 
+/** One channel's device spec, as System gives each controller. */
+dram::DramSpec
+channelSpec(const SimConfig &cfg)
+{
+    dram::DramSpec spec = cfg.buildSpec();
+    spec.org.channels = 1;
+    return spec;
+}
+
 TEST_P(OracleCleanProperty, CommandStreamVerifies)
 {
     SimConfig cfg = tinySingle(GetParam().scheme);
     cfg.targetInsts = 10000;
     cfg.warmupInsts = 0;
-    cfg.attachOracle = true;
     System sys(cfg, {GetParam().workload});
+    // No command issues before run(), so the probe sees the whole
+    // stream.
+    test::OracleProbe probe(channelSpec(cfg));
+    sys.controller(0).addListener(&probe);
     sys.run();
-    auto *probe = sys.oracleListener(0);
-    ASSERT_NE(probe, nullptr);
-    EXPECT_GT(probe->oracle().size(), 100u);
-    auto v = probe->oracle().verify();
+    EXPECT_GT(probe.oracle.size(), 100u);
+    auto v = probe.oracle.verify();
     EXPECT_TRUE(v.empty()) << (v.empty() ? "" : v[0]);
 }
 
@@ -241,11 +252,16 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(System, EightCoreOracleClean)
 {
     SimConfig cfg = tinyEight(Scheme::ChargeCacheNuat);
-    cfg.attachOracle = true;
     System sys(cfg, workloads::mixWorkloads(1));
+    std::vector<std::unique_ptr<test::OracleProbe>> probes;
+    for (int ch = 0; ch < cfg.channels; ++ch) {
+        probes.push_back(
+            std::make_unique<test::OracleProbe>(channelSpec(cfg)));
+        sys.controller(ch).addListener(probes.back().get());
+    }
     sys.run();
     for (int ch = 0; ch < cfg.channels; ++ch) {
-        auto v = sys.oracleListener(ch)->oracle().verify();
+        auto v = probes[ch]->oracle.verify();
         EXPECT_TRUE(v.empty())
             << "channel " << ch << ": " << (v.empty() ? "" : v[0]);
     }

@@ -200,25 +200,6 @@ TEST(TraceFormat, TruncationReportsTraceIo)
     EXPECT_THROW(trace::TraceReader rd(path), SimError);
 }
 
-TEST(TraceFormat, InjectTruncateAfterReportsTraceIo)
-{
-    // The binary sibling of RamulatorTraceReader::injectTruncateAfter.
-    const std::string path = tmpPath("itrunc");
-    writeAll(path, sampleRecords(500), 64);
-    trace::TraceReader rd(path);
-    rd.injectTruncateAfter(100);
-    cpu::TraceRecord r;
-    for (int i = 0; i < 100; ++i)
-        ASSERT_TRUE(rd.next(r));
-    try {
-        rd.next(r);
-        FAIL() << "expected TraceIo";
-    } catch (const SimError &e) {
-        EXPECT_EQ(e.kind(), ErrorKind::TraceIo);
-    }
-    std::remove(path.c_str());
-}
-
 TEST(TraceFormat, VanishBetweenRefillsReportsIoErrorNotSilentEnd)
 {
     // The ISSUE-7 fix: a trace file that becomes unreadable between
