@@ -29,38 +29,30 @@ main()
         std::printf(" %11s", chargecache::insertPolicyName(p));
     std::printf("   (HCRAC hit rate; speedup vs baseline in parens)\n");
 
-    // (workload x policy) grid plus one baseline per workload, all in
-    // parallel; printed in order afterwards.
+    // One sweep over the baseline and each policy of every workload:
+    // point k*i is workload i's baseline and k*i+1+p its run under
+    // policies[p], for k = 1 + n_policies; printed in order afterwards.
     const size_t n_workloads = std::size(workloads);
     const size_t n_policies = std::size(policies);
-    std::vector<sim::SystemResult> base(n_workloads);
-    std::vector<sim::SystemResult> res(n_workloads * n_policies);
-    {
-        sim::ParallelRunner pool;
-        for (size_t i = 0; i < n_workloads; ++i) {
-            pool.enqueue([&, i] {
-                base[i] = sim::runSingle(workloads[i],
-                                         sim::Scheme::Baseline);
-            });
-            for (size_t p = 0; p < n_policies; ++p) {
-                auto policy = policies[p];
-                pool.enqueue([&, i, p, policy] {
-                    res[i * n_policies + p] = sim::runSingle(
-                        workloads[i], sim::Scheme::ChargeCache,
-                        [policy](sim::SimConfig &cfg) {
-                            cfg.cc.table.policy = policy;
-                        });
-                });
-            }
-        }
-        pool.waitAll();
-    }
+    const size_t k = 1 + n_policies;
+    const std::vector<sim::SystemResult> res =
+        sim::runSweep(n_workloads * k, [&](size_t pt) {
+            const char *w = workloads[pt / k];
+            if (pt % k == 0)
+                return sim::runSingle(w, sim::Scheme::Baseline);
+            const auto policy = policies[pt % k - 1];
+            return sim::runSingle(w, sim::Scheme::ChargeCache,
+                                  [policy](sim::SimConfig &cfg) {
+                                      cfg.cc.table.policy = policy;
+                                  });
+        });
     for (size_t i = 0; i < n_workloads; ++i) {
         std::printf("%-12s", workloads[i]);
+        const sim::SystemResult &base = res[k * i];
         for (size_t p = 0; p < n_policies; ++p) {
-            const sim::SystemResult &r = res[i * n_policies + p];
+            const sim::SystemResult &r = res[k * i + 1 + p];
             std::printf("  %5.1f%%(%+.1f%%)", 100 * r.hcracHitRate,
-                        100 * (r.ipc[0] / base[i].ipc[0] - 1));
+                        100 * (r.ipc[0] / base.ipc[0] - 1));
         }
         std::printf("\n");
     }

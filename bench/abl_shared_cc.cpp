@@ -32,6 +32,7 @@ main()
     };
 
     const auto mixes = bench::sweepMixes();
+    const auto alone = sim::aloneIpcs(mixes);
     std::vector<sim::SystemResult> base = sim::runSweep(
         mixes.size(), [&](size_t i) {
             return sim::runMix(mixes[i], sim::Scheme::Baseline);
@@ -39,7 +40,7 @@ main()
     std::vector<double> base_ws;
     for (size_t i = 0; i < mixes.size(); ++i) {
         auto names = workloads::mixWorkloads(mixes[i]);
-        base_ws.push_back(sim::weightedSpeedup(names, base[i].ipc));
+        base_ws.push_back(sim::weightedSpeedup(names, base[i].ipc, alone));
     }
 
     std::printf("\n%-28s %10s %10s\n", "configuration", "hit rate",
@@ -58,7 +59,7 @@ main()
         for (size_t i = 0; i < mixes.size(); ++i) {
             auto names = workloads::mixWorkloads(mixes[i]);
             hit.push_back(res[i].hcracHitRate);
-            sp.push_back(sim::weightedSpeedup(names, res[i].ipc) /
+            sp.push_back(sim::weightedSpeedup(names, res[i].ipc, alone) /
                          base_ws[i]);
         }
         std::printf("%-28s %9.1f%% %+9.2f%%\n", v.name,

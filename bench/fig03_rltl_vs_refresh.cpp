@@ -33,8 +33,8 @@ main()
     std::printf("%-12s %18s %22s\n", "workload", "8ms-RLTL",
                 "accessed<=8ms after REF");
     const std::vector<std::string> singles = bench::singleWorkloads();
-    // Every workload is an independent point: fan them across the
-    // ParallelRunner (like the other figures) and print in order.
+    // Every workload is an independent point: fan them out with
+    // runSweep (like the other figures) and print in order.
     std::vector<sim::SystemResult> res3a =
         sim::runSweep(singles.size(), [&](size_t i) {
             return sim::runSingle(singles[i], sim::Scheme::Baseline,

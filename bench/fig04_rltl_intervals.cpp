@@ -58,8 +58,8 @@ main()
                        "Figure 4a/4b (RLTL at 0.125..32 ms, "
                        "open-row vs closed-row)");
 
-    // Each (policy, workload) point is independent: fan them across
-    // the ParallelRunner (like the other figures) and print in order.
+    // Each (policy, workload) point is independent: fan them out with
+    // runSweep (like the other figures) and print in order.
     const std::vector<std::string> singles = bench::singleWorkloads();
     for (auto policy : {ctrl::RowPolicy::Open, ctrl::RowPolicy::Closed}) {
         std::printf("\n-- Figure 4a: single-core, %s --\n",

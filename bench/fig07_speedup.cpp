@@ -10,7 +10,6 @@
  */
 
 #include <algorithm>
-#include <array>
 #include <cstdio>
 #include <cstring>
 
@@ -21,8 +20,9 @@ namespace {
 
 using namespace ccsim;
 
+/** Point 5i + s of a sweep runs workload or mix i under kSchemes[s]. */
 const sim::Scheme kSchemes[] = {
-    sim::Scheme::Nuat, sim::Scheme::ChargeCache,
+    sim::Scheme::Baseline, sim::Scheme::Nuat, sim::Scheme::ChargeCache,
     sim::Scheme::ChargeCacheNuat, sim::Scheme::LlDram};
 
 void
@@ -35,31 +35,18 @@ runSingleCore()
         double speedup[4];
     };
     const auto workloads = bench::singleWorkloads();
-    // Fan every (workload, scheme) point across the pool; each point is
-    // an independent System.
-    std::vector<sim::SystemResult> base(workloads.size());
-    std::vector<std::array<sim::SystemResult, 4>> per(workloads.size());
-    {
-        sim::ParallelRunner pool;
-        for (size_t i = 0; i < workloads.size(); ++i) {
-            pool.enqueue([&, i] {
-                base[i] = sim::runSingle(workloads[i],
-                                         sim::Scheme::Baseline);
-            });
-            for (int s = 0; s < 4; ++s)
-                pool.enqueue([&, i, s] {
-                    per[i][s] = sim::runSingle(workloads[i], kSchemes[s]);
-                });
-        }
-        pool.waitAll();
-    }
+    const std::vector<sim::SystemResult> res =
+        sim::runSweep(workloads.size() * 5, [&](size_t p) {
+            return sim::runSingle(workloads[p / 5], kSchemes[p % 5]);
+        });
     std::vector<Row> rows;
     for (size_t i = 0; i < workloads.size(); ++i) {
+        const sim::SystemResult &base = res[5 * i];
         Row row;
         row.workload = workloads[i];
-        row.rmpkc = base[i].rmpkc;
+        row.rmpkc = base.rmpkc;
         for (int s = 0; s < 4; ++s)
-            row.speedup[s] = per[i][s].ipc[0] / base[i].ipc[0];
+            row.speedup[s] = res[5 * i + 1 + s].ipc[0] / base.ipc[0];
         rows.push_back(row);
     }
     std::sort(rows.begin(), rows.end(),
@@ -91,42 +78,25 @@ runEightCore()
     std::printf("%-6s %7s %8s %8s %9s %9s\n", "mix", "RMPKC", "NUAT",
                 "CC", "CC+NUAT", "LL-DRAM");
     const auto mixes = bench::mainMixes();
-    std::vector<sim::SystemResult> base(mixes.size());
-    std::vector<std::array<sim::SystemResult, 4>> per(mixes.size());
-    {
-        sim::ParallelRunner pool;
-        for (size_t i = 0; i < mixes.size(); ++i) {
-            pool.enqueue([&, i] {
-                base[i] = sim::runMix(mixes[i], sim::Scheme::Baseline);
-            });
-            for (int s = 0; s < 4; ++s)
-                pool.enqueue([&, i, s] {
-                    per[i][s] = sim::runMix(mixes[i], kSchemes[s]);
-                });
-        }
-        // Pre-warm the alone-IPC memo in parallel too: weighted speedup
-        // divides by it for every workload of every mix.
-        std::vector<std::string> alone;
-        for (int mix : mixes)
-            for (const auto &w : workloads::mixWorkloads(mix))
-                alone.push_back(w);
-        std::sort(alone.begin(), alone.end());
-        alone.erase(std::unique(alone.begin(), alone.end()), alone.end());
-        for (const auto &w : alone)
-            pool.enqueue([w] { sim::aloneIpc(w); });
-        pool.waitAll();
-    }
+    const auto alone = sim::aloneIpcs(mixes);
+    const std::vector<sim::SystemResult> res =
+        sim::runSweep(mixes.size() * 5, [&](size_t p) {
+            return sim::runMix(mixes[p / 5], kSchemes[p % 5]);
+        });
     std::vector<double> avg[4];
     for (size_t i = 0; i < mixes.size(); ++i) {
+        const sim::SystemResult &base = res[5 * i];
         auto names = workloads::mixWorkloads(mixes[i]);
-        double ws_base = sim::weightedSpeedup(names, base[i].ipc);
+        double ws_base = sim::weightedSpeedup(names, base.ipc, alone);
         double sp[4];
         for (int s = 0; s < 4; ++s) {
-            sp[s] = sim::weightedSpeedup(names, per[i][s].ipc) / ws_base;
+            sp[s] = sim::weightedSpeedup(names, res[5 * i + 1 + s].ipc,
+                                         alone) /
+                    ws_base;
             avg[s].push_back(sp[s]);
         }
         std::printf("w%-5zu %7.2f %+7.2f%% %+7.2f%% %+8.2f%% %+8.2f%%\n",
-                    static_cast<size_t>(mixes[i]), base[i].rmpkc,
+                    static_cast<size_t>(mixes[i]), base.rmpkc,
                     100 * (sp[0] - 1), 100 * (sp[1] - 1),
                     100 * (sp[2] - 1), 100 * (sp[3] - 1));
     }

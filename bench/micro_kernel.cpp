@@ -5,7 +5,7 @@
  *
  *   1. seed configuration: per-cycle kernel, serial;
  *   2. calendar-queue kernel, serial (the default kernel);
- *   3. calendar-queue kernel through the ParallelRunner (full win).
+ *   3. calendar-queue kernel through sim::runSweep (full win).
  *
  * Prints simulated CPU cycles per wall-second for each, emits
  * BENCH_kernel.json, and appends one compact record to the perf

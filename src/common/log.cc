@@ -1,8 +1,5 @@
 #include "common/log.hh"
 
-#include <iostream>
-#include <mutex>
-
 namespace ccsim::detail {
 
 void
@@ -19,16 +16,6 @@ fatalImpl(const char *file, int line, const std::string &msg)
     std::ostringstream os;
     os << "fatal: " << msg << " @ " << file << ":" << line;
     throw FatalError(os.str());
-}
-
-void
-warnImpl(const std::string &msg)
-{
-    // Serializes stderr writes so concurrent sweep points log
-    // line-atomically.
-    static std::mutex m;
-    std::lock_guard<std::mutex> lock(m);
-    std::cerr << "[warn] sim: " << msg << "\n";
 }
 
 } // namespace ccsim::detail

@@ -1,8 +1,8 @@
 /**
  * @file
- * Error and status reporting, following the gem5 panic()/fatal() split:
- * panic() for internal invariant violations (simulator bugs), fatal() for
- * unrecoverable user/configuration errors, warn() for status.
+ * Error reporting, following the gem5 panic()/fatal() split: panic()
+ * for internal invariant violations (simulator bugs), fatal() for
+ * unrecoverable user/configuration errors.
  *
  * Error-contract audit (see also src/resilience/error.hh):
  *
@@ -13,9 +13,9 @@
  *    source location; no caller is expected to recover.
  *  - Anything triggered by *input* — user configuration, environment
  *    variables, trace files, snapshot files, the filesystem — throws
- *    resilience::SimError with a structured ErrorKind instead, so the
- *    sweep runner can retry transient kinds and bench mains can report
- *    the failure without tearing the process down.
+ *    resilience::SimError with a structured ErrorKind instead, so
+ *    bench mains can report the failure without tearing the process
+ *    down.
  *  - CCSIM_FATAL remains for unrecoverable setup errors in contexts
  *    where no caller could sensibly continue (e.g. the maxCpuCycles
  *    runaway guard); new input-validation code should prefer SimError.
@@ -44,7 +44,6 @@ namespace detail {
 
 [[noreturn]] void panicImpl(const char *file, int line, const std::string &msg);
 [[noreturn]] void fatalImpl(const char *file, int line, const std::string &msg);
-void warnImpl(const std::string &msg);
 
 template <typename... Args>
 std::string
@@ -76,12 +75,5 @@ format(Args &&...args)
                         ::ccsim::detail::format(__VA_ARGS__)); \
         } \
     } while (0)
-
-/**
- * Non-fatal warning: writes "[warn] sim: <msg>" as one line to stderr.
- * Lines from concurrent threads (sweep points) do not interleave.
- */
-#define CCSIM_WARN(...) \
-    ::ccsim::detail::warnImpl(::ccsim::detail::format(__VA_ARGS__))
 
 #endif // CCSIM_COMMON_LOG_HH

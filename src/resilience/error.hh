@@ -4,10 +4,9 @@
  *
  * SimError is the recoverable counterpart of CCSIM_PANIC/CCSIM_FATAL:
  * anything caused by user input (bad config, malformed trace files,
- * unreadable snapshots), by the environment (I/O, allocation), or by a
- * deliberately injected fault is thrown as a SimError so callers — the
- * sweep runner, bench mains — can catch it, retry, or report it
- * without tearing the process down.
+ * unreadable snapshots) or by the environment (I/O, thread start-up)
+ * is thrown as a SimError so callers — the sweep runner, bench mains —
+ * can catch it and report it without tearing the process down.
  * Invariant violations stay CCSIM_ASSERT/CCSIM_PANIC (see
  * common/log.hh for the contract).
  *
@@ -32,7 +31,7 @@ enum class ErrorKind {
     IoError,           ///< Snapshot/result file I/O failed.
     CorruptSnapshot,   ///< Snapshot failed CRC/version/hash validation.
     Interrupted,       ///< Stop flag (SIGINT/SIGTERM) honored mid-run.
-    ResourceExhausted, ///< Allocation failure (transient, retryable).
+    ResourceExhausted, ///< A thread pool could not start a worker.
     Unsupported,       ///< Operation not available on this object.
 };
 
@@ -62,18 +61,6 @@ class SimError : public std::runtime_error
     {}
 
     ErrorKind kind() const { return kind_; }
-
-    /**
-     * Whether a sweep runner may sensibly retry the failed point:
-     * transient resource/I-O conditions are; bad input and corrupted
-     * state are not.
-     */
-    bool
-    retryable() const
-    {
-        return kind_ == ErrorKind::ResourceExhausted ||
-               kind_ == ErrorKind::IoError;
-    }
 
   private:
     ErrorKind kind_;

@@ -3,10 +3,9 @@
 #include <sched.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
-#include <future>
-#include <map>
+#include <exception>
+#include <set>
 
 #include "common/log.hh"
 #include "resilience/error.hh"
@@ -98,35 +97,6 @@ runMix(int mix_id, Scheme scheme, const ConfigTweak &tweak)
     return system.run();
 }
 
-double
-aloneIpc(const std::string &workload)
-{
-    // Per-workload shared_future memo: the first caller computes (off
-    // the lock), concurrent callers for the same workload wait on the
-    // same future instead of duplicating the simulation.
-    static std::mutex memo_mutex;
-    static std::map<std::string, std::shared_future<double>> memo;
-
-    std::packaged_task<double()> task;
-    std::shared_future<double> result;
-    {
-        std::lock_guard<std::mutex> lock(memo_mutex);
-        auto it = memo.find(workload);
-        if (it != memo.end()) {
-            result = it->second;
-        } else {
-            task = std::packaged_task<double()>([workload] {
-                return runSingle(workload, Scheme::Baseline).ipc.at(0);
-            });
-            result = task.get_future().share();
-            memo.emplace(workload, result);
-        }
-    }
-    if (task.valid())
-        task();
-    return result.get();
-}
-
 // ---------------------------------------------------------------------
 // ParallelRunner
 
@@ -208,19 +178,6 @@ ParallelRunner::enqueue(std::function<void()> job)
 }
 
 void
-ParallelRunner::waitAll()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    idleCv_.wait(lock,
-                 [this] { return queue_.empty() && inFlight_ == 0; });
-    if (firstError_) {
-        std::exception_ptr err = firstError_;
-        firstError_ = nullptr;
-        std::rethrow_exception(err);
-    }
-}
-
-void
 ParallelRunner::workerLoop()
 {
     std::unique_lock<std::mutex> lock(mutex_);
@@ -230,20 +187,9 @@ ParallelRunner::workerLoop()
             return; // stop_ and drained.
         std::function<void()> job = std::move(queue_.front());
         queue_.pop_front();
-        ++inFlight_;
         lock.unlock();
-        std::exception_ptr err;
-        try {
-            job();
-        } catch (...) {
-            err = std::current_exception();
-        }
+        job();
         lock.lock();
-        --inFlight_;
-        if (err && !firstError_)
-            firstError_ = err;
-        if (queue_.empty() && inFlight_ == 0)
-            idleCv_.notify_all();
     }
 }
 
@@ -251,46 +197,58 @@ std::vector<SystemResult>
 runSweep(std::size_t n, const std::function<SystemResult(std::size_t)> &point,
          int threads)
 {
-    // Transient failures (SimError::retryable(): resource exhaustion,
-    // I/O) get a bounded retry with exponential backoff — a sweep of
-    // hundreds of points should not die because one point hit a
-    // momentary allocation or filesystem hiccup. Deterministic errors
-    // (bad config, malformed trace, corrupt data) propagate on first
-    // throw.
-    const int attempts =
-        static_cast<int>(envU64("CCSIM_SWEEP_RETRIES", 2)) + 1;
+    if (threads <= 0)
+        threads = ParallelRunner::defaultThreads();
     std::vector<SystemResult> results(n);
-    ParallelRunner pool(threads);
-    for (std::size_t i = 0; i < n; ++i)
-        pool.enqueue([i, &point, &results, attempts] {
-            for (int attempt = 1;; ++attempt) {
+    std::vector<std::exception_ptr> errors(n);
+    const std::size_t workers =
+        std::clamp<std::size_t>(n, 1, static_cast<std::size_t>(threads));
+    {
+        // The pool's destructor runs every queued point before it joins.
+        ParallelRunner pool(static_cast<int>(workers));
+        for (std::size_t i = 0; i < n; ++i)
+            pool.enqueue([i, &point, &results, &errors] {
                 try {
                     results[i] = point(i);
-                    return;
-                } catch (const resilience::SimError &e) {
-                    if (!e.retryable() || attempt >= attempts)
-                        throw;
-                    auto backoff = std::chrono::milliseconds(
-                        1u << (attempt < 10 ? attempt : 10));
-                    CCSIM_WARN("sweep point ", i, " attempt ", attempt,
-                               " failed (", e.what(), "); retrying");
-                    std::this_thread::sleep_for(backoff);
+                } catch (...) {
+                    errors[i] = std::current_exception();
                 }
-            }
-        });
-    pool.waitAll();
+            });
+    }
+    for (const std::exception_ptr &err : errors)
+        if (err)
+            std::rethrow_exception(err);
     return results;
+}
+
+std::map<std::string, double>
+aloneIpcs(const std::vector<int> &mixes)
+{
+    std::set<std::string> distinct;
+    for (int mix : mixes)
+        for (const std::string &w : workloads::mixWorkloads(mix))
+            distinct.insert(w);
+    const std::vector<std::string> names(distinct.begin(), distinct.end());
+    const std::vector<SystemResult> runs =
+        runSweep(names.size(), [&names](std::size_t i) {
+            return runSingle(names[i], Scheme::Baseline);
+        });
+    std::map<std::string, double> alone;
+    for (std::size_t i = 0; i < names.size(); ++i)
+        alone.emplace(names[i], runs[i].ipc.at(0));
+    return alone;
 }
 
 double
 weightedSpeedup(const std::vector<std::string> &mix,
-                const std::vector<double> &ipc_shared)
+                const std::vector<double> &ipc_shared,
+                const std::map<std::string, double> &alone)
 {
     CCSIM_ASSERT(mix.size() == ipc_shared.size(),
                  "mix/IPC size mismatch");
     double ws = 0.0;
     for (size_t i = 0; i < mix.size(); ++i)
-        ws += ipc_shared[i] / aloneIpc(mix[i]);
+        ws += ipc_shared[i] / alone.at(mix[i]);
     return ws;
 }
 

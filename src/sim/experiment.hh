@@ -1,9 +1,9 @@
 /**
  * @file
  * Shared experiment plumbing for the reproduction harness (bench/):
- * canonical single-core and eight-core configurations, scheme sweeps,
- * alone-IPC memoisation and weighted speedup (the paper's multi-core
- * metric [Snavely & Tullsen, ASPLOS 2000]).
+ * canonical single-core and eight-core configurations, parallel sweeps,
+ * alone IPCs and weighted speedup (the paper's multi-core metric
+ * [Snavely & Tullsen, ASPLOS 2000]).
  *
  * Scale knobs come from the environment so the full suite finishes on a
  * laptop while remaining faithful in shape:
@@ -17,6 +17,7 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -62,22 +63,29 @@ SystemResult runMix(int mix_id, Scheme scheme,
                     const ConfigTweak &tweak = nullptr);
 
 /**
- * Baseline single-core IPC of `workload` (memoised across calls within
- * one process; thread-safe — concurrent callers for the same workload
- * share one computation) — the denominator of weighted speedup.
+ * Baseline single-core IPC of every workload of the eight-core `mixes`
+ * (one runSweep): the denominators of weighted speedup.
  */
-double aloneIpc(const std::string &workload);
+std::map<std::string, double> aloneIpcs(const std::vector<int> &mixes);
 
-/** Weighted speedup of a mix run: sum_i IPCshared_i / IPCalone_i. */
+/**
+ * Weighted speedup of a mix run: sum_i IPCshared_i / IPCalone_i, with
+ * IPCalone_i = alone.at(mix[i]).
+ */
 double weightedSpeedup(const std::vector<std::string> &mix,
-                       const std::vector<double> &ipc_shared);
+                       const std::vector<double> &ipc_shared,
+                       const std::map<std::string, double> &alone);
 
 // ---------------------------------------------------------------------
 // Parallel sweep execution. Every (scheme, workload, config) point of a
 // sweep is an independent System — per-instance RNG seeding, no shared
 // mutable state — so points fan cleanly across hardware threads.
 
-/** Fixed-size thread pool executing enqueued jobs FIFO. */
+/**
+ * Fixed-size thread pool executing enqueued jobs FIFO. A job must not
+ * throw: each user (runSweep, the sampled profile pass) catches its
+ * own errors.
+ */
 class ParallelRunner
 {
   public:
@@ -102,14 +110,6 @@ class ParallelRunner
     void enqueue(std::function<void()> job);
 
     /**
-     * Block until every enqueued job has finished. Rethrows the first
-     * exception any job raised (remaining jobs still run to drain).
-     */
-    void waitAll();
-
-    int threads() const { return static_cast<int>(workers_.size()); }
-
-    /**
      * CCSIM_THREADS when set and non-zero, else the number of CPUs in
      * the calling thread's affinity mask (std::thread::
      * hardware_concurrency when that cannot be read), at most
@@ -128,19 +128,17 @@ class ParallelRunner
     std::deque<std::function<void()>> queue_;
     std::mutex mutex_;
     std::condition_variable workCv_; ///< Queue became non-empty / stop.
-    std::condition_variable idleCv_; ///< Queue drained and no in-flight.
-    std::size_t inFlight_ = 0;
     bool stop_ = false;
-    std::exception_ptr firstError_;
 };
 
 /**
- * Evaluate `point(i)` for i in [0, n) on a temporary pool and return
- * the results in index order — the one-call form the bench figures use.
- * Points that fail with a retryable SimError (resource exhaustion,
- * transient I/O) are retried with exponential backoff, up to
- * CCSIM_SWEEP_RETRIES extra attempts (default 2); deterministic errors
- * propagate immediately.
+ * Evaluate `point(i)` once for each i in [0, n) on a pool of
+ * min(n, threads) workers and return the results in index order: the
+ * one way independent simulations run in parallel. `threads` <= 0
+ * selects ParallelRunner::defaultThreads(). Every point runs even when
+ * another fails; once all have finished, the exception of the lowest
+ * failing index is rethrown, so the error reported does not depend on
+ * thread timing.
  */
 std::vector<SystemResult>
 runSweep(std::size_t n, const std::function<SystemResult(std::size_t)> &point,

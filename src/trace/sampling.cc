@@ -4,6 +4,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -650,7 +651,7 @@ SampledSimulation::clusterIntervals(std::vector<IntervalInfo> &ivs)
     return k;
 }
 
-void
+sim::SystemResult
 SampledSimulation::simulateSlice(const std::vector<IntervalInfo> &ivs,
                                  SliceJob &job) const
 {
@@ -777,7 +778,7 @@ SampledSimulation::simulateSlice(const std::vector<IntervalInfo> &ivs,
             p->endWarming();
     }
 
-    job.slice.result = sys.run();
+    return sys.run();
 }
 
 SampledResult
@@ -864,35 +865,24 @@ SampledSimulation::run()
     }
 
     // The slices are independent by construction (each opens its own
-    // readers and builds its own System), so they run on a pool and
-    // fold back in cluster order: every field is the same at any
+    // readers and builds its own System), so they run as one sweep,
+    // whose results and error come back in cluster order whatever the
     // thread count. Each slice's telemetry lives in its own System;
-    // telemetry that writes files keeps the slices serial, because
-    // every slice writes the same output paths.
+    // telemetry that writes files keeps the sweep at one worker,
+    // because every slice writes the same output paths.
     const obs::ObsConfig &obsCfg = config_.obs;
     const bool sharedFiles =
         obsCfg.enable && (!obsCfg.timeSeriesPath.empty() ||
                           !obsCfg.traceEventPath.empty());
-    const int threads =
-        sharedFiles ? 1
-                    : std::clamp<int>(static_cast<int>(jobs.size()), 1,
-                                      sim::ParallelRunner::defaultThreads());
-    {
-        sim::ParallelRunner pool(threads);
-        for (SliceJob &job : jobs)
-            pool.enqueue([this, &ivs, &job] {
-                try {
-                    simulateSlice(ivs, job);
-                } catch (...) {
-                    job.error = std::current_exception();
-                }
-            });
-        pool.waitAll();
-    }
-    // When several slices fail, the lowest cluster's error wins.
-    for (SliceJob &job : jobs) {
-        if (job.error)
-            std::rethrow_exception(job.error);
+    std::vector<sim::SystemResult> results = sim::runSweep(
+        jobs.size(),
+        [this, &ivs, &jobs](std::size_t i) {
+            return simulateSlice(ivs, jobs[i]);
+        },
+        sharedFiles ? 1 : 0);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        SliceJob &job = jobs[i];
+        job.slice.result = std::move(results[i]);
         out.functionalInsts += job.functionalInsts;
         out.detailedInsts +=
             static_cast<std::uint64_t>(n) *

@@ -43,13 +43,13 @@
  *     table's starts — so the detailed lead-in only
  *     re-warms in-flight machine state and `warmupInsts` can drop
  *     from the ~1.5M-instruction LLC horizon to ~100k. Slices are
- *     independent by construction and run as jobs on a
- *     sim::ParallelRunner of min(slices, defaultThreads()) workers
- *     (CCSIM_THREADS), folded back in cluster order, so every result
- *     field is the same at any thread count and the lowest cluster's
- *     error wins. Each slice's System keeps its own telemetry; only
- *     telemetry that writes files keeps the pool at one worker, since
- *     every slice writes the same output paths.
+ *     independent by construction and run as the points of one
+ *     sim::runSweep on min(slices, defaultThreads()) workers
+ *     (CCSIM_THREADS), in cluster order, so every result field is the
+ *     same at any thread count and the lowest cluster's error wins.
+ *     Each slice's System keeps its own telemetry; only telemetry that
+ *     writes files keeps the sweep at one worker, since every slice
+ *     writes the same output paths.
  *  4. Aggregate: per-core IPC combines as an instruction-weighted
  *     harmonic mean over each core's own instruction shares; shared
  *     LLC/HCRAC hit rates weight by each slice's activation rate —
@@ -65,7 +65,6 @@
 #define CCSIM_TRACE_SAMPLING_HH
 
 #include <cstdint>
-#include <exception>
 #include <string>
 #include <vector>
 
@@ -173,21 +172,21 @@ class SampledSimulation
     SampledResult run();
 
   private:
-    /** One representative's slice: planned serially, run as one job. */
+    /** One representative's slice: planned serially, run as one point. */
     struct SliceJob {
         sim::SimConfig config; ///< With the slice's warm-up and target.
-        SampledSlice slice;    ///< Planned fields; the job adds result.
+        SampledSlice slice;    ///< Planned fields; run() adds result.
         std::uint64_t functionalInsts = 0;
-        std::exception_ptr error; ///< What the job threw, if anything.
     };
 
     /**
      * Open the traces, fast-forward, functionally warm and run the
-     * detailed System of `job`. Reads only `ivs` and members; writes
-     * only `job`, so slices may run concurrently.
+     * detailed System of `job`, returning its result. Reads only `ivs`
+     * and members; writes only `job.functionalInsts`, so slices may run
+     * concurrently.
      */
-    void simulateSlice(const std::vector<IntervalInfo> &ivs,
-                       SliceJob &job) const;
+    sim::SystemResult simulateSlice(const std::vector<IntervalInfo> &ivs,
+                                    SliceJob &job) const;
     /** @param per_core_insts out: each core's total instructions. */
     std::vector<IntervalInfo>
     profileTrace(std::vector<std::uint64_t> &per_core_insts);

@@ -12,10 +12,9 @@
  *  - autosave-and-continue identity (the hook itself is schedule-
  *    neutral) and the SIGINT/SIGTERM stop flag (final snapshot, then
  *    SimError{Interrupted});
- *  - deterministic fault injection (an allocation failure surfaces as
- *    a retryable SimError);
  *  - structured input-validation errors (SimError, not aborts) and
- *    the sweep runner's retry/backoff on retryable kinds;
+ *    the sweep runner's error rule: every point runs, and the lowest
+ *    failing index's error is the one reported;
  *  - malformed / truncated trace regression tests.
  */
 
@@ -311,7 +310,6 @@ TEST(Resilience, AtomicFileWriteAndAppend)
         FAIL() << "expected IoError";
     } catch (const SimError &e) {
         EXPECT_EQ(e.kind(), ErrorKind::IoError);
-        EXPECT_TRUE(e.retryable());
     }
     EXPECT_THROW(resilience::readFileBytes("/nonexistent/dir/x.txt"),
                  SimError);
@@ -543,7 +541,7 @@ TEST(Resilience, StopFlagSavesFinalSnapshotAndResumes)
 }
 
 // ---------------------------------------------------------------------
-// Structured input validation + sweep retry.
+// Structured input validation + sweep errors.
 
 TEST(Resilience, ConfigValidationThrowsStructuredErrors)
 {
@@ -554,7 +552,6 @@ TEST(Resilience, ConfigValidationThrowsStructuredErrors)
         FAIL() << "expected InvalidConfig";
     } catch (const SimError &e) {
         EXPECT_EQ(e.kind(), ErrorKind::InvalidConfig);
-        EXPECT_FALSE(e.retryable());
     }
 
     SimConfig cfg2 = ckptConfig(KernelMode::Calendar, false);
@@ -593,30 +590,6 @@ TEST(Resilience, MoreCoresThanTheLlcServesAreRejected)
     EXPECT_NO_THROW(System sys(cfg, names));
 }
 
-TEST(Resilience, SweepRetriesTransientFailures)
-{
-    std::atomic<int> attempts{0};
-    auto point = [&](std::size_t i) -> SystemResult {
-        if (i == 1 && attempts.fetch_add(1) == 0)
-            throw SimError(ErrorKind::ResourceExhausted,
-                           "transient allocation failure");
-        SystemResult r;
-        r.cpuCycles = 100 + i;
-        return r;
-    };
-    testing::internal::CaptureStderr();
-    std::vector<SystemResult> out = runSweep(3, point, 2);
-    const std::string err = testing::internal::GetCapturedStderr();
-    ASSERT_EQ(out.size(), 3u);
-    EXPECT_EQ(out[1].cpuCycles, 101u);
-    EXPECT_EQ(attempts.load(), 2) << "one failure + one retry";
-
-    // The retry is reported as exactly one warning line.
-    const std::string line = "[warn] sim: sweep point 1 attempt 1 failed";
-    EXPECT_EQ(err.rfind(line, 0), 0u) << err;
-    EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
-}
-
 TEST(Resilience, SweepPropagatesDeterministicErrors)
 {
     std::atomic<int> calls{0};
@@ -628,7 +601,35 @@ TEST(Resilience, SweepPropagatesDeterministicErrors)
         return SystemResult{};
     };
     EXPECT_THROW(runSweep(2, point, 1), SimError);
-    EXPECT_EQ(calls.load(), 1) << "InvalidConfig must not be retried";
+    EXPECT_EQ(calls.load(), 1) << "a failed point must run only once";
+}
+
+TEST(Resilience, SweepReportsTheLowestFailingPoint)
+{
+    // Two workers: point 1 fails first, point 0 fails only after it.
+    // The sweep must still report point 0, whatever the timing.
+    std::atomic<bool> oneFailed{false};
+    std::atomic<int> ran{0};
+    auto point = [&](std::size_t i) -> SystemResult {
+        ++ran;
+        if (i == 1) {
+            oneFailed = true;
+            throw SimError(ErrorKind::TraceIo, "point 1");
+        }
+        if (i == 0) {
+            while (!oneFailed)
+                std::this_thread::yield();
+            throw SimError(ErrorKind::InvalidConfig, "point 0");
+        }
+        return SystemResult{};
+    };
+    try {
+        runSweep(4, point, 2);
+        FAIL() << "expected the sweep to throw";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.kind(), ErrorKind::InvalidConfig) << e.what();
+    }
+    EXPECT_EQ(ran.load(), 4) << "every point runs";
 }
 
 TEST(Resilience, EnvScalarValidationThrows)

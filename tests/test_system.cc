@@ -529,8 +529,8 @@ TEST(Experiment, WeightedSpeedupOfIdenticalIpcIsCoreCount)
 {
     // With IPCshared == IPCalone for every app, WS == nCores.
     std::vector<std::string> mix = {"tpch6", "tpch6"};
-    double alone = aloneIpc("tpch6");
-    double ws = weightedSpeedup(mix, {alone, alone});
+    const double alone = runSingle("tpch6", Scheme::Baseline).ipc.at(0);
+    double ws = weightedSpeedup(mix, {alone, alone}, {{"tpch6", alone}});
     EXPECT_NEAR(ws, 2.0, 1e-9);
 }
 
