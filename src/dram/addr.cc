@@ -1,23 +1,8 @@
 #include "dram/addr.hh"
 
 #include "common/log.hh"
-#include "resilience/error.hh"
 
 namespace ccsim::dram {
-
-MapScheme
-parseMapScheme(const std::string &name)
-{
-    if (name == "RoBaRaCoCh")
-        return MapScheme::RoBaRaCoCh;
-    if (name == "RoRaBaCoCh")
-        return MapScheme::RoRaBaCoCh;
-    if (name == "RoCoBaRaCh")
-        return MapScheme::RoCoBaRaCh;
-    throw resilience::SimError(resilience::ErrorKind::InvalidConfig,
-                               "unknown address mapping scheme '" + name +
-                                   "'");
-}
 
 const char *
 mapSchemeName(MapScheme scheme)

@@ -11,8 +11,6 @@
 #ifndef CCSIM_DRAM_ADDR_HH
 #define CCSIM_DRAM_ADDR_HH
 
-#include <string>
-
 #include "common/types.hh"
 #include "dram/spec.hh"
 
@@ -40,9 +38,6 @@ enum class MapScheme {
     RoRaBaCoCh, ///< Row:Rank:Bank:Column:Channel.
     RoCoBaRaCh, ///< Row:Column:Bank:Rank:Channel (bank-interleaved lines).
 };
-
-/** Parse a scheme name; throws FatalError for unknown names. */
-MapScheme parseMapScheme(const std::string &name);
 
 /** Scheme name for printing. */
 const char *mapSchemeName(MapScheme scheme);

@@ -126,12 +126,6 @@ TEST(Mapper, RowMajorSchemeKeepsRowTogether)
     }
 }
 
-TEST(Mapper, ParseNames)
-{
-    EXPECT_EQ(parseMapScheme("RoBaRaCoCh"), MapScheme::RoBaRaCoCh);
-    EXPECT_THROW(parseMapScheme("bogus"), resilience::SimError);
-}
-
 // ---------------------------------------------------------------------
 // Bank state machine.
 
