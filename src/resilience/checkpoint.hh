@@ -7,12 +7,14 @@
  *     magic "CCSNAP01" | format u32 | config-hash u64 | sections...
  *
  * where the sections are sim::System state (see system.cc and
- * docs/resilience.md). The config hash covers every knob that shapes
- * simulated state — workloads, core/channel counts, scheme, seeds,
- * instruction targets, VM shape — but deliberately EXCLUDES the
- * execution strategy (kernel mode, paranoia): both kernels produce
- * bit-identical schedules, so a snapshot taken under Calendar may be
- * resumed under PerCycle, paranoid or not, and back.
+ * docs/resilience.md). The config hash covers the workload names and
+ * every sim::SimConfig field — controller, LLC, core, VM, ChargeCache
+ * table and timings, NUAT bins, seeds, instruction targets — except
+ * three: it deliberately EXCLUDES the execution strategy (kernel mode,
+ * paranoia), because both kernels produce bit-identical schedules, so
+ * a snapshot taken under Calendar may be resumed under PerCycle,
+ * paranoid or not, and back; and telemetry (SimConfig::obs), which the
+ * snapshot's "obs" section checks instead.
  *
  * The stop flag is the SIGINT/SIGTERM half of graceful shutdown:
  * installStopSignalHandler() arms an async-signal-safe flag that

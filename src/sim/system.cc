@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 #include "common/log.hh"
 #include "common/random.hh"
@@ -961,42 +962,101 @@ System::fireCheckpoint(CpuCycle now, bool warm, CpuCycle warm_end)
 std::uint64_t
 System::configHash() const
 {
-    // Advisory compatibility check: covers the knobs that shape
-    // simulated state, excludes pure execution strategy (kernel mode,
-    // paranoia) so snapshots resume across kernels. See
+    // Covers every SimConfig field but the execution strategy (kernel
+    // mode, paranoia), so snapshots resume across kernels, and
+    // telemetry, which the snapshot's "obs" section checks. See
     // resilience/checkpoint.hh.
     std::uint64_t h = 0x4343534e41503031ull; // "CCSNAP01"
-    auto mix = [&h](std::uint64_t v) { h = mix64(h ^ v); };
+    auto mix = [&h](auto v) {
+        static_assert(!std::is_floating_point_v<decltype(v)>,
+                      "doubles mix by bits: use mix_f64");
+        h = mix64(h ^ static_cast<std::uint64_t>(v));
+    };
     auto mix_str = [&](const std::string &s) {
         mix(s.size());
         for (char c : s)
-            mix(static_cast<std::uint64_t>(static_cast<unsigned char>(c)));
+            mix(static_cast<unsigned char>(c));
     };
     auto mix_f64 = [&](double d) {
         std::uint64_t v;
         std::memcpy(&v, &d, sizeof v);
         mix(v);
     };
-    mix(static_cast<std::uint64_t>(config_.nCores));
-    mix(static_cast<std::uint64_t>(config_.channels));
-    mix_str(config_.dramStandard);
-    mix(static_cast<std::uint64_t>(config_.mapping));
-    mix(static_cast<std::uint64_t>(config_.cpuRatio));
-    mix(config_.warmupInsts);
-    mix(config_.targetInsts);
-    mix(static_cast<std::uint64_t>(config_.scheme));
-    mix_f64(config_.ccDurationMs);
-    mix(config_.seed);
-    mix(1); // Energy is always modelled; kept so old snapshots resume.
-    mix(config_.ctrl.trackRltl ? 1 : 0);
-    mix(config_.vm.enable ? 1 : 0);
-    if (config_.vm.enable) {
-        mix(static_cast<std::uint64_t>(config_.vm.alloc));
-        mix(config_.vm.fragSeed);
-        mix(static_cast<std::uint64_t>(config_.vm.mp.processes));
-        mix(config_.vm.mp.switchQuantum);
-        mix(config_.vm.mp.remapPeriod);
-    }
+    auto mix_f64s = [&](const std::vector<double> &v) {
+        mix(v.size());
+        for (double d : v)
+            mix_f64(d);
+    };
+    const SimConfig &c = config_;
+    mix(c.nCores);
+    mix(c.channels);
+    mix_str(c.dramStandard);
+    mix(c.mapping);
+
+    mix(c.ctrl.readQueueSize);
+    mix(c.ctrl.writeQueueSize);
+    mix(c.ctrl.rowPolicy);
+    mix(c.ctrl.writeHighWatermark);
+    mix(c.ctrl.writeLowWatermark);
+    mix(c.ctrl.trackRltl);
+    mix_f64s(c.ctrl.rltlWindowsMs);
+    mix_f64(c.ctrl.rltlRefreshWindowMs);
+
+    mix(c.llc.sizeBytes);
+    mix(c.llc.ways);
+    mix(c.llc.lineBytes);
+    mix(c.llc.mshrsPerCore);
+    mix(c.llc.hitLatencyCpu);
+
+    mix(c.core.issueWidth);
+    mix(c.core.windowSize);
+
+    const vm::VmConfig &v = c.vm;
+    mix(v.enable);
+    mix(v.pageBytes);
+    mix(v.hugePageBytes);
+    mix(v.l1Entries);
+    mix(v.l1Ways);
+    mix(v.l2Entries);
+    mix(v.l2Ways);
+    mix(v.l2HitLatency);
+    mix(v.alloc);
+    mix(v.fragSeed);
+    mix_f64(v.fragDegree);
+    mix_f64(v.aging.maxDegree);
+    mix(v.aging.rampCycles);
+    mix(v.pwc.enable);
+    mix(v.pwc.entriesPerLevel);
+    mix(v.pwc.ways);
+    mix(v.mp.processes);
+    mix(v.mp.switchQuantum);
+    mix_f64(v.mp.quantumJitter);
+    mix(v.mp.flushOnSwitch);
+    mix(v.mp.remapPeriod);
+    mix(v.mp.shootdownCycles);
+    mix_f64(v.ptPoolFraction);
+
+    mix(c.cpuRatio);
+    mix(c.warmupInsts);
+    mix(c.targetInsts);
+    mix(c.maxCpuCycles);
+    mix(c.scheme);
+
+    mix(c.cc.table.entries);
+    mix(c.cc.table.ways);
+    mix(c.cc.table.policy);
+    mix_f64(c.cc.table.bipEpsilon);
+    mix(c.cc.table.seed);
+    mix(c.cc.durationCycles);
+    mix(c.cc.trcdReduced);
+    mix(c.cc.trasReduced);
+    mix(c.cc.sharedTable);
+    mix(c.cc.trackUnlimited);
+    mix_f64(c.ccDurationMs);
+    mix(c.ccUseTimingModel);
+    mix_f64s(c.nuatBinEdgesMs);
+    mix(c.seed);
+
     mix(workloadNames_.size());
     for (const auto &name : workloadNames_)
         mix_str(name);

@@ -132,9 +132,9 @@ class System
     void restoreSnapshot(const std::vector<std::uint8_t> &bytes);
 
     /**
-     * Hash of every configuration knob that shapes simulated state.
-     * Deliberately excludes execution strategy (kernel, paranoia) so
-     * snapshots resume across kernels.
+     * Hash of the workload names and every SimConfig field except the
+     * execution strategy (kernel, paranoia), so snapshots resume across
+     * kernels, and telemetry, which the snapshot's "obs" section checks.
      */
     std::uint64_t configHash() const;
 

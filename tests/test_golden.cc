@@ -240,8 +240,8 @@ TEST(GoldenResults, CalendarSnapshotsMatchPinnedDigest)
         const char *name;
         std::uint64_t digest;
     } pins[] = {
-        {"ChargeCache/4c2ch-closed/vm-off", 0xbffcf8821b607858ull},
-        {"ChargeCache/4c2ch-closed/multi-process", 0x6490cdbb8efa5d66ull},
+        {"ChargeCache/4c2ch-closed/vm-off", 0x628b002622db9266ull},
+        {"ChargeCache/4c2ch-closed/multi-process", 0x5df8ab5724bdcbfaull},
     };
     for (const auto &pin : pins) {
         SCOPED_TRACE(pin.name);

@@ -459,6 +459,28 @@ TEST(Resilience, SnapshotRejectsWrongConfigAndCorruption)
         EXPECT_EQ(e.kind(), ErrorKind::CorruptSnapshot);
     }
 
+    // Every other field is hashed too: the snapshot must not restore
+    // into a System with another row policy, HCRAC insertion policy or
+    // LLC associativity. Before those were hashed, each of these
+    // restored and ran to the end.
+    SimConfig open_row = cfg;
+    open_row.ctrl.rowPolicy = ctrl::RowPolicy::Open;
+    SimConfig bip = cfg;
+    bip.cc.table.policy = chargecache::InsertPolicy::Bip;
+    SimConfig llc8 = cfg;
+    llc8.llc.ways = 8;
+    const std::pair<const char *, SimConfig> variants[] = {
+        {"open-row", open_row}, {"BIP", bip}, {"8-way LLC", llc8}};
+    for (const auto &[label, c] : variants) {
+        System s(c, ckptWorkloads(c.nCores));
+        try {
+            s.restoreSnapshot(snap);
+            ADD_FAILURE() << label << ": expected config-hash rejection";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), ErrorKind::CorruptSnapshot) << label;
+        }
+    }
+
     // Execution strategy is NOT part of the hash.
     const std::uint64_t hash =
         System(cfg, ckptWorkloads(cfg.nCores)).configHash();
