@@ -83,8 +83,8 @@ double weightedSpeedup(const std::vector<std::string> &mix,
 
 /**
  * Fixed-size thread pool executing enqueued jobs FIFO. A job must not
- * throw: each user (runSweep, the sampled profile pass) catches its
- * own errors.
+ * throw (one that does ends the process): each user, runSweep and the
+ * sampled profile pass, catches its own errors.
  */
 class ParallelRunner
 {

@@ -18,7 +18,7 @@ namespace {
 
 // Core/channel counts come from user configuration (sweep files, env,
 // CLI), not from internal invariants — report them as structured
-// errors the sweep runner can skip or retry instead of aborting.
+// errors a sweep reports instead of aborting.
 void
 validateCounts(const SimConfig &config, std::size_t sources,
                const char *what)
