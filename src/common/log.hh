@@ -17,7 +17,7 @@
  *    bench mains can report the failure without tearing the process
  *    down.
  *  - CCSIM_FATAL remains for unrecoverable setup errors in contexts
- *    where no caller could sensibly continue (e.g. the maxCpuCycles
+ *    where no caller could sensibly continue (e.g. the kMaxCpuCycles
  *    runaway guard); new input-validation code should prefer SimError.
  */
 

@@ -64,6 +64,15 @@ isPow2(std::uint64_t v)
     return v != 0 && (v & (v - 1)) == 0;
 }
 
+/**
+ * Cache-line size (Table 1): the LLC line, the DRAM access granularity
+ * and the page walker's PTE fetch unit. A line address is a byte
+ * address shifted right by kLineShift.
+ */
+inline constexpr int kLineBytes = 64;
+inline constexpr int kLineShift = log2Exact(kLineBytes);
+static_assert(kLineShift > 0, "the line size must be a power of two");
+
 /** Count trailing zero bits; `v` must be non-zero. */
 inline int
 ctz64(std::uint64_t v)

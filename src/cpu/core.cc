@@ -7,19 +7,6 @@
 
 namespace ccsim::cpu {
 
-namespace {
-
-/** The window size, validated before any ring is sized from it. */
-std::size_t
-windowCapacity(const CoreConfig &config)
-{
-    CCSIM_ASSERT(config.issueWidth >= 1 && config.windowSize >= 1,
-                 "bad core configuration");
-    return static_cast<std::size_t>(config.windowSize);
-}
-
-} // namespace
-
 static_assert(sizeof(TraceRecord) == 24 &&
                   offsetof(TraceRecord, addr) == 8 &&
                   offsetof(TraceRecord, isWrite) == 16,
@@ -45,11 +32,10 @@ loadRecord(resilience::SnapshotReader &r, TraceRecord &record)
     r.skip(7);
 }
 
-Core::Core(int id, const CoreConfig &config, std::uint64_t target_insts,
-           TraceSource &trace, mem::Llc &llc, vm::Mmu *mmu)
-    : id_(id), config_(config), targetInsts_(target_insts), trace_(trace),
-      llc_(llc), mmu_(mmu),
-      window_(windowCapacity(config)), hitQueue_(windowCapacity(config))
+Core::Core(int id, std::uint64_t target_insts, TraceSource &trace,
+           mem::Llc &llc, vm::Mmu *mmu)
+    : id_(id), targetInsts_(target_insts), trace_(trace), llc_(llc),
+      mmu_(mmu), window_(kWindowSize), hitQueue_(kWindowSize)
 {
     if (mmu_ && mmu_->multiProcess())
         switchQuantum_ = mmu_->nextQuantum();
@@ -83,7 +69,7 @@ Core::issuePte(CpuCycle now)
     xlatState_ = XlatState::WaitPte;
     xlatReady_ = false;
     if (res == mem::Llc::Result::Hit)
-        xlatEventAt_ = now + llc_.config().hitLatencyCpu;
+        xlatEventAt_ = now + mem::Llc::kHitLatency;
     // Miss: the PTE arrives through onMissComplete(kXlatToken).
     return IssueResult::XlatStep;
 }
@@ -101,7 +87,7 @@ Core::advanceTranslation(CpuCycle now)
         if (r == vm::Mmu::Result::L2Hit) {
             xlatState_ = XlatState::WaitL2;
             xlatReady_ = false;
-            xlatEventAt_ = now + mmu_->config().l2HitLatency;
+            xlatEventAt_ = now + vm::Mmu::kL2HitLatency;
             return IssueResult::XlatStep;
         }
         xlatState_ = XlatState::NeedPte;
@@ -197,8 +183,7 @@ Core::issueOne(CpuCycle now)
         }
         line_addr = translatedLine_;
     } else {
-        line_addr =
-            record_.addr / static_cast<Addr>(llc_.config().lineBytes);
+        line_addr = record_.addr >> kLineShift;
     }
     mem::Llc::Result res =
         llc_.access(id_, line_addr, record_.isWrite, seq_);
@@ -216,7 +201,7 @@ Core::issueOne(CpuCycle now)
         entry.completed = false;
         ++stats_.memReads;
         if (res == mem::Llc::Result::Hit) {
-            CpuCycle ret = now + llc_.config().hitLatencyCpu;
+            CpuCycle ret = now + mem::Llc::kHitLatency;
             CCSIM_ASSERT(hitQueue_.empty() ||
                              hitQueue_.back().first <= ret,
                          "hit queue must stay cycle-monotone");
@@ -264,7 +249,7 @@ Core::tick(CpuCycle now)
         xlatReady_ = true;
     }
     // In-order retire, up to issue width.
-    for (int i = 0; i < config_.issueWidth && !window_.empty(); ++i) {
+    for (int i = 0; i < kIssueWidth && !window_.empty(); ++i) {
         if (!window_.front().completed)
             break;
         window_.pop_front();
@@ -278,7 +263,7 @@ Core::tick(CpuCycle now)
     }
     // Issue new instructions, up to issue width.
     IssueResult last = IssueResult::Issued;
-    for (int i = 0; i < config_.issueWidth; ++i) {
+    for (int i = 0; i < kIssueWidth; ++i) {
         last = issueOne(now);
         if (last == IssueResult::XlatStep) {
             // A translation step (TLB timer armed or PTE fetch sent)

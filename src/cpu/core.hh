@@ -37,11 +37,6 @@
 
 namespace ccsim::cpu {
 
-struct CoreConfig {
-    int issueWidth = 3;
-    int windowSize = 128;
-};
-
 struct CoreStats {
     std::uint64_t retired = 0;
     std::uint64_t memReads = 0;
@@ -55,6 +50,11 @@ struct CoreStats {
 class Core
 {
   public:
+    /** Instructions issued and retired per cycle at most (Table 1). */
+    static constexpr int kIssueWidth = 3;
+    /** Instruction-window entries (Table 1). */
+    static constexpr int kWindowSize = 128;
+
     /**
      * Why the most recent tick made no progress. A stalled core ticks
      * to exactly one stall-statistic increment per cycle, which is
@@ -84,8 +84,8 @@ class Core
                                              Addr vpn, CpuCycle now)>;
 
     /** `target_insts`: retire target counted from the last reset. */
-    Core(int id, const CoreConfig &config, std::uint64_t target_insts,
-         TraceSource &trace, mem::Llc &llc, vm::Mmu *mmu = nullptr);
+    Core(int id, std::uint64_t target_insts, TraceSource &trace,
+         mem::Llc &llc, vm::Mmu *mmu = nullptr);
 
     /** Install the shootdown broadcast hook (multi-process VM mode). */
     void setShootdownHook(ShootdownHook hook)
@@ -248,24 +248,23 @@ class Core
     IssueResult issuePte(CpuCycle now);
 
     int id_;
-    CoreConfig config_;
     std::uint64_t targetInsts_; ///< Retire target (post-reset).
     TraceSource &trace_;
     mem::Llc &llc_;
     vm::Mmu *mmu_; ///< Null: physical mode (legacy behavior).
 
-    /** Instruction window, windowSize entries (checked at issue). */
+    /** Instruction window, kWindowSize entries (checked at issue). */
     Ring<WinEntry> window_;
     std::uint64_t windowBaseSeq_ = 0; ///< Seq number of window_.front().
     std::uint64_t seq_ = 0;           ///< Next entry's seq number.
 
     /**
      * Self-scheduled completions for LLC data hits: (cycle, seq). Every
-     * hit return is scheduled `hitLatencyCpu` after its issue, so the
-     * queue is monotone in both cycle and seq — the front is at once
-     * the earliest return and the oldest (the head's, if queued). Each
-     * entry belongs to an incomplete load still in the window, so
-     * windowSize bounds it.
+     * hit return is scheduled mem::Llc::kHitLatency after its issue, so
+     * the queue is monotone in both cycle and seq — the front is at
+     * once the earliest return and the oldest (the head's, if queued).
+     * Each entry belongs to an incomplete load still in the window, so
+     * kWindowSize bounds it.
      */
     Ring<std::pair<CpuCycle, std::uint64_t>> hitQueue_;
 

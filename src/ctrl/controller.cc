@@ -43,15 +43,14 @@ MemoryController::MemoryController(const dram::DramSpec &spec,
                      "tables");
         readLists_.reset(bankPtr_.size());
         writeLists_.reset(bankPtr_.size());
-        slots_.reserve(static_cast<std::size_t>(config_.readQueueSize) +
-                       static_cast<std::size_t>(config_.writeQueueSize));
+        slots_.reserve(kReadQueueSize + kWriteQueueSize);
     }
     if (config_.trackRltl) {
         std::vector<Cycle> windows;
         for (double ms : config_.rltlWindowsMs)
             windows.push_back(spec_.timing.msToCycles(ms));
         rltl_ = std::make_unique<RltlTracker>(
-            windows, spec_.timing.msToCycles(config_.rltlRefreshWindowMs),
+            windows, spec_.timing.msToCycles(kRltlRefreshWindowMs),
             &refresh_);
     }
 }
@@ -66,8 +65,8 @@ bool
 MemoryController::canAccept(ReqType type) const
 {
     if (type == ReqType::Read)
-        return readCount() < static_cast<size_t>(config_.readQueueSize);
-    return writeCount() < static_cast<size_t>(config_.writeQueueSize);
+        return readCount() < kReadQueueSize;
+    return writeCount() < kWriteQueueSize;
 }
 
 int
@@ -646,11 +645,9 @@ MemoryController::tick()
     }
 
     // Write drain hysteresis.
-    if (!drainMode_ &&
-        writeCount() >= static_cast<size_t>(config_.writeHighWatermark))
+    if (!drainMode_ && writeCount() >= kWriteHighWatermark)
         drainMode_ = true;
-    if (drainMode_ &&
-        writeCount() <= static_cast<size_t>(config_.writeLowWatermark))
+    if (drainMode_ && writeCount() <= kWriteLowWatermark)
         drainMode_ = false;
 
     // Refresh has absolute priority once due.

@@ -47,15 +47,10 @@ enum class RowPolicy {
 const char *rowPolicyName(RowPolicy policy);
 
 struct CtrlConfig {
-    int readQueueSize = 64;
-    int writeQueueSize = 64;
     RowPolicy rowPolicy = RowPolicy::Open;
-    int writeHighWatermark = 48; ///< Enter drain mode at this depth.
-    int writeLowWatermark = 16;  ///< Leave drain mode at this depth.
     bool trackRltl = false;
     /** RLTL windows in milliseconds (Figure 4's sweep by default). */
     std::vector<double> rltlWindowsMs = {0.125, 0.25, 0.5, 1.0, 8.0, 32.0};
-    double rltlRefreshWindowMs = 8.0;
 };
 
 /**
@@ -112,6 +107,16 @@ struct CtrlStats {
 class MemoryController
 {
   public:
+    /** Request-queue depths (Table 1). */
+    static constexpr int kReadQueueSize = 64;
+    static constexpr int kWriteQueueSize = 64;
+    /** Write-drain hysteresis: drain mode starts at kWriteHighWatermark
+        queued writes and ends at kWriteLowWatermark. */
+    static constexpr int kWriteHighWatermark = 48;
+    static constexpr int kWriteLowWatermark = 16;
+    /** After-refresh window of the RLTL tracker (trackRltl). */
+    static constexpr double kRltlRefreshWindowMs = 8.0;
+
     /**
      * @param spec device spec (one channel's worth).
      * @param config controller policy knobs.
@@ -237,7 +242,6 @@ class MemoryController
     void setObsHists(obs::CtrlHists *hists) { obsHists_ = hists; }
 
     const dram::Channel &channel() const { return channel_; }
-    const CtrlConfig &config() const { return config_; }
     RltlTracker *rltl() { return rltl_.get(); }
 
     /**

@@ -26,10 +26,8 @@ AddressMapper::AddressMapper(const DramOrg &org, MapScheme scheme)
     baBits_ = log2Exact(static_cast<std::uint64_t>(org.banksPerRank));
     roBits_ = log2Exact(static_cast<std::uint64_t>(org.rowsPerBank));
     coBits_ = log2Exact(static_cast<std::uint64_t>(org.columnsPerRow()));
-    const int line_bits =
-        log2Exact(static_cast<std::uint64_t>(org.lineBytes));
     CCSIM_ASSERT(chBits_ >= 0 && raBits_ >= 0 && baBits_ >= 0 &&
-                     roBits_ >= 0 && coBits_ >= 0 && line_bits >= 0,
+                     roBits_ >= 0 && coBits_ >= 0,
                  "organization fields must be powers of two");
     numLines_ = Addr(1) << (chBits_ + raBits_ + baBits_ + roBits_ + coBits_);
 }

@@ -44,7 +44,7 @@ const char *mapSchemeName(MapScheme scheme);
 
 /**
  * Address mapper for a fixed DramOrg. Operates on line addresses
- * (physical address >> log2(lineBytes)).
+ * (physical address >> kLineShift).
  */
 class AddressMapper
 {

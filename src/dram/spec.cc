@@ -15,7 +15,6 @@ DramSpec::ddr3_1600(int channels)
     spec.org.banksPerRank = 8;
     spec.org.rowsPerBank = 65536;
     spec.org.rowBufferBytes = 8192;
-    spec.org.lineBytes = 64;
     // Timing defaults in DramTiming already encode DDR3-1600 11-11-11.
     spec.validate();
     return spec;
@@ -31,7 +30,6 @@ DramSpec::ddr4_2400(int channels)
     spec.org.banksPerRank = 16;
     spec.org.rowsPerBank = 32768;
     spec.org.rowBufferBytes = 8192;
-    spec.org.lineBytes = 64;
 
     DramTiming &t = spec.timing;
     t.tCkNs = 1.0 / 1.2; // 1200 MHz command clock.
@@ -68,7 +66,7 @@ DramSpec::validate() const
         throw resilience::SimError(
             resilience::ErrorKind::InvalidConfig,
             "DramSpec '" + name + "': org fields must be powers of 2");
-    if (org.rowBufferBytes % org.lineBytes != 0 ||
+    if (org.rowBufferBytes % kLineBytes != 0 ||
         !isPow2(static_cast<std::uint64_t>(org.columnsPerRow())))
         throw resilience::SimError(
             resilience::ErrorKind::InvalidConfig,

@@ -24,10 +24,9 @@ struct DramOrg {
     int banksPerRank = 8;      ///< Independent banks per rank.
     int rowsPerBank = 65536;   ///< Rows per bank.
     int rowBufferBytes = 8192; ///< Row buffer (page) size per rank row.
-    int lineBytes = 64;        ///< Access granularity (cache line).
 
-    /** Cache lines per row. */
-    int columnsPerRow() const { return rowBufferBytes / lineBytes; }
+    /** Cache lines (kLineBytes, the access granularity) per row. */
+    int columnsPerRow() const { return rowBufferBytes / kLineBytes; }
 
     /** Total capacity in bytes. */
     std::uint64_t

@@ -19,15 +19,11 @@ Llc::Llc(const LlcConfig &config, const dram::AddressMapper &mapper,
 {
     // Geometry comes from user configuration, so malformed values are
     // reported as structured errors rather than aborting the process.
-    if (config_.lineBytes <= 0 || config_.ways <= 0 ||
-        config_.sizeBytes %
-                static_cast<std::uint64_t>(config_.lineBytes) !=
-            0)
+    if (config_.ways <= 0 || config_.sizeBytes % kLineBytes != 0)
         throw resilience::SimError(
             resilience::ErrorKind::InvalidConfig,
             "LLC size must be a positive multiple of the line size");
-    std::uint64_t lines =
-        config_.sizeBytes / static_cast<std::uint64_t>(config_.lineBytes);
+    std::uint64_t lines = config_.sizeBytes / kLineBytes;
     if (lines % config_.ways != 0)
         throw resilience::SimError(
             resilience::ErrorKind::InvalidConfig,
@@ -152,7 +148,7 @@ Llc::access(int core, Addr line_addr, bool is_write, std::uint64_t token,
         ++stats_.hits;
         return Result::Hit;
     }
-    if (mshrInUse_[core] >= config_.mshrsPerCore) {
+    if (mshrInUse_[core] >= kMshrsPerCore) {
         ++stats_.blockedMshr;
         // Park notification (event kernel only): the blocked core will
         // retry this same line until it succeeds, so watch for the line
@@ -335,8 +331,7 @@ Llc::loadState(resilience::SnapshotReader &r)
     // Every waiter holds one of its core's MSHRs, so the per-core
     // limit bounds both the entry count and each entry's waiters.
     const std::uint64_t max_waiters =
-        std::uint64_t(kMaxCores) *
-        static_cast<std::uint64_t>(std::max(config_.mshrsPerCore, 0));
+        std::uint64_t(kMaxCores) * kMshrsPerCore;
     mshrs_.clear();
     std::uint64_t n_mshrs = r.get<std::uint64_t>();
     if (n_mshrs > max_waiters)

@@ -26,12 +26,10 @@ class SnapshotReader;
 
 namespace ccsim::mem {
 
+/** Capacity and associativity; lines are kLineBytes. */
 struct LlcConfig {
     std::uint64_t sizeBytes = 4ull << 20;
     int ways = 16;
-    int lineBytes = 64;
-    int mshrsPerCore = 8;
-    CpuCycle hitLatencyCpu = 20; ///< Load-to-use latency on an LLC hit.
 };
 
 struct LlcStats {
@@ -48,7 +46,7 @@ class Llc
 {
   public:
     enum class Result {
-        Hit,     ///< Data after hitLatencyCpu (caller schedules).
+        Hit,     ///< Data after kHitLatency (caller schedules).
         Miss,    ///< Accepted; completion via the miss callback.
         Blocked, ///< Resources exhausted; retry next cycle.
     };
@@ -66,6 +64,12 @@ class Llc
      * larger nCores with InvalidConfig).
      */
     static constexpr int kMaxCores = 64;
+
+    /** Outstanding fetches (stores included) per core (Table 1). */
+    static constexpr int kMshrsPerCore = 8;
+
+    /** Load-to-use latency of an LLC hit, in CPU cycles. */
+    static constexpr CpuCycle kHitLatency = 20;
 
     /**
      * @param channels the memory controller of each channel, by index
@@ -152,7 +156,6 @@ class Llc
     void resetStats() { stats_ = LlcStats(); }
 
     int numSets() const { return sets_; }
-    const LlcConfig &config() const { return config_; }
 
     /**
      * The fill completion the LLC attaches to every fetch Request. A

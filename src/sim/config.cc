@@ -86,7 +86,7 @@ SimConfig::finalizeChargeCache()
 chargecache::NuatParams
 makeNuatParams(const circuit::TimingModel &model,
                const dram::DramTiming &timing,
-               const std::vector<double> &edges_ms)
+               const std::array<double, 5> &edges_ms)
 {
     chargecache::NuatParams params;
     for (double edge : edges_ms) {

@@ -16,6 +16,9 @@ namespace ccsim::sim {
 
 namespace {
 
+/** Runaway guard: a run past this CPU cycle aborts. */
+constexpr CpuCycle kMaxCpuCycles = 5000000000ull;
+
 // Core/channel counts come from user configuration (sweep files, env,
 // CLI), not from internal invariants — report them as structured
 // errors a sweep reports instead of aborting.
@@ -95,8 +98,7 @@ System::makeProviders()
           case Scheme::Nuat:
             p = std::make_unique<NuatProvider>(
                 spec_.timing,
-                makeNuatParams(model, spec_.timing,
-                               config_.nuatBinEdgesMs),
+                makeNuatParams(model, spec_.timing, kNuatBinEdgesMs),
                 *refresh_[ch]);
             break;
           case Scheme::ChargeCacheNuat: {
@@ -104,8 +106,7 @@ System::makeProviders()
                 spec_.timing, config_.cc, config_.nCores);
             auto nuat = std::make_unique<NuatProvider>(
                 spec_.timing,
-                makeNuatParams(model, spec_.timing,
-                               config_.nuatBinEdgesMs),
+                makeNuatParams(model, spec_.timing, kNuatBinEdgesMs),
                 *refresh_[ch]);
             p = std::make_unique<CombinedProvider>(std::move(cc),
                                                    std::move(nuat));
@@ -194,26 +195,23 @@ System::build(const std::vector<cpu::TraceSource *> &traces)
             std::vector<vm::AddressSpace *> ptrs;
             for (int s = 0; s < n; ++s) {
                 spaces_.push_back(std::make_unique<vm::AddressSpace>(
-                    config_.vm, s, region * s, region,
-                    config_.llc.lineBytes));
+                    config_.vm, s, region * s, region));
                 ptrs.push_back(spaces_.back().get());
             }
             for (int i = 0; i < config_.nCores; ++i)
                 mmus_.push_back(std::make_unique<vm::Mmu>(
-                    config_.vm, i, ptrs, config_.llc.lineBytes,
-                    config_.seed));
+                    config_.vm, i, ptrs, config_.seed));
         } else {
             Addr region = capacity / static_cast<Addr>(config_.nCores);
             for (int i = 0; i < config_.nCores; ++i)
                 mmus_.push_back(std::make_unique<vm::Mmu>(
-                    config_.vm, i, region * i, region,
-                    config_.llc.lineBytes));
+                    config_.vm, i, region * i, region));
         }
     }
 
     for (int i = 0; i < config_.nCores; ++i)
         cores_.push_back(std::make_unique<cpu::Core>(
-            i, config_.core, config_.targetInsts, *traces[i], *llc_,
+            i, config_.targetInsts, *traces[i], *llc_,
             mmus_.empty() ? nullptr : mmus_[i].get()));
     if (config_.vm.mp.enabled())
         for (auto &core : cores_)
@@ -518,9 +516,9 @@ System::run()
                         std::to_string(now));
             }
         }
-        if (now > config_.maxCpuCycles)
-            CCSIM_FATAL("simulation exceeded maxCpuCycles=",
-                        config_.maxCpuCycles,
+        if (now > kMaxCpuCycles)
+            CCSIM_FATAL("simulation exceeded kMaxCpuCycles=",
+                        kMaxCpuCycles,
                         "; workload cannot make progress?");
     }
 
@@ -915,9 +913,9 @@ System::runCalendar()
                         std::to_string(now));
             }
         }
-        if (now > config_.maxCpuCycles)
-            CCSIM_FATAL("simulation exceeded maxCpuCycles=",
-                        config_.maxCpuCycles,
+        if (now > kMaxCpuCycles)
+            CCSIM_FATAL("simulation exceeded kMaxCpuCycles=",
+                        kMaxCpuCycles,
                         "; workload cannot make progress?");
     }
 
@@ -965,7 +963,10 @@ System::configHash() const
     // Covers every SimConfig field but the execution strategy (kernel
     // mode, paranoia), so snapshots resume across kernels, and
     // telemetry, which the snapshot's "obs" section checks. See
-    // resilience/checkpoint.hh.
+    // resilience/checkpoint.hh. The Table 1 machine constants (queue
+    // depths, window, MSHRs, line and page sizes, ...) are mixed where
+    // their former SimConfig fields were, so hashes stay as they were
+    // and a build that changes a constant refuses older snapshots.
     std::uint64_t h = 0x4343534e41503031ull; // "CCSNAP01"
     auto mix = [&h](auto v) {
         static_assert(!std::is_floating_point_v<decltype(v)>,
@@ -982,7 +983,7 @@ System::configHash() const
         std::memcpy(&v, &d, sizeof v);
         mix(v);
     };
-    auto mix_f64s = [&](const std::vector<double> &v) {
+    auto mix_f64s = [&](const auto &v) {
         mix(v.size());
         for (double d : v)
             mix_f64(d);
@@ -993,35 +994,36 @@ System::configHash() const
     mix_str(c.dramStandard);
     mix(c.mapping);
 
-    mix(c.ctrl.readQueueSize);
-    mix(c.ctrl.writeQueueSize);
+    using ctrl::MemoryController;
+    mix(MemoryController::kReadQueueSize);
+    mix(MemoryController::kWriteQueueSize);
     mix(c.ctrl.rowPolicy);
-    mix(c.ctrl.writeHighWatermark);
-    mix(c.ctrl.writeLowWatermark);
+    mix(MemoryController::kWriteHighWatermark);
+    mix(MemoryController::kWriteLowWatermark);
     mix(c.ctrl.trackRltl);
     mix_f64s(c.ctrl.rltlWindowsMs);
-    mix_f64(c.ctrl.rltlRefreshWindowMs);
+    mix_f64(MemoryController::kRltlRefreshWindowMs);
 
     mix(c.llc.sizeBytes);
     mix(c.llc.ways);
-    mix(c.llc.lineBytes);
-    mix(c.llc.mshrsPerCore);
-    mix(c.llc.hitLatencyCpu);
+    mix(kLineBytes);
+    mix(mem::Llc::kMshrsPerCore);
+    mix(mem::Llc::kHitLatency);
 
-    mix(c.core.issueWidth);
-    mix(c.core.windowSize);
+    mix(cpu::Core::kIssueWidth);
+    mix(cpu::Core::kWindowSize);
 
     const vm::VmConfig &v = c.vm;
     mix(v.enable);
-    mix(v.pageBytes);
-    mix(v.hugePageBytes);
+    mix(vm::kPageBytes);
+    mix(vm::kHugePageBytes);
     mix(v.l1Entries);
     mix(v.l1Ways);
     mix(v.l2Entries);
     mix(v.l2Ways);
-    mix(v.l2HitLatency);
+    mix(vm::Mmu::kL2HitLatency);
     mix(v.alloc);
-    mix(v.fragSeed);
+    mix(vm::AddressSpace::kFragSeed);
     mix_f64(v.fragDegree);
     mix_f64(v.aging.maxDegree);
     mix(v.aging.rampCycles);
@@ -1030,16 +1032,16 @@ System::configHash() const
     mix(v.pwc.ways);
     mix(v.mp.processes);
     mix(v.mp.switchQuantum);
-    mix_f64(v.mp.quantumJitter);
+    mix_f64(vm::Mmu::kQuantumJitter);
     mix(v.mp.flushOnSwitch);
     mix(v.mp.remapPeriod);
     mix(v.mp.shootdownCycles);
-    mix_f64(v.ptPoolFraction);
+    mix_f64(vm::AddressSpace::kPtPoolFraction);
 
     mix(c.cpuRatio);
     mix(c.warmupInsts);
     mix(c.targetInsts);
-    mix(c.maxCpuCycles);
+    mix(kMaxCpuCycles);
     mix(c.scheme);
 
     mix(c.cc.table.entries);
@@ -1054,7 +1056,7 @@ System::configHash() const
     mix(c.cc.trackUnlimited);
     mix_f64(c.ccDurationMs);
     mix(c.ccUseTimingModel);
-    mix_f64s(c.nuatBinEdgesMs);
+    mix_f64s(kNuatBinEdgesMs);
     mix(c.seed);
 
     mix(workloadNames_.size());

@@ -721,11 +721,6 @@ SampledSimulation::simulateSlice(const std::vector<IntervalInfo> &ivs,
         // Merge the per-core streams by absolute instruction position
         // (ties to the lowest core id) — a deterministic stand-in for
         // the detailed interleave.
-        const int lineBytes = cfg.llc.lineBytes;
-        const bool linePow2 = (lineBytes & (lineBytes - 1)) == 0;
-        const int lineShift =
-            linePow2 ? log2Exact(static_cast<std::uint64_t>(lineBytes))
-                     : 0;
         cpu::TraceRecord rec;
         while (true) {
             int pick = -1;
@@ -745,9 +740,7 @@ SampledSimulation::simulateSlice(const std::vector<IntervalInfo> &ivs,
                 wc.stopRec = wc.recIdx; // Defensive: short trace.
                 continue;
             }
-            Addr line = linePow2
-                            ? rec.addr >> lineShift
-                            : rec.addr / static_cast<Addr>(lineBytes);
+            Addr line = rec.addr >> kLineShift;
             Addr victim = kNoAddr;
             bool hit = llc.warmAccess(line, rec.isWrite, &victim);
             if (!warmCc.empty()) {

@@ -13,44 +13,36 @@
 namespace ccsim::vm {
 
 AddressSpace::RegionSplit
-AddressSpace::splitRegion(const VmConfig &config, Addr region_base_line,
-                          Addr region_lines, int line_bytes)
+AddressSpace::splitRegion(Addr region_base_line, Addr region_lines)
 {
-    std::uint64_t region_bytes =
-        region_lines * static_cast<std::uint64_t>(line_bytes);
+    std::uint64_t region_bytes = region_lines * kLineBytes;
     auto pages = static_cast<std::uint64_t>(
-        double(region_bytes / PageTable::kTableBytes) *
-        config.ptPoolFraction);
+        double(region_bytes / PageTable::kTableBytes) * kPtPoolFraction);
     RegionSplit s;
     s.ptPages = pages ? pages : 1;
-    std::uint64_t pt_lines =
-        s.ptPages * (PageTable::kTableBytes / line_bytes);
+    std::uint64_t pt_lines = s.ptPages * PageTable::kLinesPerTable;
     s.ptBaseLine = region_base_line + region_lines - pt_lines;
     s.dataLines = region_lines - pt_lines;
     return s;
 }
 
 AddressSpace::AddressSpace(const VmConfig &config, int asid,
-                           Addr region_base_line, Addr region_lines,
-                           int line_bytes)
-    : AddressSpace(config, asid, region_base_line, line_bytes,
-                   splitRegion(config, region_base_line, region_lines,
-                               line_bytes))
+                           Addr region_base_line, Addr region_lines)
+    : AddressSpace(config, asid, region_base_line,
+                   splitRegion(region_base_line, region_lines))
 {}
 
 AddressSpace::AddressSpace(const VmConfig &config, int asid,
-                           Addr region_base_line, int line_bytes,
-                           const RegionSplit &split)
+                           Addr region_base_line, const RegionSplit &split)
     : asid_(static_cast<std::uint32_t>(asid)),
       remapPeriod_(config.mp.enabled() ? config.mp.remapPeriod : 0),
       dataBaseLine_(region_base_line),
       dataFrames_(split.dataLines /
                   (static_cast<Addr>(config.effectivePageBytes()) /
-                   line_bytes)),
-      alloc_(config.alloc, dataFrames_ ? dataFrames_ : 1, config.fragSeed,
+                   kLineBytes)),
+      alloc_(config.alloc, dataFrames_ ? dataFrames_ : 1, kFragSeed,
              config.fragDegree, asid, config.aging),
-      pageTable_(config.walkLevels(), split.ptBaseLine, split.ptPages,
-                 line_bytes)
+      pageTable_(config.walkLevels(), split.ptBaseLine, split.ptPages)
 {
     CCSIM_ASSERT(dataFrames_ > 0, "region too small for a data frame");
 }

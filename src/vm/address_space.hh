@@ -46,16 +46,21 @@ namespace ccsim::vm {
 class AddressSpace
 {
   public:
+    /** Fraction of each region reserved for page-table frames. */
+    static constexpr double kPtPoolFraction = 1.0 / 16;
+    /** PageAlloc::Fragmented shuffle seed (mixed with the asid). */
+    static constexpr std::uint64_t kFragSeed = 1;
+
     /**
      * @param asid address-space id: the TLB tag, and the shuffle-seed
      *        mix the legacy mode fed the core id into.
      * @param region_base_line first physical line of this space's
      *        region; data frames grow from here, page-table frames
-     *        occupy the top ptPoolFraction of the region.
+     *        occupy the top kPtPoolFraction of the region.
      * @param region_lines region size in cache lines.
      */
     AddressSpace(const VmConfig &config, int asid, Addr region_base_line,
-                 Addr region_lines, int line_bytes = 64);
+                 Addr region_lines);
 
     /** Result of a page touch (see mapPage). */
     struct MapOutcome {
@@ -99,12 +104,11 @@ class AddressSpace
         std::uint64_t dataLines; ///< Lines below it, for data frames.
     };
 
-    static RegionSplit splitRegion(const VmConfig &config,
-                                   Addr region_base_line,
-                                   Addr region_lines, int line_bytes);
+    static RegionSplit splitRegion(Addr region_base_line,
+                                   Addr region_lines);
 
     AddressSpace(const VmConfig &config, int asid, Addr region_base_line,
-                 int line_bytes, const RegionSplit &split);
+                 const RegionSplit &split);
 
     std::uint32_t asid_;
     std::uint64_t remapPeriod_;

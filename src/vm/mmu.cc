@@ -9,39 +9,36 @@
 namespace ccsim::vm {
 
 void
-Mmu::initCommon(int line_bytes)
+Mmu::initCommon()
 {
-    lineShift_ = log2Exact(static_cast<std::uint64_t>(line_bytes));
     pageShift_ = log2Exact(
         static_cast<std::uint64_t>(config_.effectivePageBytes()));
     pageLines_ = static_cast<Addr>(config_.effectivePageBytes()) /
-                 line_bytes;
-    CCSIM_ASSERT(lineShift_ >= 0 && pageShift_ > lineShift_,
-                 "page size must be a power-of-two multiple of a line");
+                 kLineBytes;
     if (config_.pwc.enable)
         pwc_ = std::make_unique<Pwc>(config_.pwc, config_.walkLevels());
 }
 
 Mmu::Mmu(const VmConfig &config, int core_id, Addr region_base_line,
-         Addr region_lines, int line_bytes, std::uint64_t schedule_seed)
+         Addr region_lines, std::uint64_t schedule_seed)
     : config_(config),
       coreId_(core_id),
       l1_(config.l1Entries, config.l1Ways),
       l2_(config.l2Entries, config.l2Ways),
       owned_(std::make_unique<AddressSpace>(config, core_id,
                                             region_base_line,
-                                            region_lines, line_bytes)),
+                                            region_lines)),
       schedRng_(mix64(schedule_seed ^
                       (0x5C1Dull + std::uint64_t(core_id) *
                                        0x9E3779B97F4A7C15ull)))
 {
     spaces_.push_back(owned_.get());
     space_ = owned_.get();
-    initCommon(line_bytes);
+    initCommon();
 }
 
 Mmu::Mmu(const VmConfig &config, int core_id,
-         const std::vector<AddressSpace *> &spaces, int line_bytes,
+         const std::vector<AddressSpace *> &spaces,
          std::uint64_t schedule_seed)
     : config_(config),
       coreId_(core_id),
@@ -54,14 +51,14 @@ Mmu::Mmu(const VmConfig &config, int core_id,
 {
     CCSIM_ASSERT(!spaces_.empty(), "Mmu needs at least one address space");
     space_ = spaces_[static_cast<std::size_t>(core_id) % spaces_.size()];
-    initCommon(line_bytes);
+    initCommon();
 }
 
 void
 Mmu::finishTranslation(std::uint64_t ppn)
 {
     translatedLine_ = space_->dataBaseLine() + ppn * pageLines_ +
-                      ((xlatVaddr_ >> lineShift_) & (pageLines_ - 1));
+                      ((xlatVaddr_ >> kLineShift) & (pageLines_ - 1));
 }
 
 Mmu::Result
@@ -82,7 +79,7 @@ Mmu::beginTranslate(Addr vaddr, CpuCycle now)
         ++stats_.l2Hits;
         l1_.insert(vpn, ppn, asid);
         finishTranslation(ppn);
-        // The caller holds the result for l2HitLatency before using it
+        // The caller holds the result for kL2HitLatency before using it
         // (completeL2 is a semantic no-op kept as the state handshake).
         return Result::L2Hit;
     }
@@ -171,16 +168,10 @@ Mmu::contextSwitch()
 std::uint64_t
 Mmu::nextQuantum()
 {
-    CCSIM_ASSERT(config_.mp.quantumJitter >= 0.0 &&
-                     config_.mp.quantumJitter <= 1.0,
-                 "quantum jitter is a fraction in [0,1]");
     std::uint64_t q = config_.mp.switchQuantum;
-    if (config_.mp.quantumJitter > 0.0) {
-        auto span =
-            static_cast<std::uint64_t>(double(q) * config_.mp.quantumJitter);
-        if (span)
-            q = q - span + schedRng_.below(2 * span + 1);
-    }
+    auto span = static_cast<std::uint64_t>(double(q) * kQuantumJitter);
+    if (span)
+        q = q - span + schedRng_.below(2 * span + 1);
     return std::max<std::uint64_t>(q, 1);
 }
 

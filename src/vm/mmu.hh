@@ -129,9 +129,15 @@ struct VmStats {
 class Mmu
 {
   public:
+    /** Extra CPU cycles of an L1-TLB miss that hits the L2 TLB. */
+    static constexpr CpuCycle kL2HitLatency = 8;
+    /** Scheduling-slice jitter: each slice is switchQuantum plus or
+        minus this fraction, drawn from the schedule stream. */
+    static constexpr double kQuantumJitter = 0.25;
+
     enum class Result {
         L1Hit, ///< translatedLine() is valid now.
-        L2Hit, ///< Valid after l2HitLatency; call completeL2().
+        L2Hit, ///< Valid after kL2HitLatency; call completeL2().
         Miss,  ///< Walk begun; fetch pteLine(), then pteReturned().
     };
 
@@ -141,14 +147,13 @@ class Mmu
      *
      * @param region_base_line first physical line of this core's
      *        region; data frames grow from here, page-table frames
-     *        occupy the top ptPoolFraction of the region.
+     *        occupy the top AddressSpace::kPtPoolFraction of it.
      * @param region_lines region size in cache lines.
      * @param schedule_seed seed for the (unused in this mode)
      *        context-switch schedule stream.
      */
     Mmu(const VmConfig &config, int core_id, Addr region_base_line,
-        Addr region_lines, int line_bytes = 64,
-        std::uint64_t schedule_seed = 0);
+        Addr region_lines, std::uint64_t schedule_seed = 0);
 
     /**
      * Multi-process construction: the Mmu references every address
@@ -156,7 +161,7 @@ class Mmu
      * spaces[core_id % spaces.size()].
      */
     Mmu(const VmConfig &config, int core_id,
-        const std::vector<AddressSpace *> &spaces, int line_bytes = 64,
+        const std::vector<AddressSpace *> &spaces,
         std::uint64_t schedule_seed = 0);
 
     /** Start translating the byte address `vaddr` at cycle `now`. */
@@ -196,7 +201,7 @@ class Mmu
     void contextSwitch();
 
     /** Next scheduling-slice length in instructions (seed-derived
-        jitter around MultiProcessConfig::switchQuantum). */
+        kQuantumJitter around MultiProcessConfig::switchQuantum). */
     std::uint64_t nextQuantum();
 
     /**
@@ -209,7 +214,6 @@ class Mmu
     /** Shootdown receive side: drop the translation from both TLBs. */
     void invalidateTranslation(std::uint32_t asid, Addr vpn);
 
-    const VmConfig &config() const { return config_; }
     const VmStats &stats() const;
     void resetStats();
 
@@ -232,11 +236,10 @@ class Mmu
 
   private:
     void finishTranslation(std::uint64_t ppn);
-    void initCommon(int line_bytes);
+    void initCommon();
 
     VmConfig config_;
     int coreId_;
-    int lineShift_;   ///< log2(line_bytes).
     int pageShift_;   ///< log2(effectivePageBytes).
     Addr pageLines_;  ///< Lines per page.
 

@@ -10,19 +10,21 @@
 
 namespace ccsim::vm {
 
+namespace {
+
+/** log2 of the PTEs one line holds. */
+constexpr int kPteShift = log2Exact(kLineBytes / PageTable::kPteBytes);
+static_assert(kPteShift >= 0, "a line must hold a power-of-two of PTEs");
+
+} // namespace
+
 PageTable::PageTable(int levels, Addr pool_base_line,
-                     std::uint64_t pool_pages, int line_bytes)
+                     std::uint64_t pool_pages)
     : levels_(levels), poolBaseLine_(pool_base_line),
       poolPages_(pool_pages)
 {
     CCSIM_ASSERT(levels >= 1 && levels <= 4, "bad radix depth");
     CCSIM_ASSERT(pool_pages > 0, "empty page-table pool");
-    CCSIM_ASSERT(line_bytes >= kPteBytes && line_bytes % kPteBytes == 0,
-                 "line size must hold whole PTEs");
-    linesPerTable_ = kTableBytes / line_bytes;
-    pteShift_ = log2Exact(
-        static_cast<std::uint64_t>(line_bytes / kPteBytes));
-    CCSIM_ASSERT(pteShift_ >= 0, "PTEs per line must be a power of two");
 }
 
 Addr
@@ -41,9 +43,7 @@ PageTable::pteLineFor(Addr vpn, int level)
     if (inserted)
         nextFrame_ = (nextFrame_ + 1) % poolPages_;
     std::uint64_t frame = it->second;
-    return poolBaseLine_ +
-           frame * static_cast<std::uint64_t>(linesPerTable_) +
-           (entry >> pteShift_);
+    return poolBaseLine_ + frame * kLinesPerTable + (entry >> kPteShift);
 }
 
 

@@ -39,16 +39,16 @@ class PageTable
     static constexpr int kIndexBits = 9;   ///< 512 entries per table.
     static constexpr int kPteBytes = 8;    ///< x86-64 PTE size.
     static constexpr int kTableBytes = 4096;
+    /** Cache lines per table frame; a PTE fetch reads one line. */
+    static constexpr int kLinesPerTable = kTableBytes / kLineBytes;
 
     /**
      * @param levels radix depth (4 for 4 KB pages, 3 for 2 MB).
      * @param pool_base_line first line of the page-table frame pool.
      * @param pool_pages 4 KB frames available for tables (wraps when
      *        exhausted; a few MB of tables map many GB of footprint).
-     * @param line_bytes cache-line size (PTE fetch granularity).
      */
-    PageTable(int levels, Addr pool_base_line, std::uint64_t pool_pages,
-              int line_bytes);
+    PageTable(int levels, Addr pool_base_line, std::uint64_t pool_pages);
 
     /**
      * Physical line address of the PTE consulted at walk `level`
@@ -71,8 +71,6 @@ class PageTable
     int levels_;
     Addr poolBaseLine_;
     std::uint64_t poolPages_;
-    int linesPerTable_;
-    int pteShift_; ///< log2(line_bytes / kPteBytes): PTEs per line.
     std::uint64_t nextFrame_ = 0;
     /** (level, table-id) -> pool-relative table frame. */
     std::unordered_map<std::uint64_t, std::uint64_t> tables_;

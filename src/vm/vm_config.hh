@@ -21,6 +21,10 @@
 
 namespace ccsim::vm {
 
+/** Base page size, and the page size of PageAlloc::HugePage. */
+inline constexpr int kPageBytes = 4096;
+inline constexpr int kHugePageBytes = 2 * 1024 * 1024;
+
 /**
  * Multi-process layer: the system hosts `processes` address spaces;
  * each core runs one at a time and a deterministic, seed-derived
@@ -38,10 +42,6 @@ struct MultiProcessConfig {
         are instruction-indexed (not cycle-indexed), so the schedule is
         trivially identical across simulation kernels. */
     std::uint64_t switchQuantum = 20000;
-
-    /** Per-slice quantum jitter as a +/- fraction, drawn from the
-        seed-derived schedule stream (0 = fixed quantum). */
-    double quantumJitter = 0.25;
 
     /** Flush the TLBs (and PWC) on every context switch instead of
         relying on ASID tags — models pre-ASID hardware / the
@@ -78,18 +78,13 @@ struct PwcConfig {
 struct VmConfig {
     bool enable = false; ///< Off: legacy physical-address mode.
 
-    int pageBytes = 4096;             ///< Base page size.
-    int hugePageBytes = 2 * 1024 * 1024; ///< HugePage policy page size.
-
     int l1Entries = 64; ///< L1 D-TLB entries.
     int l1Ways = 4;
     int l2Entries = 1024; ///< Unified L2 TLB entries.
     int l2Ways = 8;
-    CpuCycle l2HitLatency = 8; ///< Extra cycles on an L1-miss/L2-hit.
 
     PageAlloc alloc = PageAlloc::Contiguous;
-    std::uint64_t fragSeed = 1;  ///< Fragmented: shuffle seed.
-    double fragDegree = 0.5;     ///< Fragmented: shuffle probability.
+    double fragDegree = 0.5; ///< Fragmented: shuffle probability.
 
     /** Allocator aging: fragmentation degree ramps from `fragDegree`
         to `aging.maxDegree` over `aging.rampCycles` simulated CPU
@@ -102,14 +97,11 @@ struct VmConfig {
     /** Multi-process address spaces, context switches, shootdowns. */
     MultiProcessConfig mp;
 
-    /** Fraction of each region reserved for page-table frames. */
-    double ptPoolFraction = 1.0 / 16;
-
     /** Page size the active allocator maps at. */
     int
     effectivePageBytes() const
     {
-        return alloc == PageAlloc::HugePage ? hugePageBytes : pageBytes;
+        return alloc == PageAlloc::HugePage ? kHugePageBytes : kPageBytes;
     }
 
     /** Radix depth: 2 MB pages stop one level early at the PD. */

@@ -18,12 +18,12 @@ SyntheticProfile::footprintLines() const
 }
 
 std::uint64_t
-SyntheticProfile::footprintPages(int page_bytes, int line_bytes) const
+SyntheticProfile::footprintPages(int page_bytes) const
 {
     if (vmPages)
         return vmPages;
     std::uint64_t lines_per_page =
-        static_cast<std::uint64_t>(page_bytes) / line_bytes;
+        static_cast<std::uint64_t>(page_bytes) / kLineBytes;
     CCSIM_ASSERT(lines_per_page > 0, "page smaller than a line");
     return (footprintLines() + lines_per_page - 1) / lines_per_page;
 }

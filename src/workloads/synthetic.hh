@@ -67,8 +67,7 @@ struct SyntheticProfile {
      * footprint. Sizes TLB-reach and allocator-pressure expectations
      * in the VM benches.
      */
-    std::uint64_t footprintPages(int page_bytes,
-                                 int line_bytes = 64) const;
+    std::uint64_t footprintPages(int page_bytes) const;
 };
 
 class SyntheticTrace : public cpu::TraceSource

@@ -127,7 +127,7 @@ TEST(Controller, QueueFullRejectsViaCanAccept)
     int accepted = 0;
     for (int i = 0; i < 100; ++i)
         accepted += h.read(i % 8, i, 0);
-    EXPECT_EQ(accepted, h.config.readQueueSize);
+    EXPECT_EQ(accepted, MemoryController::kReadQueueSize);
     EXPECT_FALSE(h.mc->canAccept(ReqType::Read));
     h.drain();
     EXPECT_TRUE(h.violations().empty());

@@ -336,8 +336,7 @@ struct CoreTest : ::testing::Test {
             [this](int, std::uint64_t token) {
                 core->onMissComplete(token);
             });
-        core = std::make_unique<cpu::Core>(0, cpu::CoreConfig{}, target,
-                                           trace, *llc);
+        core = std::make_unique<cpu::Core>(0, target, trace, *llc);
     }
 
     CpuCycle

@@ -233,7 +233,7 @@ TEST(Resilience, LlcLoaderRefusesMshrOverflowAndDuplicates)
     llc.saveState(w);
     const std::vector<std::uint8_t> clean = w.take();
     // Lines (count + 18 bytes each), then lruClock, then the MSHR count.
-    const std::size_t lines = cfg.sizeBytes / cfg.lineBytes;
+    const std::size_t lines = cfg.sizeBytes / kLineBytes;
     const std::size_t mshr_count_at = 8 + lines * 18 + 8;
     {
         resilience::SnapshotReader r(clean);
@@ -266,7 +266,7 @@ TEST(Resilience, LlcLoaderRefusesMshrOverflowAndDuplicates)
         return d.take();
     };
     const std::uint64_t cap =
-        std::uint64_t(mem::Llc::kMaxCores) * std::uint64_t(cfg.mshrsPerCore);
+        std::uint64_t(mem::Llc::kMaxCores) * mem::Llc::kMshrsPerCore;
     std::vector<Addr> distinct;
     for (Addr a = 1; a <= cap + 1; ++a)
         distinct.push_back(a);
@@ -792,8 +792,8 @@ TEST(Resilience, SnapshotBytesCarryNoPadding)
     auto coreBytes = [&](unsigned char fill) {
         alignas(cpu::Core) unsigned char buf[sizeof(cpu::Core)];
         std::memset(buf, fill, sizeof buf);
-        auto *core = new (buf)
-            cpu::Core(0, cfg.core, cfg.targetInsts, src, llc, nullptr);
+        auto *core =
+            new (buf) cpu::Core(0, cfg.targetInsts, src, llc, nullptr);
         resilience::SnapshotWriter w;
         core->saveState(w);
         core->~Core();

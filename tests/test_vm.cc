@@ -346,8 +346,7 @@ struct MpRig {
             spaces.push_back(owned.back().get());
         }
         for (int c = 0; c < n_cores; ++c)
-            mmus.push_back(
-                std::make_unique<vm::Mmu>(cfg, c, spaces, 64, 42));
+            mmus.push_back(std::make_unique<vm::Mmu>(cfg, c, spaces, 42));
     }
 
     /** Drive one full translation; returns the physical line. */
@@ -460,7 +459,7 @@ TEST(Mmu, ContextSwitchScheduleIsDeterministicPerSeed)
 TEST(PageTable, FourLevelWalkVisitsDistinctTablesPerLevel)
 {
     // Pool of 64 table frames starting at line 1000.
-    vm::PageTable pt(4, 1000, 64, 64);
+    vm::PageTable pt(4, 1000, 64);
     // vpn with distinct 9-bit indices per level:
     //   L0 idx 1, L1 idx 2, L2 idx 3, L3 idx 4.
     Addr vpn = (Addr(1) << 27) | (Addr(2) << 18) | (Addr(3) << 9) | 4;
@@ -476,7 +475,7 @@ TEST(PageTable, FourLevelWalkVisitsDistinctTablesPerLevel)
 
 TEST(PageTable, AdjacentPagesShareLeafTableAndOftenALine)
 {
-    vm::PageTable pt(4, 0, 64, 64);
+    vm::PageTable pt(4, 0, 64);
     // Walk page 0 fully, then page 1: levels 0..2 reuse the same
     // tables, and the leaf PTEs of vpn 0 and vpn 1 share one line
     // (8 PTEs per 64 B line) — the page-walk locality that makes PTW
@@ -494,7 +493,7 @@ TEST(PageTable, AdjacentPagesShareLeafTableAndOftenALine)
 
 TEST(PageTable, ThreeLevelWalkForHugePages)
 {
-    vm::PageTable pt(3, 500, 16, 64);
+    vm::PageTable pt(3, 500, 16);
     Addr vpn2m = (Addr(1) << 18) | (Addr(2) << 9) | 3;
     EXPECT_EQ(pt.pteLineFor(vpn2m, 0), 500u + 0 * 64 + 0);
     EXPECT_EQ(pt.pteLineFor(vpn2m, 1), 500u + 1 * 64 + 2 / 8);
