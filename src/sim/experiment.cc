@@ -3,6 +3,8 @@
 #include <sched.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <exception>
 #include <set>
@@ -13,19 +15,34 @@
 
 namespace ccsim::sim {
 
+namespace {
+
+[[noreturn]] void
+badEnv(const char *name, const char *value, const char *why)
+{
+    throw resilience::SimError(resilience::ErrorKind::InvalidConfig,
+                               std::string("environment variable ") +
+                                   name + "='" + value + "' " + why);
+}
+
+} // namespace
+
 std::uint64_t
 envU64(const char *name, std::uint64_t def)
 {
     const char *v = std::getenv(name);
     if (!v || !*v)
         return def;
+    // strtoull would wrap a minus sign round to a huge value.
+    if (*v < '0' || *v > '9')
+        badEnv(name, v, "is not an integer");
     char *end = nullptr;
+    errno = 0;
     std::uint64_t parsed = std::strtoull(v, &end, 10);
-    if (end == v || *end != '\0')
-        throw resilience::SimError(
-            resilience::ErrorKind::InvalidConfig,
-            std::string("environment variable ") + name + "='" + v +
-                "' is not an integer");
+    if (*end != '\0')
+        badEnv(name, v, "is not an integer");
+    if (errno == ERANGE)
+        badEnv(name, v, "is out of range");
     return parsed;
 }
 
@@ -38,10 +55,10 @@ envF64(const char *name, double def)
     char *end = nullptr;
     double parsed = std::strtod(v, &end);
     if (end == v || *end != '\0')
-        throw resilience::SimError(
-            resilience::ErrorKind::InvalidConfig,
-            std::string("environment variable ") + name + "='" + v +
-                "' is not a number");
+        badEnv(name, v, "is not a number");
+    // nan compares false with every gate, inf and 1e999 pass any floor.
+    if (!std::isfinite(parsed))
+        badEnv(name, v, "is not a finite number");
     return parsed;
 }
 

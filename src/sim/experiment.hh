@@ -40,7 +40,9 @@ ExpScale expScale();
  * Validated environment scalars: unset/empty returns `def`; anything
  * that does not parse fully throws SimError{InvalidConfig} naming the
  * variable (a typo'd scale or gate knob must never silently become 0).
- * User input is a structured, catchable error — not an abort.
+ * So does an integer with a sign or past 2^64 - 1, and a nan, inf or
+ * overflowing number. User input is a structured, catchable error —
+ * not an abort.
  */
 std::uint64_t envU64(const char *name, std::uint64_t def);
 double envF64(const char *name, double def);

@@ -662,6 +662,29 @@ TEST(Resilience, EnvScalarValidationThrows)
     setenv("CCSIM_TEST_SCALAR", "12", 1);
     EXPECT_EQ(envU64("CCSIM_TEST_SCALAR", 0), 12u);
     unsetenv("CCSIM_TEST_SCALAR");
+
+    // strtoull wraps "-1" and saturates an overflow to 2^64 - 1; strtod
+    // takes nan (no gate compares true with it), inf and 1e999.
+    auto expectRejected = [](const char *value, auto parse) {
+        test::ScopedEnv env("CCSIM_TEST_SCALAR", value);
+        try {
+            parse();
+            ADD_FAILURE() << "'" << value << "' should be rejected";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), ErrorKind::InvalidConfig);
+            EXPECT_NE(std::string(e.what()).find("CCSIM_TEST_SCALAR"),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    for (const char *v : {"-1", "-0", "99999999999999999999999"})
+        expectRejected(v, [] { envU64("CCSIM_TEST_SCALAR", 0); });
+    for (const char *v : {"nan", "inf", "-inf", "1e999"})
+        expectRejected(v, [] { envF64("CCSIM_TEST_SCALAR", 0.0); });
+    {
+        test::ScopedEnv env("CCSIM_TEST_SCALAR", "18446744073709551615");
+        EXPECT_EQ(envU64("CCSIM_TEST_SCALAR", 0), ~std::uint64_t(0));
+    }
 }
 
 TEST(Resilience, ThreadCountEnvIsCapped)
