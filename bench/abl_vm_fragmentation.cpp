@@ -27,8 +27,7 @@
  * CCSIM_KERNEL_GATE:
  *   - the HCRAC-hit monotone-drop invariant (`monotone_drop`) fails, or
  *   - the huge-page IPC uplift over the contiguous 4K baseline falls
- *     below CCSIM_VM_GATE_RATIO (default 1.0; the checked-in
- *     trajectory measures ~1.2-1.3x).
+ *     below kMinHugePageUplift (1.10x; the sweep measures ~1.2-1.3x).
  *
  * Scale via CCSIM_VM_INSTS (default 40000 insts/core; CI smoke uses
  * less), CCSIM_VM_MIXES (default 2) and CCSIM_THREADS.
@@ -47,6 +46,11 @@ namespace {
 
 using namespace ccsim;
 using sim::envU64;
+
+// Gate floor on the huge-page IPC uplift. The sweep is deterministic
+// at a fixed CCSIM_VM_INSTS and measures ~1.24x at CI smoke scale, so
+// 1.10 leaves real margin; a reading below it is a regression.
+constexpr double kMinHugePageUplift = 1.10;
 
 struct AllocPoint {
     vm::PageAlloc alloc;
@@ -110,8 +114,8 @@ main()
     for (int mix = 1; mix <= mixes; ++mix) {
         std::uint64_t pages4k = 0, pages2m = 0;
         for (const auto &prof : workloads::mixProfiles(mix, 4)) {
-            pages4k += prof.footprintPages(4096);
-            pages2m += prof.footprintPages(2 * 1024 * 1024);
+            pages4k += prof.footprintPages(vm::kPageBytes);
+            pages2m += prof.footprintPages(vm::kHugePageBytes);
         }
         std::printf("mix w%-2d working set: %llu x 4K pages, "
                     "%llu x 2M pages\n",
@@ -237,23 +241,22 @@ main()
     // CI regression gate over the two trajectory invariants (mirrors
     // CCSIM_KERNEL_GATE in micro_kernel).
     if (envU64("CCSIM_VM_GATE", 0)) {
-        const double tol = sim::envF64("CCSIM_VM_GATE_RATIO", 1.0);
         if (!monotone) {
             std::fprintf(stderr,
                          "GATE FAILED: HCRAC hit rate no longer drops "
                          "monotonically contiguous -> frag(1.0)\n");
             return 2;
         }
-        if (huge_ipc_uplift < tol) {
+        if (huge_ipc_uplift < kMinHugePageUplift) {
             std::fprintf(stderr,
                          "GATE FAILED: huge-page IPC uplift %.3fx < "
                          "%.3fx over the contiguous baseline\n",
-                         huge_ipc_uplift, tol);
+                         huge_ipc_uplift, kMinHugePageUplift);
             return 2;
         }
         std::printf("vm gate passed: monotone drop holds, huge-page "
                     "uplift %.2fx (threshold %.2f)\n",
-                    huge_ipc_uplift, tol);
+                    huge_ipc_uplift, kMinHugePageUplift);
     }
     return 0;
 }
