@@ -342,73 +342,42 @@ TraceReader::readHeader()
 }
 
 void
-TraceReader::loadBlock(std::uint32_t record_count)
+TraceReader::throwReadError() const
 {
-    if (const char *err =
-            checkRecords(payload_.data(), payload_.size(), record_count))
-        throwMalformed(err);
-    payloadPos_ = 0;
-    blockLeft_ = record_count;
-    prevAddr_ = 0;
+    throw SimError(ErrorKind::IoError,
+                   "read error in trace file '" + path_ + "'");
 }
 
 void
-TraceReader::decodeNext(cpu::TraceRecord &record)
+TraceReader::readExact(void *dst, std::size_t n, const char *what)
 {
-    decodeRecord(payload_.data(), payload_.size(), payloadPos_ == 0,
-                 payloadPos_, prevAddr_, record);
-    --blockLeft_;
+    in_.read(static_cast<char *>(dst), static_cast<std::streamsize>(n));
+    if (in_.gcount() != static_cast<std::streamsize>(n)) {
+        if (in_.eof())
+            throwTruncated(what);
+        throwReadError();
+    }
 }
 
-bool
-TraceReader::refill()
+void
+TraceReader::countRefill()
 {
-    if (atEnd_)
-        return false;
     ++refills_;
     if (vanishAfterRefills_ && refills_ >= vanishAfterRefills_)
         throw SimError(ErrorKind::IoError,
                        "trace file '" + path_ +
                            "' vanished between readahead refills "
                            "(injected)");
+}
 
-    std::uint8_t hdr[kBlockHdrBytes];
-    in_.read(reinterpret_cast<char *>(hdr), kBlockHdrBytes);
-    if (in_.gcount() == 0 && in_.eof())
-        throwTruncated("end of file without an end block");
-    if (in_.gcount() != static_cast<std::streamsize>(kBlockHdrBytes)) {
-        if (in_.eof())
-            throwTruncated("short block header");
-        throw SimError(ErrorKind::IoError,
-                       "read error in trace file '" + path_ + "'");
-    }
-    BlockHdr h = unpackHdr(hdr);
-    if (h.kind != kBlockRecords && h.kind != kBlockEnd)
-        throwMalformed("unknown block kind " + std::to_string(h.kind));
-    if (h.payloadBytes > kMaxBlockPayload)
-        throwMalformed("block payload claims " +
-                       std::to_string(h.payloadBytes) +
-                       " bytes (cap " + std::to_string(kMaxBlockPayload) +
-                       ")");
+bool
+TraceReader::loadBlock(const std::uint8_t *hdr)
+{
+    const BlockHdr h = unpackHdr(hdr);
     payload_.resize(h.payloadBytes);
-    if (h.payloadBytes) {
-        in_.read(reinterpret_cast<char *>(payload_.data()),
-                 h.payloadBytes);
-        if (in_.gcount() != static_cast<std::streamsize>(h.payloadBytes)) {
-            if (in_.eof())
-                throwTruncated("short block payload");
-            throw SimError(ErrorKind::IoError,
-                           "read error in trace file '" + path_ + "'");
-        }
-    }
+    readExact(payload_.data(), payload_.size(), "short block payload");
     std::uint32_t stored = 0;
-    in_.read(reinterpret_cast<char *>(&stored), 4);
-    if (in_.gcount() != 4) {
-        if (in_.eof())
-            throwTruncated("short block CRC");
-        throw SimError(ErrorKind::IoError,
-                       "read error in trace file '" + path_ + "'");
-    }
+    readExact(&stored, 4, "short block CRC");
     std::uint32_t crc = resilience::crc32(hdr, kBlockHdrBytes);
     crc = resilience::crc32(payload_.data(), payload_.size(), crc);
     if (stored != crc)
@@ -431,8 +400,53 @@ TraceReader::refill()
     }
     if (h.recordCount == 0)
         throwMalformed("empty records block");
-    loadBlock(h.recordCount);
+    if (const char *err =
+            checkRecords(payload_.data(), payload_.size(), h.recordCount))
+        throwMalformed(err);
+    payloadPos_ = 0;
+    blockLeft_ = h.recordCount;
+    prevAddr_ = 0;
     return true;
+}
+
+void
+TraceReader::decodeNext(cpu::TraceRecord &record)
+{
+    decodeRecord(payload_.data(), payload_.size(), payloadPos_ == 0,
+                 payloadPos_, prevAddr_, record);
+    --blockLeft_;
+}
+
+bool
+TraceReader::refill()
+{
+    if (atEnd_)
+        return false;
+    countRefill();
+    std::uint8_t hdr[kBlockHdrBytes];
+    BlockHdr h;
+    switch (peekHeader(in_, hdr, h)) {
+      case Peek::Records:
+      case Peek::Empty: // Refused by loadBlock, after the CRC check.
+        break;
+      case Peek::End:
+        if (h.payloadBytes <= kMaxBlockPayload)
+            break;
+        [[fallthrough]];
+      case Peek::Oversized:
+        throwMalformed("block payload claims " +
+                       std::to_string(h.payloadBytes) + " bytes (cap " +
+                       std::to_string(kMaxBlockPayload) + ")");
+      case Peek::Short:
+        throwTruncated(in_.gcount() == 0
+                           ? "end of file without an end block"
+                           : "short block header");
+      case Peek::ReadError:
+        throwReadError();
+      case Peek::BadKind:
+        throwMalformed("unknown block kind " + std::to_string(h.kind));
+    }
+    return loadBlock(hdr);
 }
 
 bool
@@ -505,12 +519,7 @@ TraceReader::skipRecords(std::uint64_t n)
             throwTruncated("skip past end of trace");
         // Peek the next block header; skip its payload wholesale when
         // the whole block falls inside the skip window.
-        ++refills_;
-        if (vanishAfterRefills_ && refills_ >= vanishAfterRefills_)
-            throw SimError(ErrorKind::IoError,
-                           "trace file '" + path_ +
-                               "' vanished between readahead refills "
-                               "(injected)");
+        countRefill();
         std::uint8_t hdr[kBlockHdrBytes];
         BlockHdr h;
         switch (peekHeader(in_, hdr, h)) {
@@ -519,8 +528,7 @@ TraceReader::skipRecords(std::uint64_t n)
           case Peek::Short:
             throwTruncated("short block header");
           case Peek::ReadError:
-            throw SimError(ErrorKind::IoError,
-                           "read error in trace file '" + path_ + "'");
+            throwReadError();
           case Peek::End:
             throwTruncated("skip past end of trace");
           case Peek::BadKind:
@@ -551,30 +559,8 @@ TraceReader::skipRecords(std::uint64_t n)
             n -= h.recordCount;
             continue;
         }
-        // Partial block: validate and decode it like refill() would.
-        payload_.resize(h.payloadBytes);
-        in_.read(reinterpret_cast<char *>(payload_.data()),
-                 h.payloadBytes);
-        if (in_.gcount() !=
-            static_cast<std::streamsize>(h.payloadBytes)) {
-            if (in_.eof())
-                throwTruncated("short block payload");
-            throw SimError(ErrorKind::IoError,
-                           "read error in trace file '" + path_ + "'");
-        }
-        std::uint32_t stored = 0;
-        in_.read(reinterpret_cast<char *>(&stored), 4);
-        if (in_.gcount() != 4) {
-            if (in_.eof())
-                throwTruncated("short block CRC");
-            throw SimError(ErrorKind::IoError,
-                           "read error in trace file '" + path_ + "'");
-        }
-        std::uint32_t crc = resilience::crc32(hdr, kBlockHdrBytes);
-        crc = resilience::crc32(payload_.data(), payload_.size(), crc);
-        if (stored != crc)
-            throwMalformed("block CRC mismatch");
-        loadBlock(h.recordCount);
+        // Partial block: validate and decode it as next() would.
+        loadBlock(hdr);
     }
 }
 

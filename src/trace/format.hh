@@ -222,14 +222,23 @@ class TraceReader
     void readHeader();
     /** Refill the readahead with the next block; false at clean end. */
     bool refill();
-    /** Check that payload_ holds exactly `record_count` well-formed
-        records, then make it the resident block. */
-    void loadBlock(std::uint32_t record_count);
+    /** Count one readahead refill: where injectVanishAfter fires. */
+    void countRefill();
+    /**
+     * Read the payload and CRC of the block whose header `hdr` was just
+     * read and check the CRC. A records block becomes the resident
+     * block once all its records decode; the end block records the
+     * totals, must end the file, and returns false.
+     */
+    bool loadBlock(const std::uint8_t *hdr);
+    /** Read `n` bytes; EOF before them is truncation `what`. */
+    void readExact(void *dst, std::size_t n, const char *what);
     /** Decode the resident block's next record (validated on load). */
     void decodeNext(cpu::TraceRecord &record);
 
     [[noreturn]] void throwTruncated(const std::string &what) const;
     [[noreturn]] void throwMalformed(const std::string &what) const;
+    [[noreturn]] void throwReadError() const;
 
     std::string path_;
     std::ifstream in_;
